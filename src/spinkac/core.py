@@ -16,11 +16,12 @@ Dense enumeration is gated at ``n <= 24`` sites.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import CapacityError, ConvergenceError, DegenerateProfileError
+from .errors import CapacityError, ConvergenceError, DegenerateProfileError, FitError
 
 N_MAX = 24
 
@@ -80,55 +81,22 @@ def interaction_row_norm(J):
     return float(np.max(np.sum(np.abs(J), axis=1))) if J.size else 0.0
 
 
-def jacobi_eigvals(a, tol=1e-12, max_sweeps=80):
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius mass drops below
-    ``tol * (1 + ||a||_F)``. Returns eigenvalues sorted ascending.
-    """
-    a = np.array(a, dtype=float)
-    m = a.shape[0]
-    if m == 1:
-        return a[0].copy()
-    scale = 1.0 + math.sqrt(float(np.sum(a * a)))
-    mask = ~np.eye(m, dtype=bool)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(a[mask] ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) < 1e150:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                else:
-                    # theta**2 would overflow; use the asymptotic root
-                    t = 1.0 / (2.0 * theta)
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    else:
-        raise ConvergenceError("Jacobi iteration did not reach tolerance", residual=off)
-    return np.sort(np.diag(a))
+def eigen_bounds(a):
+    """Smallest and largest eigenvalue of a symmetric matrix."""
+    eigs = np.linalg.eigvalsh(np.asarray(a, dtype=float))
+    return float(eigs[0]), float(eigs[-1])
 
 
-def lam_max(J):
-    """Largest eigenvalue of the interaction matrix."""
-    return float(jacobi_eigvals(check_interaction(J))[-1])
-
-
-def is_nonneg_definite(J, tol=1e-10):
-    return float(jacobi_eigvals(check_interaction(J))[0]) >= -tol
+def interaction_condition(J):
+    """(lam_min, lam_max, reason) for the weak-interaction hypothesis
+    J >= 0, lam_max < 1/2; `reason` is empty when it holds and otherwise
+    names the part that fails."""
+    lo, hi = eigen_bounds(J)
+    if lo < -1e-10:
+        return lo, hi, f"J has negative eigenvalue {lo}"
+    if hi >= 0.5:
+        return lo, hi, f"largest eigenvalue {hi} >= 1/2"
+    return lo, hi, ""
 
 
 def log_gibbs_weights(J, h=None):
@@ -271,6 +239,79 @@ def entropy_functional(mu, F):
     if mean <= 0.0:
         return 0.0
     return float(np.sum(mu[pos] * F[pos] * np.log(F[pos]))) - mean * math.log(mean)
+
+
+@dataclass
+class ReversibleChain:
+    """A continuous-time jump chain reversible for `probs`: it jumps
+    src[e] -> dst[e] at rate[e]. Identity moves are left out."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    rate: np.ndarray
+    probs: np.ndarray
+
+    def dirichlet(self, F, G):
+        """(1/2) sum over jumps of probs(src) rate dF dG."""
+        dF = F[self.dst] - F[self.src]
+        dG = G[self.dst] - G[self.src]
+        return float(np.sum(self.probs[self.src] * self.rate * dF * dG)) / 2.0
+
+    def generator(self):
+        size = self.probs.size
+        L = np.zeros((size, size))
+        np.add.at(L, (self.src, self.dst), self.rate)
+        np.add.at(L, (self.src, self.src), -self.rate)
+        return L
+
+    def spectrum(self):
+        """(eigenvalues, orthonormal eigenvectors, sqrt(probs)) of the
+        generator symmetrized by sqrt(probs); eigenvalues ascending."""
+        sq = np.sqrt(self.probs)
+        S = self.generator() * sq[:, None] / sq[None, :]
+        evals, vecs = np.linalg.eigh((S + S.T) / 2.0)
+        return evals, vecs, sq
+
+
+def sample_test_function(size, trial, rng):
+    """A positive test function for entropy-ratio scans, cycling by
+    trial through log-normal fields, near point masses and bounded
+    perturbations of 1."""
+    kind = trial % 3
+    if kind == 0:
+        s = float(rng.choice([0.5, 1.0, 2.0]))
+        return np.exp(s * rng.standard_normal(size))
+    if kind == 1:
+        F = np.full(size, 1e-4)
+        F[int(rng.integers(size))] = 1.0
+        return F
+    return 1.0 + 0.9 * rng.uniform(-1.0, 1.0, size=size)
+
+
+@dataclass
+class RatioScan:
+    min_ratio: float
+    median_ratio: float
+    samples: int
+    discarded: int
+
+
+def entropy_ratio_scan(mu, functions, numerator):
+    """Minimum and median of numerator(F) / Ent_mu(F) over the test
+    functions, read one at a time; F with Ent_mu(F) < 1e-13 is
+    discarded and counted."""
+    ratios = []
+    discarded = 0
+    for F in functions:
+        ent = entropy_functional(mu, F)
+        if ent < 1e-13:
+            discarded += 1
+            continue
+        ratios.append(numerator(F) / ent)
+    if not ratios:
+        raise FitError("no usable test functions")
+    ratios = np.array(ratios)
+    return RatioScan(float(ratios.min()), float(np.median(ratios)), len(ratios), discarded)
 
 
 def marginal_on_sites(p, sites, n=None):

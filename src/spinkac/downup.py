@@ -15,13 +15,22 @@ Enumeration is gated at L <= 20 and dense generators at L <= 14.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_partition, entropy_functional, jacobi_eigvals
-from .errors import CapacityError, FitError
+from .core import (
+    ReversibleChain,
+    check_partition,
+    eigen_bounds,
+    entropy_functional,
+    entropy_ratio_scan,
+    interaction_condition,
+    sample_test_function,
+)
+from .errors import CapacityError
 
 ENUMERATION_GATE = 20
 DENSE_GATE = 14
@@ -75,9 +84,6 @@ class DuInstance:
     def balls(self):
         """number of plus spins per block"""
         return tuple((len(b) + m) // 2 for b, m in zip(self.blocks, self.M))
-
-    def top_eigenvalue(self):
-        return float(jacobi_eigvals(self.lam_matrix)[-1]) if self.L > 1 else float(self.lam_matrix[0, 0])
 
 
 def single_block_instance(L, M, lam_matrix=None, w=None):
@@ -161,19 +167,9 @@ def du_rate(meas, code, i, j):
     return float(np.exp(target - shift) / np.exp(logs - shift).sum())
 
 
-@dataclass
-class DuTransitions:
-    src: np.ndarray
-    dst: np.ndarray
-    rate: np.ndarray    # c(src -> dst), proper jumps only
-    weight: np.ndarray  # nu(src) * rate / 2
-
-    def dirichlet(self, F, G):
-        return float(np.sum(self.weight * (F[self.dst] - F[self.src]) * (G[self.dst] - G[self.src])))
-
-
 def du_transitions(meas):
-    """All proper ball moves with their rates, vectorized over the slice."""
+    """All proper ball moves with their rates, vectorized over the slice,
+    as a chain reversible for the slice measure."""
     inst = meas.inst
     codes = meas.codes
     size = codes.size
@@ -208,22 +204,16 @@ def du_transitions(meas):
                 rates.append(r)
     if not srcs:
         z = np.zeros(0)
-        return DuTransitions(z.astype(int), z.astype(int), z, z)
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    rate = np.concatenate(rates)
-    return DuTransitions(src, dst, rate, meas.probs[src] * rate / 2.0)
+        return ReversibleChain(z.astype(int), z.astype(int), z, meas.probs)
+    return ReversibleChain(
+        np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), meas.probs
+    )
 
 
 def du_generator(meas):
     if meas.inst.L > DENSE_GATE:
         raise CapacityError(f"dense generators gated at L <= {DENSE_GATE}")
-    tab = du_transitions(meas)
-    size = meas.codes.size
-    Lmat = np.zeros((size, size))
-    np.add.at(Lmat, (tab.src, tab.dst), tab.rate)
-    np.add.at(Lmat, (tab.src, tab.src), -tab.rate)
-    return Lmat
+    return du_transitions(meas).generator()
 
 
 def detailed_balance_residual(meas, tab=None):
@@ -257,28 +247,22 @@ def spectral_gap(meas, tab=None):
     generator."""
     if meas.inst.L > DENSE_GATE:
         raise CapacityError(f"dense spectra gated at L <= {DENSE_GATE}")
-    Lmat = du_generator(meas)
-    sq = np.sqrt(meas.probs)
-    S = Lmat * sq[:, None] / sq[None, :]
-    S = (S + S.T) / 2.0
-    evals = np.linalg.eigvalsh(S)
-    rates = -evals[evals < -1e-12]
-    return float(rates.min()) if rates.size else 0.0
+    gap, _ = _slowest_mode(du_transitions(meas) if tab is None else tab)
+    return 0.0 if gap is None else gap
+
+
+def _slowest_mode(tab):
+    """Decay rate and eigenfunction of the slowest nonzero mode, or
+    (None, None) when no mode decays."""
+    evals, vecs, sq = tab.spectrum()
+    decaying = np.flatnonzero(evals < -1e-12)
+    if decaying.size == 0:
+        return None, None
+    top = decaying[-1]
+    return -float(evals[top]), vecs[:, top] / sq
 
 
 # -- scans --------------------------------------------------------------
-
-
-def _sample_function(size, trial, rng):
-    kind = trial % 3
-    if kind == 0:
-        s = float(rng.choice([0.5, 1.0, 2.0]))
-        return np.exp(s * rng.standard_normal(size))
-    if kind == 1:
-        F = np.full(size, 1e-4)
-        F[int(rng.integers(size))] = 1.0
-        return F
-    return 1.0 + 0.9 * rng.uniform(-1.0, 1.0, size=size)
 
 
 @dataclass
@@ -294,35 +278,9 @@ class DuScanReport:
 
 def du_constants(inst):
     """(single-walk constant, multicomponent constant, applicable)."""
-    lam = inst.top_eigenvalue()
-    eigs = jacobi_eigvals(inst.lam_matrix) if inst.L > 1 else np.array([lam])
-    applicable = bool(eigs[0] > -1e-10 and lam < 0.5)
+    _, lam, reason = interaction_condition(inst.lam_matrix)
     c1 = 1.0 - 2.0 * lam
-    return c1, c1 * c1, applicable
-
-
-def _gap_probe(meas):
-    """The slowest mode and functions 1 + eps * g probing it.
-
-    On such perturbations the entropy-production ratio approaches twice
-    the spectral gap, which is its infimum over this family; including
-    them makes `min_ratio <= 2 * gap + tol` a checkable ordering
-    (random sampling alone only produces upper bounds on the true
-    constant, so it can land anywhere above it).
-    """
-    Lmat = du_generator(meas)
-    sq = np.sqrt(meas.probs)
-    S = Lmat * sq[:, None] / sq[None, :]
-    S = (S + S.T) / 2.0
-    evals, vecs = np.linalg.eigh(S)
-    decaying = np.flatnonzero(evals < -1e-12)
-    if decaying.size == 0:
-        return None, []
-    top = decaying[-1]
-    gap = -float(evals[top])
-    g = vecs[:, top] / sq
-    g = g / np.abs(g).max()
-    return gap, [1.0 + eps * g for eps in (1e-2, 1e-3)]
+    return c1, c1 * c1, not reason
 
 
 def du_mlsi_scan(meas, trials, rng, gap_probe=True):
@@ -330,24 +288,24 @@ def du_mlsi_scan(meas, trials, rng, gap_probe=True):
     size = meas.codes.size
     c1, c2, ok = du_constants(meas.inst)
     constant = c1 if len(meas.inst.blocks) == 1 else c2
-    samples = [_sample_function(size, trial, rng) for trial in range(trials)]
     gap = None
+    probes = []
     if gap_probe and meas.inst.L <= DENSE_GATE and size > 1:
-        gap, probes = _gap_probe(meas)
-        samples.extend(probes)
-    ratios = []
-    discarded = 0
-    for F in samples:
-        ent = entropy_functional(meas.probs, F)
-        if ent < 1e-13:
-            discarded += 1
-            continue
-        ratios.append(tab.dirichlet(F, np.log(F)) / ent)
-    if not ratios:
-        raise FitError("no usable test functions")
-    ratios = np.array(ratios)
+        # On 1 + eps * g, with g the slowest mode, the ratio approaches
+        # twice the spectral gap, its infimum over this family; the
+        # probes make `min_ratio <= 2 * gap + tol` a checkable ordering
+        # (random sampling alone only produces upper bounds on the true
+        # constant, so it can land anywhere above it).
+        gap, g = _slowest_mode(tab)
+        if g is not None:
+            g = g / np.abs(g).max()
+            probes = [1.0 + eps * g for eps in (1e-2, 1e-3)]
+    functions = itertools.chain(
+        (sample_test_function(size, trial, rng) for trial in range(trials)), probes
+    )
+    scan = entropy_ratio_scan(meas.probs, functions, lambda F: tab.dirichlet(F, np.log(F)))
     return DuScanReport(
-        float(ratios.min()), float(np.median(ratios)), constant, ok, len(ratios), discarded, gap
+        scan.min_ratio, scan.median_ratio, constant, ok, scan.samples, scan.discarded, gap
     )
 
 
@@ -387,19 +345,9 @@ def factorization_check(meas, trials, rng):
     """min over sampled F of the block-factorization sum over Ent."""
     c1, _, ok = du_constants(meas.inst)
     size = meas.codes.size
-    ratios = []
-    discarded = 0
-    for trial in range(trials):
-        F = _sample_function(size, trial, rng)
-        ent = entropy_functional(meas.probs, F)
-        if ent < 1e-13:
-            discarded += 1
-            continue
-        ratios.append(block_factorization_value(meas, F) / ent)
-    if not ratios:
-        raise FitError("no usable test functions")
-    ratios = np.array(ratios)
-    return DuScanReport(float(ratios.min()), float(np.median(ratios)), c1, ok, len(ratios), discarded)
+    functions = (sample_test_function(size, trial, rng) for trial in range(trials))
+    scan = entropy_ratio_scan(meas.probs, functions, lambda F: block_factorization_value(meas, F))
+    return DuScanReport(scan.min_ratio, scan.median_ratio, c1, ok, scan.samples, scan.discarded)
 
 
 def _ball_groups(meas):
@@ -481,18 +429,17 @@ def cov_bound_check(inst, tilt_samples, rng):
     """max eigenvalue of the covariance over random and extreme tilts,
     against 2/(1 - 2 lam). Semidefinite interactions are nudged to
     positive definite by +1e-9 on the diagonal."""
-    lam = inst.top_eigenvalue()
+    lo, lam = eigen_bounds(inst.lam_matrix)
     if lam >= 0.5:
         raise ValueError(f"top eigenvalue {lam} >= 1/2, no covariance bound")
-    eigs = jacobi_eigvals(inst.lam_matrix) if inst.L > 1 else np.array([lam])
-    if eigs[0] < -1e-10:
+    if lo < -1e-10:
         raise ValueError("interaction matrix must be nonnegative definite")
-    regularized = bool(eigs[0] < 1e-12)
+    regularized = lo < 1e-12
     if regularized:
         inst = DuInstance(
             inst.L, inst.lam_matrix + 1e-9 * np.eye(inst.L), inst.w, inst.blocks, inst.M
         )
-        lam = inst.top_eigenvalue()
+        _, lam = eigen_bounds(inst.lam_matrix)
     meas = du_measure(inst)
     bound = 2.0 / (1.0 - 2.0 * lam)
     tilts = [np.zeros(inst.L)]
@@ -507,8 +454,7 @@ def cov_bound_check(inst, tilt_samples, rng):
     worst = -math.inf
     worst_v = tilts[0]
     for v in tilts:
-        cov = tilt(meas, v).covariance()
-        top = float(jacobi_eigvals(cov)[-1]) if inst.L > 1 else float(cov[0, 0])
+        _, top = eigen_bounds(tilt(meas, v).covariance())
         if top > worst:
             worst = top
             worst_v = v
@@ -596,7 +542,7 @@ def bridge_check(particle_measure, du_meas, trials, rng):
     size = du_meas.codes.size
     worst = math.inf
     for trial in range(trials):
-        F = _sample_function(size, trial, rng)
+        F = sample_test_function(size, trial, rng)
         logF = np.log(F)
         lhs = dirichlet_form(particle_measure, F, logF, kernel=None)
         rhs = const * tab.dirichlet(F, logF)

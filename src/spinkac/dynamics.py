@@ -20,8 +20,8 @@ from .core import (
     check_regular,
     entropy_functional,
     gibbs,
+    interaction_condition,
     interaction_row_norm,
-    jacobi_eigvals,
     log_gibbs_weights,
     magnetization_profile,
     match_block_means,
@@ -189,13 +189,10 @@ def alpha_bound(J, n=None):
     J = np.asarray(J, dtype=float)
     if n is None:
         n = J.shape[0]
-    eigs = jacobi_eigvals(J) if J.shape[0] > 1 else np.array([float(J[0, 0])])
-    lam = float(eigs[-1])
+    _, lam, reason = interaction_condition(J)
     jb = interaction_row_norm(J)
-    if eigs[0] < -1e-10:
-        return AlphaBound(None, False, f"J has negative eigenvalue {eigs[0]}", lam, jb)
-    if lam >= 0.5:
-        return AlphaBound(None, False, f"largest eigenvalue {lam} >= 1/2", lam, jb)
+    if reason:
+        return AlphaBound(None, False, reason, lam, jb)
     value = (1.0 - 2.0 * lam) ** 2 * math.exp(-16.0 * jb) / (4.0 * n)
     return AlphaBound(value, True, "", lam, jb)
 

@@ -24,18 +24,20 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .core import (
+    RatioScan,
+    ReversibleChain,
     check_interaction,
     check_partition,
     check_probvec,
-    check_sites,
-    entropy_functional,
+    entropy_ratio_scan,
+    interaction_condition,
     interaction_row_norm,
-    jacobi_eigvals,
     log_gibbs_weights,
     relative_entropy,
+    sample_test_function,
 )
-from .dynamics import AlphaBound, alpha_bound
-from .errors import CapacityError, FitError
+from .dynamics import AlphaBound
+from .errors import CapacityError
 
 EXPONENTIAL_GATE = 12
 ENUMERATION_GATE = 22
@@ -45,14 +47,11 @@ def mean_field_alpha_bound(J, h=None):
     """Rate bound for the all-pairs (uniform transport) walk with fields:
     (1/4) (1 - 2 lam) exp(-8 (Jbar + hbar))."""
     J = check_interaction(J)
-    eigs = jacobi_eigvals(J) if J.shape[0] > 1 else np.array([float(J[0, 0])])
-    lam = float(eigs[-1])
+    _, lam, reason = interaction_condition(J)
     jb = interaction_row_norm(J)
     hb = 0.0 if h is None else float(np.max(np.abs(h)))
-    if eigs[0] < -1e-10:
-        return AlphaBound(None, False, f"J has negative eigenvalue {eigs[0]}", lam, jb)
-    if lam >= 0.5:
-        return AlphaBound(None, False, f"largest eigenvalue {lam} >= 1/2", lam, jb)
+    if reason:
+        return AlphaBound(None, False, reason, lam, jb)
     return AlphaBound(0.25 * (1.0 - 2.0 * lam) * math.exp(-8.0 * (jb + hb)), True, "", lam, jb)
 
 
@@ -246,54 +245,39 @@ def dirichlet_form(measure, F, G, kernel=None):
     return total / (2.0 * measure.N * measure.n)
 
 
-@dataclass
-class TransitionTable:
-    src: np.ndarray
-    dst: np.ndarray
-    weight: np.ndarray  # mu(src) * rate * K / (2 N n), ready for gradient sums
-    generator_rate: np.ndarray  # rate * K / (N n) for the jump src -> dst
-
-    def dirichlet(self, F, G):
-        return float(np.sum(self.weight * (F[self.dst] - F[self.src]) * (G[self.dst] - G[self.src])))
-
-
 def transition_table(measure, kernel):
-    srcs, dsts, ws, gens = [], [], [], []
+    """The shell process as a reversible chain: jump rate r * K / (N n)
+    for each exchange that stays on the shell."""
+    srcs, dsts, rates = [], [], []
     all_idx = np.arange(measure.codes.size)
     for src_mask, dst, r, w in _pair_moves(measure, kernel):
-        src = all_idx[src_mask]
-        srcs.append(src)
+        srcs.append(all_idx[src_mask])
         dsts.append(dst)
-        ws.append(w * measure.probs[src] * r / (2.0 * measure.N * measure.n))
-        gens.append(w * r / (measure.N * measure.n))
+        rates.append(w * r / (measure.N * measure.n))
     if not srcs:
         z = np.zeros(0)
-        return TransitionTable(z.astype(int), z.astype(int), z, z)
-    return TransitionTable(
-        np.concatenate(srcs), np.concatenate(dsts), np.concatenate(ws), np.concatenate(gens)
+        return ReversibleChain(z.astype(int), z.astype(int), z, measure.probs)
+    return ReversibleChain(
+        np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), measure.probs
     )
+
+
+def _exact_chain(measure, kernel):
+    if measure.N * measure.n > EXPONENTIAL_GATE:
+        raise CapacityError(f"generator matrices gated at N*n <= {EXPONENTIAL_GATE}")
+    return transition_table(measure, kernel)
 
 
 def generator_matrix(measure, kernel):
     """Dense generator of the shell process (exact route)."""
-    if measure.N * measure.n > EXPONENTIAL_GATE:
-        raise CapacityError(f"generator matrices gated at N*n <= {EXPONENTIAL_GATE}")
-    size = measure.codes.size
-    L = np.zeros((size, size))
-    tab = transition_table(measure, kernel)
-    np.add.at(L, (tab.src, tab.dst), tab.generator_rate)
-    np.add.at(L, (tab.src, tab.src), -tab.generator_rate)
-    return L
+    return _exact_chain(measure, kernel).generator()
 
 
 def particle_entropy_decay(measure, kernel, nu0, t_grid):
     """Exact H(nu_t | mu) along the shell semigroup, by symmetrized
     eigendecomposition of the generator."""
-    L = generator_matrix(measure, kernel)
+    evals, Q, sq = _exact_chain(measure, kernel).spectrum()
     mu = measure.probs
-    sq = np.sqrt(mu)
-    S = (L * sq[:, None] / sq[None, :] + (L * sq[:, None] / sq[None, :]).T) / 2.0
-    evals, Q = np.linalg.eigh(S)
     nu0 = np.asarray(nu0, dtype=float)
     out = []
     for t in t_grid:
@@ -305,42 +289,15 @@ def particle_entropy_decay(measure, kernel, nu0, t_grid):
     return np.array(out)
 
 
-@dataclass
-class ParticleScan:
-    min_ratio: float
-    median_ratio: float
-    samples: int
-    discarded: int
-
-
 def particle_mlsi_scan(measure, kernel, trials, rng):
     """Minimum of Dirichlet(F, log F) / Ent(F) over random positive F."""
     size = measure.codes.size
     if size == 1:
         # a one-point shell has no nonconstant F; the infimum is vacuous
-        return ParticleScan(math.inf, math.inf, 0, 0)
+        return RatioScan(math.inf, math.inf, 0, 0)
     tab = transition_table(measure, kernel)
-    ratios = []
-    discarded = 0
-    for trial in range(trials):
-        kind = trial % 3
-        if kind == 0:
-            s = float(rng.choice([0.5, 1.0, 2.0]))
-            F = np.exp(s * rng.standard_normal(size))
-        elif kind == 1:
-            F = np.full(size, 1e-4)
-            F[int(rng.integers(size))] = 1.0
-        else:
-            F = 1.0 + 0.9 * rng.uniform(-1.0, 1.0, size=size)
-        ent = entropy_functional(measure.probs, F)
-        if ent < 1e-13:
-            discarded += 1
-            continue
-        ratios.append(tab.dirichlet(F, np.log(F)) / ent)
-    if not ratios:
-        raise FitError("no usable test functions")
-    ratios = np.array(ratios)
-    return ParticleScan(float(ratios.min()), float(np.median(ratios)), len(ratios), discarded)
+    functions = (sample_test_function(size, trial, rng) for trial in range(trials))
+    return entropy_ratio_scan(measure.probs, functions, lambda F: tab.dirichlet(F, np.log(F)))
 
 
 # -- event-driven simulation -------------------------------------------
@@ -377,8 +334,8 @@ def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False
     total; each event draws slots (i, j) uniformly, site l uniformly,
     site k from K(l, .), and accepts the spin exchange with the
     heat-bath probability. Site pairs always stay inside one
-    irreducible block of K, which conserves the shell counts; this is
-    asserted per event.
+    irreducible block of K, which conserves the shell counts; an event
+    whose site pair crosses blocks raises RuntimeError.
     """
     n = ctx.n
     block_of = np.empty(n, dtype=int)
@@ -415,7 +372,10 @@ def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False
         j = int(rng.integers(N))
         l = int(rng.integers(n))
         k = int(np.searchsorted(cum_rows[l], rng.random(), side="right"))
-        assert block_of[l] == block_of[k], "transport kernel left its block"
+        if block_of[l] != block_of[k]:
+            raise RuntimeError(
+                f"transport kernel moved site {l + 1} to site {k + 1} outside its block"
+            )
         si, sj = int(state[i]), int(state[j])
         if i == j:
             acc = ctx.diagonal_acceptance(l, k, si)

@@ -26,6 +26,7 @@ import numpy as np
 from . import downup, kac, wildtree
 from .collision import CollisionContext, build_transport_kernel
 from .core import (
+    eigen_bounds,
     gibbs,
     log_gibbs_weights,
     magnetization_profile,
@@ -150,7 +151,7 @@ def _admissible_coupling(rng, n, lam_lo=0.05, lam_hi=0.12):
     kept small enough that the closed-form rate bound is workable."""
     A = rng.standard_normal((n, n))
     S = A @ A.T
-    top = float(np.linalg.eigvalsh(S)[-1])
+    top = eigen_bounds(S)[1]
     return S * (rng.uniform(lam_lo, lam_hi) / top)
 
 
@@ -622,7 +623,7 @@ def c12_ball_walks(seed=DEFAULT_SEED, quick=False, par=None):
     def psd(L, lam):
         A = rng.standard_normal((L, L))
         S = A @ A.T
-        return S * (lam / float(np.linalg.eigvalsh(S)[-1]))
+        return S * (lam / eigen_bounds(S)[1])
 
     L1 = 8 if quick else 12
     inst1 = downup.single_block_instance(L1, 0, psd(L1, 0.15), rng.normal(0.0, 0.5, L1))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinkac import core
+from spinkac import core, downup, dynamics, kac
 from spinkac.errors import CapacityError, ConvergenceError, DegenerateProfileError
 
 
@@ -66,14 +66,24 @@ class TestGibbs:
 
 
 class TestSpectrum:
-    def test_jacobi_matches_lapack(self):
-        rng = np.random.default_rng(5)
-        for m in (2, 3, 5, 8):
-            a = rng.standard_normal((m, m))
-            a = a + a.T
-            got = core.jacobi_eigvals(a)
-            want = np.linalg.eigvalsh(a)
-            assert np.abs(got - want).max() < 1e-10
+    @pytest.mark.parametrize("J, failing", [
+        (np.full((3, 3), 0.1), None),
+        (np.array([[0.0, 0.2], [0.2, 0.0]]), "negative"),
+        (np.full((2, 2), 0.4), "hot"),
+        (np.array([[0.2]]), None),
+    ], ids=["admissible", "indefinite", "hot", "one-site"])
+    def test_rate_bounds_share_the_eigen_condition(self, J, failing):
+        L = J.shape[0]
+        lo, lam = (float(x) for x in np.linalg.eigvalsh(J)[[0, -1]])
+        reason = {None: "", "negative": f"J has negative eigenvalue {lo}",
+                  "hot": f"largest eigenvalue {lam} >= 1/2"}[failing]
+        flow = dynamics.alpha_bound(J)
+        shell = kac.mean_field_alpha_bound(J)
+        c1, _, applicable = downup.du_constants(downup.single_block_instance(L, L % 2, J))
+        assert flow.lam == shell.lam == lam
+        assert c1 == 1.0 - 2.0 * lam
+        assert flow.reason == shell.reason == reason
+        assert flow.applicable == shell.applicable == applicable == (failing is None)
 
     def test_row_norm(self):
         J = np.array([[0.1, -0.2], [-0.2, 0.0]])

@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from spinkac import downup as du
 from spinkac import kac
-from spinkac.core import entropy_functional
+from spinkac.core import entropy_functional, sample_test_function
 from spinkac.errors import CapacityError
 from spinkac.rng import make_rng
 
@@ -108,6 +108,19 @@ class TestRates:
         assert G[1, 0] == pytest.approx(expit(0.8), abs=1e-15)
         assert np.abs(G.sum(axis=1)).max() < 1e-15
 
+    def test_matches_generator_pairing(self):
+        rng = make_rng(71, 10)
+        A = 0.2 * rng.standard_normal((5, 5))
+        inst = du.DuInstance(5, A @ A.T, rng.standard_normal(5), ((0, 1, 2), (3, 4)), (1, 0))
+        meas = du.du_measure(inst)
+        G = du.du_generator(meas)
+        tab = du.du_transitions(meas)
+        for _ in range(5):
+            F = np.exp(rng.standard_normal(meas.codes.size))
+            H = np.exp(rng.standard_normal(meas.codes.size))
+            pairing = -float(meas.probs @ (F * (G @ H)))
+            assert tab.dirichlet(F, H) == pytest.approx(pairing, abs=1e-12)
+
     def test_detailed_balance_general_interaction(self):
         rng = make_rng(71, 9)
         A = 0.2 * rng.standard_normal((5, 5))
@@ -185,7 +198,7 @@ class TestBallCoordinates:
         tab = du.du_transitions(meas)
         rng = make_rng(72, 4)
         for trial in range(6):
-            F = du._sample_function(meas.codes.size, trial, rng)
+            F = sample_test_function(meas.codes.size, trial, rng)
             lhs = du.ball_dirichlet_value(meas, F, np.log(F))
             rhs = tab.dirichlet(F, np.log(F))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -194,7 +207,7 @@ class TestBallCoordinates:
         meas = du.du_measure(random_psd_instance(5, 1, 0))
         rng = make_rng(72, 5)
         for trial in range(6):
-            F = du._sample_function(meas.codes.size, trial, rng)
+            F = sample_test_function(meas.codes.size, trial, rng)
             ent = entropy_functional(meas.probs, F)
             bf = du.ball_factorization_value(meas, F)
             bd = du.ball_dirichlet_value(meas, F, np.log(F))
@@ -205,7 +218,7 @@ class TestBallCoordinates:
         meas = du.du_measure(random_psd_instance(5, 1, 0))
         rng = make_rng(72, 6)
         for trial in range(5):
-            F = du._sample_function(meas.codes.size, trial, rng)
+            F = sample_test_function(meas.codes.size, trial, rng)
             assert du.jensen_residual(meas, F) <= 1e-12
 
     def test_multi_block_rejected(self):

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -334,6 +335,13 @@ class TestSimulation:
         run = kac.simulate_particles(ctx, 2, (2,), 20000.0, make_rng(9, 2),
                                      record_occupation=True)
         assert kac.occupation_tv(m, run) <= 0.02
+
+    def test_kernel_leaving_its_block_raises(self):
+        # a context whose blocks split the two sites that K always joins
+        ctx = SimpleNamespace(n=2, blocks=((0,), (1,)), K=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                              acceptance=lambda *a: 0.5, diagonal_acceptance=lambda *a: 0.5)
+        with pytest.raises(RuntimeError, match="outside its block"):
+            kac.simulate_particles(ctx, 2, (1, 1), 10.0, make_rng(64, 3))
 
     def test_impossible_counts_rejected(self):
         with pytest.raises(ValueError, match="impossible"):
