@@ -134,9 +134,10 @@ def cmd_mpp(args):
     for depth in range(1, args.u + 1):
         _, _, sig = wildtree.mpp_representation_check(ctx, p0, depth, args.runs, rng)
         print(f"  depth {depth}: {sig:.2f}")
-    u, tail, stderr, _ = wildtree.fragmentation_tail(ctx.K, args.runs, rng)
-    print("fragmentation-time tail (u, empirical, envelope):")
     n = model.n
+    times = wildtree.fragmentation_times(ctx.K, args.runs, rng)
+    u, tail, stderr = wildtree.fragmentation_tail(times, n)
+    print("fragmentation-time tail (u, empirical, envelope):")
     rows = []
     for uu, t_emp, se in zip(u, tail, stderr):
         env = n * math.exp(-uu / (2.0 * n))
@@ -319,8 +320,7 @@ def cmd_downup(args):
 
 
 def cmd_verify_all(args):
-    _, ok = verify.run_all(seed=args.seed, quick=args.quick, reduction=args.reduction,
-                           workers=args.workers, out=args.out)
+    _, ok = verify.run_all(seed=args.seed, quick=args.quick, workers=args.workers, out=args.out)
     return 0 if ok else 2
 
 
@@ -393,7 +393,6 @@ def build_parser():
     p = add("verify-all", cmd_verify_all, help="run the acceptance suite")
     p.set_defaults(seed=verify.DEFAULT_SEED)
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--reduction", choices=("deterministic", "fast"), default="deterministic")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: SPINKAC_THREADS or cpu count, max 8)")
     p.add_argument("--out", help="write the per-criterion result table here")

@@ -28,9 +28,11 @@ from .core import (
     entropy_functional,
     entropy_ratio_scan,
     interaction_condition,
+    interaction_row_norm,
     sample_test_function,
 )
 from .errors import CapacityError
+from .kac import dirichlet_form
 
 ENUMERATION_GATE = 20
 DENSE_GATE = 14
@@ -528,9 +530,6 @@ def bridge_check(particle_measure, du_meas, trials, rng):
     exchange system's slot layout puts slot i at bits [i*n, (i+1)*n),
     matching the flat site layout of the slice.
     """
-    from .core import interaction_row_norm
-    from .kac import dirichlet_form
-
     if not np.array_equal(particle_measure.codes, du_meas.codes):
         raise ValueError("slice and slot-system state spaces differ")
     n = particle_measure.n

@@ -11,7 +11,7 @@ a closed-form lower bound on the exponential rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -36,7 +36,7 @@ from .core import (
     relative_entropy,
     sample_test_function,
 )
-from .dynamics import AlphaBound
+from .dynamics import AlphaBound, dissipation
 from .errors import CapacityError
 
 EXPONENTIAL_GATE = 12
@@ -362,10 +362,12 @@ def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False
         wait = rng.exponential(1.0 / N)
         if t + wait > t_end:
             if record_occupation:
-                occupation[code()] = occupation.get(code(), 0.0) + (t_end - t)
+                c = code()
+                occupation[c] = occupation.get(c, 0.0) + (t_end - t)
             break
         if record_occupation:
-            occupation[code()] = occupation.get(code(), 0.0) + wait
+            c = code()
+            occupation[c] = occupation.get(c, 0.0) + wait
         t += wait
         events += 1
         i = int(rng.integers(N))
@@ -598,8 +600,6 @@ def _fisher_per_slot(ctx, mu, nu, N):
 
 
 def _tilted_pair(ctx, h, f):
-    from .dynamics import dissipation  # local import to avoid a cycle at load
-
     mu = np.exp(log_gibbs_weights(ctx.J, h))
     mu /= mu.sum()
     f = np.asarray(f, dtype=float)

@@ -1,7 +1,8 @@
 """CSV result tables with provenance headers.
 
 Every table starts with ``# key = value`` lines (at least the claim
-being tested, the master seed, and the reduction mode), then a column
+being tested, the master seed, and ``reduction = deterministic``: Monte
+Carlo partial sums are always added in stream order), then a column
 header, then data rows. Floats are written with 17 significant digits
 so a rewrite of the same run is byte-identical. Timing never goes into
 the file; it belongs on stderr.
@@ -24,8 +25,8 @@ def format_value(x):
 
 
 class ResultTable:
-    def __init__(self, claim, seed, columns, reduction="deterministic"):
-        self.meta = {"claim": str(claim), "seed": str(int(seed)), "reduction": str(reduction)}
+    def __init__(self, claim, seed, columns):
+        self.meta = {"claim": str(claim), "seed": str(int(seed)), "reduction": "deterministic"}
         self.columns = tuple(columns)
         self.rows = []
 

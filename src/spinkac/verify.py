@@ -4,22 +4,24 @@ the command line.
 Each check is a plain function returning a CriterionResult; none of
 them print. `run_all` executes the full list, writes the result table,
 and reports wall time on stderr only, so the table and stdout are
-byte-stable at a fixed seed in deterministic-reduction mode.
+byte-stable at a fixed seed.
 
-Checks that average Monte Carlo batches route the partial sums through
-a Parallel context. In deterministic mode partials are combined in
-stream order regardless of scheduling; in fast mode they are combined
-in completion order, which trades bit-stability for a little latency.
+Checks that average Monte Carlo batches run each batch on its own
+seeded stream through a Parallel context and add the partial results
+(`wildtree.Moments`, or lists of fragmentation times) in stream order,
+so the sums are the same bytes whatever the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,25 +80,11 @@ def default_workers():
     return min(8, os.cpu_count() or 1)
 
 
-def _add_structs(a, b):
-    if a is None:
-        return b
-    return tuple(x + y for x, y in zip(a, b))
-
-
 class Parallel:
-    """Worker pool handed to the checks.
+    """Worker pool handed to the checks. `map` preserves item order."""
 
-    `map` preserves item order. `reduce_sum` adds up tuples of arrays
-    returned by the worker; the reduction order is fixed by the item
-    order in deterministic mode and by completion order in fast mode.
-    """
-
-    def __init__(self, workers=1, reduction="deterministic"):
-        if reduction not in ("deterministic", "fast"):
-            raise ValueError(f"unknown reduction mode {reduction!r}")
+    def __init__(self, workers=1):
         self.workers = max(1, int(workers))
-        self.reduction = reduction
 
     def map(self, fn, items):
         items = list(items)
@@ -105,26 +93,18 @@ class Parallel:
         with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) as ex:
             return list(ex.map(fn, items))
 
-    def reduce_sum(self, fn, items):
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1:
-            acc = None
-            for x in items:
-                acc = _add_structs(acc, fn(x))
-            return acc
-        acc = None
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) as ex:
-            futures = [ex.submit(fn, x) for x in items]
-            if self.reduction == "deterministic":
-                for fut in futures:
-                    acc = _add_structs(acc, fut.result())
-            else:
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in done:
-                        acc = _add_structs(acc, fut.result())
-        return acc
+
+def _run_seeded(job):
+    fn, args, seed, stream = job
+    return fn(*args, make_rng(seed, stream))
+
+
+def _seeded_sum(par, fn, args, seed, first_stream, batches):
+    """Run fn(*args, rng) once per stream first_stream, first_stream + 1,
+    ..., each on that stream's own generator, and add the results in
+    stream order."""
+    jobs = [(fn, args, seed, first_stream + b) for b in range(batches)]
+    return functools.reduce(operator.add, par.map(_run_seeded, jobs))
 
 
 # -- shared instance samplers ------------------------------------------
@@ -384,23 +364,6 @@ def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 7: branching-tree Monte Carlo ---------------------------
 
 
-def _tree_batch(args):
-    J, K, p0, t, count, seed, stream = args
-    ctx = CollisionContext(J, K)
-    rng = make_rng(seed, stream)
-    size = p0.size
-    acc = np.zeros(size)
-    acc2 = np.zeros(size)
-    leaves = 0
-    for _ in range(count):
-        tree = wildtree.sample_tree(t, rng)
-        val = wildtree.eval_tree(ctx, tree, p0)
-        acc += val
-        acc2 += val * val
-        leaves += len(wildtree.tree_leaves(tree))
-    return acc, acc2, np.array([float(leaves), float(count)])
-
-
 def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
     t0 = time.perf_counter()
     rng = make_rng(seed, 7)
@@ -416,15 +379,9 @@ def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
         t = 1.0
         exact = evolve(ctx, p0, t, dt=0.001).final
         batches = 16
-        per = samples // batches
-        jobs = [(J, ctx.K, p0, t, per, seed, 700 + n * 100 + b) for b in range(batches)]
-        acc, acc2, meta = par.reduce_sum(_tree_batch, jobs)
-        total = int(meta[1])
-        mean = acc / total
-        var = np.maximum(acc2 / total - mean * mean, 0.0)
-        stderr = np.sqrt(var / total)
-        sig = np.abs(mean - exact) / np.maximum(stderr, 1e-12)
-        worst = max(worst, float(np.max(sig)))
+        est = _seeded_sum(par, wildtree.mc_solution, (ctx, p0, t, samples // batches),
+                          seed, 700 + n * 100, batches)
+        worst = max(worst, est.sigmas(exact, 1e-12))
     passed = worst <= 3.0
     return CriterionResult(
         7, "tree-monte-carlo", passed, worst, 3.0,
@@ -434,25 +391,6 @@ def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 # -- criterion 8: partition-process representation and tail ------------
-
-
-def _mpp_batch(args):
-    K, p0, depth, runs, seed, stream = args
-    est = wildtree.mpp_expectation(K, p0, depth, runs, make_rng(seed, stream))
-    acc = est.mean * est.samples
-    var = est.stderr ** 2 * est.samples
-    acc2 = (var + est.mean ** 2) * est.samples
-    return acc, acc2, np.array([float(est.samples)])
-
-
-def _tail_batch(args):
-    K, runs, horizon, seed, stream = args
-    proc = wildtree.PartitionProcess(K)
-    rng = make_rng(seed, stream)
-    times = np.array([proc.fragmentation_time(rng) for _ in range(runs)])
-    u = np.arange(1, horizon + 1)
-    hits = np.array([(times >= uu).sum() for uu in u], dtype=float)
-    return hits, np.array([float(runs)])
 
 
 def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
@@ -468,26 +406,17 @@ def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
     batches = 8
     for depth in (1, 2, 3, 4):
         exact = wildtree.discrete_iterate(ctx, p0, depth)
-        jobs = [(K, p0, depth, runs // batches, seed, 800 + depth * 10 + b) for b in range(batches)]
-        acc, acc2, meta = par.reduce_sum(_mpp_batch, jobs)
-        total = meta[0]
-        mean = acc / total
-        var = np.maximum(acc2 / total - mean * mean, 0.0)
-        stderr = np.sqrt(var / total)
-        sig = np.abs(mean - exact) / np.maximum(stderr, 1e-12)
-        worst_sig = max(worst_sig, float(np.max(sig)))
+        est = _seeded_sum(par, wildtree.mpp_expectation, (K, p0, depth, runs // batches),
+                          seed, 800 + depth * 10, batches)
+        worst_sig = max(worst_sig, est.sigmas(exact, 1e-12))
     tail_runs = 5_000 if quick else 20_000
     tail_sizes = (2, 4) if quick else (2, 4, 8)
     worst_excess = -math.inf
     for m in tail_sizes:
         Km = build_transport_kernel("mean-field", m)
-        horizon = int(2 * m * math.log(tail_runs * m)) + 1
-        jobs = [(Km, tail_runs // batches, horizon, seed, 880 + m * 10 + b) for b in range(batches)]
-        hits, meta = par.reduce_sum(_tail_batch, jobs)
-        total = meta[0]
-        tail = hits / total
-        stderr = np.sqrt(np.maximum(tail * (1.0 - tail), 0.0) / total)
-        u = np.arange(1, horizon + 1)
+        times = _seeded_sum(par, wildtree.fragmentation_times, (Km, tail_runs // batches),
+                            seed, 880 + m * 10, batches)
+        u, tail, stderr = wildtree.fragmentation_tail(times, m)
         excess = tail - (m * np.exp(-u / (2.0 * m)) + 3.0 * stderr)
         worst_excess = max(worst_excess, float(np.max(excess)))
     passed = worst_sig <= 3.0 and worst_excess <= 0.0
@@ -677,21 +606,20 @@ def c12_ball_walks(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 13: reproducibility -------------------------------------
 
 
-def _repro_payload(seed, reduction, workers):
+def _repro_payload(seed, workers):
     """A fixed slice of the suite rendered to bytes: seeded model draws,
-    a pooled Monte Carlo reduction, and a ratio scan."""
-    par = Parallel(workers, reduction)
+    a pooled Monte Carlo sum, and a ratio scan."""
+    par = Parallel(workers)
     rng = make_rng(seed, 13)
-    table = ResultTable("repro-probe", seed, ("name", "value"), reduction)
+    table = ResultTable("repro-probe", seed, ("name", "value"))
     shape = _make_context(rng, 3, "blocks")
     J = _random_coupling(rng, 3, 0.4)
     ctx = CollisionContext(J, shape.K)
     h = _block_constant_field(rng, 3, ctx.blocks)
     table.append("stationarity", stationarity_residual(ctx, gibbs(J, h)))
     p0 = _interior_density(rng, 8)
-    jobs = [(J, ctx.K, p0, 0.8, 500, seed, 1300 + b) for b in range(8)]
-    acc, acc2, meta = par.reduce_sum(_tree_batch, jobs)
-    for i, v in enumerate(acc / meta[1]):
+    est = _seeded_sum(par, wildtree.mc_solution, (ctx, p0, 0.8, 500), seed, 1300, 8)
+    for i, v in enumerate(est.mean):
         table.append(f"tree-mean-{i}", v)
     Jk = _admissible_coupling(rng, 2, 0.08, 0.15)
     scan = kac.particle_mlsi_scan(
@@ -705,15 +633,12 @@ def _repro_payload(seed, reduction, workers):
 def c13_reproducibility(seed=DEFAULT_SEED, quick=False, par=None):
     t0 = time.perf_counter()
     par = par or Parallel()
-    a = _repro_payload(seed, par.reduction, par.workers)
-    b = _repro_payload(seed, par.reduction, par.workers)
-    same = a == b
-    passed = same if par.reduction == "deterministic" else True
-    note = "byte-identical" if same else "differs"
+    same = _repro_payload(seed, par.workers) == _repro_payload(seed, par.workers)
+    note = "byte-identical" if same else "not byte-identical"
     return CriterionResult(
-        13, "reproducibility", passed, 0.0 if same else 1.0, 0.0,
+        13, "reproducibility", same, 0.0 if same else 1.0, 0.0,
         f"double-run of the seeded probe is {note} "
-        f"({par.reduction} reduction, {par.workers} workers)",
+        f"(deterministic reduction, {par.workers} workers)",
         time.perf_counter() - t0,
     )
 
@@ -735,8 +660,7 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(seed=DEFAULT_SEED, quick=False, reduction="deterministic",
-            workers=None, out=None, stream=None, err=None):
+def run_all(seed=DEFAULT_SEED, quick=False, workers=None, out=None, stream=None, err=None):
     """Run every criterion in order; returns (results, all_passed).
 
     Pass/fail lines go to `stream` (default stdout); wall times go to
@@ -744,7 +668,7 @@ def run_all(seed=DEFAULT_SEED, quick=False, reduction="deterministic",
     """
     stream = stream or sys.stdout
     err = err or sys.stderr
-    par = Parallel(default_workers() if workers is None else workers, reduction)
+    par = Parallel(default_workers() if workers is None else workers)
     results = []
     for fn in ALL_CRITERIA:
         res = fn(seed=seed, quick=quick, par=par)
@@ -752,7 +676,7 @@ def run_all(seed=DEFAULT_SEED, quick=False, reduction="deterministic",
         print(res.line(), file=stream)
         print(f"  criterion {res.index:2d} took {res.elapsed:.1f} s", file=err)
     if out:
-        table = ResultTable("acceptance-suite", seed, ("criterion", "passed", "value", "threshold"), reduction)
+        table = ResultTable("acceptance-suite", seed, ("criterion", "passed", "value", "threshold"))
         table.add_meta("quick", "1" if quick else "0")
         for res in results:
             table.append(res.index, res.passed, res.value, res.threshold)

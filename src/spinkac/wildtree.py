@@ -110,12 +110,43 @@ def discrete_iterate(ctx, p, k):
     return q
 
 
-@dataclass
-class MCSolution:
-    mean: np.ndarray
-    stderr: np.ndarray
+@dataclass(frozen=True)
+class Moments:
+    """Running sums of a vector Monte Carlo estimator.
+
+    `total` and `square` are the sums of the samples and of their
+    squares, `leaves` the total leaf count of the trees drawn (0 for
+    the partition process). Batches combine with `+`; adding them in a
+    fixed order gives the same bytes however the batches were run.
+    """
+
+    total: np.ndarray
+    square: np.ndarray
     samples: int
-    mean_leaves: float
+    leaves: int = 0
+
+    def __add__(self, other):
+        return Moments(self.total + other.total, self.square + other.square,
+                       self.samples + other.samples, self.leaves + other.leaves)
+
+    @property
+    def mean(self):
+        return self.total / self.samples
+
+    @property
+    def stderr(self):
+        mean = self.mean
+        var = np.maximum(self.square / self.samples - mean * mean, 0.0)
+        return np.sqrt(var / self.samples)
+
+    @property
+    def mean_leaves(self):
+        return self.leaves / self.samples
+
+    def sigmas(self, exact, floor):
+        """Largest componentwise |mean - exact| in standard errors, each
+        error floored at `floor`."""
+        return float(np.max(np.abs(self.mean - exact) / np.maximum(self.stderr, floor)))
 
 
 def mc_solution(ctx, p0, t, samples, rng):
@@ -132,10 +163,7 @@ def mc_solution(ctx, p0, t, samples, rng):
         acc += val
         acc2 += val * val
         total_leaves += len(tree_leaves(tree))
-    mean = acc / samples
-    var = np.maximum(acc2 / samples - mean * mean, 0.0)
-    stderr = np.sqrt(var / samples)
-    return MCSolution(mean, stderr, samples, total_leaves / samples)
+    return Moments(acc, acc2, samples, total_leaves)
 
 
 # -- marked partition process -------------------------------------------
@@ -237,13 +265,6 @@ def fragment_factor(p, frag, n):
     return site_marg[(masks >> j) & 1]
 
 
-@dataclass
-class MPPEstimate:
-    mean: np.ndarray
-    stderr: np.ndarray
-    samples: int
-
-
 def mpp_expectation(K, densities, depth, runs, rng):
     """Monte Carlo estimate of the depth-u iterated product at zero
     coupling, via the marked-partition representation. `densities` is a
@@ -269,9 +290,7 @@ def mpp_expectation(K, densities, depth, runs, rng):
             est *= fragment_factor(p, frag, n)
         acc += est
         acc2 += est * est
-    mean = acc / runs
-    var = np.maximum(acc2 / runs - mean * mean, 0.0)
-    return MPPEstimate(mean, np.sqrt(var / runs), runs)
+    return Moments(acc, acc2, runs)
 
 
 def mpp_representation_check(ctx, densities, depth, runs, rng):
@@ -284,21 +303,25 @@ def mpp_representation_check(ctx, densities, depth, runs, rng):
         exact = discrete_iterate(ctx, densities, depth)
     else:
         exact = eval_tree(ctx, regular_tree(depth), list(densities))
-    sig = np.abs(est.mean - exact) / np.maximum(est.stderr, 1e-15)
-    return est, exact, float(np.max(sig))
+    return est, exact, est.sigmas(exact, 1e-15)
 
 
-def fragmentation_tail(K, runs, rng, horizon=None):
-    """Empirical tail P(H >= u) of the fragmentation time.
-
-    Returns (u values, tail estimates, stderr) for u = 1..horizon
-    (default: past the n e^{-u/2n} crossing of 1/runs)."""
+def fragmentation_times(K, runs, rng):
+    """Fragmentation times of `runs` independent partition processes, as
+    a list, so batches concatenate with `+`."""
     proc = PartitionProcess(K)
-    n = proc.n
-    if horizon is None:
-        horizon = int(2 * n * math.log(max(runs, 2) * n)) + 1
-    times = np.array([proc.fragmentation_time(rng) for _ in range(runs)])
+    return [proc.fragmentation_time(rng) for _ in range(runs)]
+
+
+def fragmentation_tail(times, n):
+    """Empirical tail P(H >= u) of n-site fragmentation times.
+
+    Returns (u values, tail estimates, stderr) for u = 1 up to past the
+    n e^{-u/2n} crossing of 1/runs."""
+    times = np.asarray(times)
+    runs = times.size
+    horizon = int(2 * n * math.log(max(runs, 2) * n)) + 1
     u = np.arange(1, horizon + 1)
     tail = np.array([(times >= uu).mean() for uu in u])
     stderr = np.sqrt(np.maximum(tail * (1 - tail), 0.0) / runs)
-    return u, tail, stderr, times
+    return u, tail, stderr

@@ -125,6 +125,18 @@ class TestMCSolution:
         assert sig.max() <= 3.0
         assert sol.samples == 10000
 
+    def test_batches_add_up(self):
+        # two batches drawn in turn from one stream hold the same samples
+        # as one batch of their combined size
+        ctx = free_ctx(2)
+        p0 = random_density(make_rng(53, 5), 2)
+        rng = make_rng(53, 6)
+        parts = wildtree.mc_solution(ctx, p0, 0.8, 30, rng) + wildtree.mc_solution(ctx, p0, 0.8, 50, rng)
+        whole = wildtree.mc_solution(ctx, p0, 0.8, 80, make_rng(53, 6))
+        assert (parts.samples, parts.leaves) == (whole.samples, whole.leaves)
+        assert np.abs(parts.mean - whole.mean).max() < 1e-14
+        assert np.abs(parts.stderr - whole.stderr).max() < 1e-12
+
 
 class TestFragments:
     def test_empty_fragment_splits_to_empties(self):
@@ -194,8 +206,8 @@ class TestFragmentation:
             assert 2.0 ** (1 - u) <= math.exp(-u / 2.0)
 
     def test_tail_envelope_at_four_sites(self):
-        u, tail, se, _ = wildtree.fragmentation_tail(
-            collision.mean_field_kernel(4), 4000, make_rng(55, 1))
+        times = wildtree.fragmentation_times(collision.mean_field_kernel(4), 4000, make_rng(55, 1))
+        u, tail, se = wildtree.fragmentation_tail(times, 4)
         excess = tail - (4.0 * np.exp(-u / 8.0) + 3.0 * se)
         assert excess.max() <= 0.0
 
