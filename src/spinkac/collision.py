@@ -11,13 +11,15 @@ block of the site-transport kernel K.
 The site pair is drawn from K(l, k) / n, so the per-configuration jump
 rate stays O(1) as n grows.
 
-Three evaluation routes for the product are provided:
+The product has two routes, chosen by n alone:
 
-* ``reference`` — quadruple loop, kept dumb on purpose; cross-check only.
-* ``tensor``    — the full bilinear operator as one (2^n, 4^n) matrix,
-                  built once per context; the fast path for n <= 7.
-* ``stream``    — per-(l, k) vectorized accumulation, no big tensor;
-                  covers the exact gate up to n = 12 at ~O(4^n) memory.
+* ``tensor`` — the full bilinear operator as one (2^n, 4^n) matrix,
+               built once per context; used for n <= 7.
+* ``stream`` — per-(l, k) vectorized accumulation, no big tensor;
+               used for n = 8..12 at ~O(4^n) memory.
+
+``product_reference`` evaluates the defining sum with plain loops; it
+is kept dumb on purpose, for tests to compare the two routes against.
 """
 
 from __future__ import annotations
@@ -185,17 +187,14 @@ class CollisionContext:
 
     # -- product ----------------------------------------------------------
 
-    def _exchanged_rows(self, l):
-        ml = 1 << l
-        return self.masks | ml, self.masks & ~ml
-
-    def product(self, p, q, mode="auto", check=True):
+    def product(self, p, q, check=True):
         """Symmetrized collision product of two densities.
 
-        mode: 'auto' (tensor for small n, stream otherwise), 'tensor',
-        'stream', or 'reference'. check=False skips the probability
-        validation so integrator stage vectors (mass 1, possibly with
-        roundoff-negative entries) can pass through.
+        The tensor route serves n <= TENSOR_N_MAX and the stream route
+        n <= PRODUCT_N_MAX; larger n raises CapacityError. check=False
+        skips the probability validation so integrator stage vectors
+        (mass 1, possibly with roundoff-negative entries) can pass
+        through.
         """
         if check:
             p = check_probvec(p, self.n)
@@ -203,34 +202,34 @@ class CollisionContext:
         else:
             p = np.asarray(p, dtype=float)
             q = np.asarray(q, dtype=float)
-        if mode == "auto":
-            mode = "tensor" if self.n <= TENSOR_N_MAX else "stream"
-        if mode == "reference":
-            return self.product_reference(p, q)
-        if mode == "tensor":
-            if self.n > TENSOR_N_MAX:
-                raise CapacityError(f"tensor route gated at n <= {TENSOR_N_MAX}")
+        if self.n <= TENSOR_N_MAX:
             return self._product_tensor(p, q)
-        if mode == "stream":
-            if self.n > PRODUCT_N_MAX:
-                raise CapacityError(f"exact products gated at n <= {PRODUCT_N_MAX}")
-            return self._product_stream(p, q)
-        raise ValueError(f"unknown product mode {mode!r}")
+        if self.n > PRODUCT_N_MAX:
+            raise CapacityError(f"exact products gated at n <= {PRODUCT_N_MAX}")
+        return self._product_stream(p, q)
+
+    def moves(self):
+        """Yield (w, P, tau, tau_p) for every site pair (l, k, w) in
+        `pairs`: P[sigma, sigma'] is the acceptance and (tau, tau_p)
+        the exchanged configurations, each indexed by (sigma, sigma')."""
+        masks = self.masks
+        for l, k, w in self.pairs:
+            ml, mk = 1 << l, 1 << k
+            tau = np.where(self._bit[k][None, :], (masks | ml)[:, None], (masks & ~ml)[:, None])
+            tau_p = np.where(self._bit[l][:, None], (masks | mk)[None, :], (masks & ~mk)[None, :])
+            yield w, self.acceptance_matrix(l, k), tau, tau_p
 
     def _tensor_matrix(self):
         if self._tensor is None:
             size = 1 << self.n
             B = np.zeros((size, size * size))
             masks = self.masks
-            for l, k, w in self.pairs:
-                P = self.acceptance_matrix(l, k)
-                ml = 1 << l
-                bitk = self._bit[k]
-                tau = np.where(bitk[None, :], (masks | ml)[:, None], (masks & ~ml)[:, None])
-                flat_acc = tau * (size * size) + masks[:, None] * size + masks[None, :]
+            pair_index = masks[:, None] * size + masks[None, :]
+            flat_rej = (masks[:, None] * (size * size) + pair_index).ravel()
+            for w, P, tau, _ in self.moves():
+                flat_acc = tau * (size * size) + pair_index
                 np.add.at(B.ravel(), flat_acc.ravel(), (w * P).ravel())
-                flat_rej = masks[:, None] * (size * size + size) + masks[None, :]
-                np.add.at(B.ravel(), flat_rej.ravel(), (w * (1.0 - P)).ravel())
+                np.add.at(B.ravel(), flat_rej, (w * (1.0 - P)).ravel())
             self._tensor = B
         return self._tensor
 
@@ -281,20 +280,13 @@ class CollisionContext:
         the product measure gibbs(J, h) x gibbs(J, h). The field must be
         constant on every irreducible block of K."""
         mu = gibbs(self.J, h)
-        if h is not None and not block_constant(h, self.blocks, self.n):
+        if h is not None and not block_constant(h, self.blocks):
             raise ValueError(
                 "field is not constant on the kernel's irreducible blocks; "
                 "reversibility does not apply"
             )
-        masks = self.masks
         worst = 0.0
-        for l, k, w in self.pairs:
-            P = self.acceptance_matrix(l, k)
+        for w, P, tau, tau_p in self.moves():
             flow = np.multiply.outer(mu, mu) * (w * P)
-            ml, mk = 1 << l, 1 << k
-            bitk = self._bit[k]
-            bitl = self._bit[l]
-            tau = np.where(bitk[None, :], (masks | ml)[:, None], (masks & ~ml)[:, None])
-            tau_p = np.where(bitl[:, None], (masks | mk)[None, :], (masks & ~mk)[None, :])
             worst = max(worst, float(np.max(np.abs(flow - flow[tau, tau_p]))))
         return worst

@@ -27,6 +27,11 @@ N_MAX = 24
 
 _CHUNK = 1 << 20
 
+PROBVEC_TOL = 1e-12      # mass and negativity slack of a density
+FIELD_TOL = 1e-10        # max-norm residual of the block-mean solve
+FIELD_MAX_ITER = 200     # damped Newton iterations of the block-mean solve
+BLOCK_CONSTANT_TOL = 1e-12  # spread a block-constant field may have within a block
+
 
 def check_sites(n):
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -41,23 +46,6 @@ def spins_matrix(n):
     n = check_sites(n)
     masks = np.arange(1 << n, dtype=np.int64)
     return ((masks[:, None] >> np.arange(n)) & 1).astype(np.int8) * 2 - 1
-
-
-def spin_at(mask, site):
-    return ((mask >> site) & 1) * 2 - 1
-
-
-def set_spin(mask, site, value):
-    """Return mask with site forced to the given spin value (+1 or -1)."""
-    if value == 1:
-        return mask | (1 << site)
-    if value == -1:
-        return mask & ~(1 << site)
-    raise ValueError(f"spin value must be +1 or -1, got {value!r}")
-
-
-def flip_site(mask, site):
-    return mask ^ (1 << site)
 
 
 def check_interaction(J, n=None):
@@ -125,17 +113,17 @@ def gibbs(J, h=None):
     return np.exp(logw - logsumexp(logw))
 
 
-def check_probvec(p, n=None, tol=1e-12):
+def check_probvec(p, n=None):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or (p.size & (p.size - 1)) != 0:
         raise ValueError(f"density must be a length-2**n vector, got shape {p.shape}")
     if n is not None and p.size != (1 << n):
         raise ValueError(f"density has {p.size} entries, expected {1 << n}")
-    if np.min(p) < -tol:
+    if np.min(p) < -PROBVEC_TOL:
         raise ValueError(f"density has a negative entry: min = {np.min(p)}")
     s = float(np.sum(p))
-    if abs(s - 1.0) > tol:
-        raise ValueError(f"density mass {s} deviates from 1 beyond {tol}")
+    if abs(s - 1.0) > PROBVEC_TOL:
+        raise ValueError(f"density mass {s} deviates from 1 beyond {PROBVEC_TOL}")
     return p
 
 
@@ -162,10 +150,6 @@ def check_partition(blocks, n):
         missing = sorted(set(range(n)) - seen)
         raise ValueError(f"partition misses sites {[x + 1 for x in missing]}")
     return tuple(norm)
-
-
-def singleton_partition(n):
-    return tuple((l,) for l in range(n))
 
 
 def site_means(p, n=None):
@@ -197,14 +181,14 @@ def magnetization_profile(p, blocks, n=None):
     return np.array([means[list(b)].mean() for b in blocks])
 
 
-def check_regular(p, blocks, n=None, tol=0.0):
+def check_regular(p, blocks, n=None):
     """Raise DegenerateProfileError if any block magnetization sits at +-1."""
     if n is None:
         n = sites_of(np.asarray(p))
     blocks = check_partition(blocks, n)
     m = magnetization_profile(p, blocks, n)
     for b, mb in zip(blocks, m):
-        if abs(mb) >= 1.0 - tol:
+        if abs(mb) >= 1.0:
             raise DegenerateProfileError(
                 f"block {tuple(x + 1 for x in b)} has magnetization {mb}; "
                 "the flow is only defined strictly inside (-1, 1)"
@@ -350,7 +334,7 @@ def marginal_factor(p, sites, n=None):
     return marg[pat]
 
 
-def match_block_means(logw, blocks, target, tol=1e-10, max_iter=200):
+def match_block_means(logw, blocks, target):
     """Find per-block constant fields c so the tilted measure hits target means.
 
     The tilted measure is ``exp(logw + sum_b c_b * M_b) / Z`` with ``M_b``
@@ -386,8 +370,8 @@ def match_block_means(logw, blocks, target, tol=1e-10, max_iter=200):
         return p, m, float(np.max(np.abs(m - target)))
 
     p, m, res = state(c)
-    for _ in range(max_iter):
-        if res <= tol:
+    for _ in range(FIELD_MAX_ITER):
+        if res <= FIELD_TOL:
             return c, p
         centered = M - (p @ M)
         hess = (centered * p[:, None]).T @ centered
@@ -408,29 +392,27 @@ def match_block_means(logw, blocks, target, tol=1e-10, max_iter=200):
                 raise ConvergenceError(
                     f"field solve stagnated at residual {res}", residual=res
                 )
-    raise ConvergenceError(f"field solve exceeded {max_iter} iterations", residual=res)
+    raise ConvergenceError(f"field solve exceeded {FIELD_MAX_ITER} iterations", residual=res)
 
 
-def solve_field(J, blocks, target, tol=1e-10):
+def solve_field(J, blocks, target):
     """Block-constant external field h with gibbs(J, h) matching the target
     block magnetizations. Returns a length-n field vector."""
     J = check_interaction(J)
     n = J.shape[0]
     blocks = check_partition(blocks, n)
-    c, _ = match_block_means(log_gibbs_weights(J), blocks, target, tol=tol)
+    c, _ = match_block_means(log_gibbs_weights(J), blocks, target)
     h = np.zeros(n)
     for b, cb in zip(blocks, c):
         h[list(b)] = cb
     return h
 
 
-def block_constant(h, blocks, n=None, tol=1e-12):
+def block_constant(h, blocks):
     """True when the field vector is constant on every block."""
     h = np.asarray(h, dtype=float)
-    if n is None:
-        n = h.size
     for b in blocks:
         vals = h[list(b)]
-        if np.max(vals) - np.min(vals) > tol:
+        if np.max(vals) - np.min(vals) > BLOCK_CONSTANT_TOL:
             return False
     return True

@@ -218,16 +218,16 @@ def du_generator(meas):
     return du_transitions(meas).generator()
 
 
-def detailed_balance_residual(meas, tab=None):
-    tab = du_transitions(meas) if tab is None else tab
+def detailed_balance_residual(meas):
+    tab = du_transitions(meas)
     flow = np.zeros((meas.codes.size,) * 2)
     np.add.at(flow, (tab.src, tab.dst), meas.probs[tab.src] * tab.rate)
     return float(np.abs(flow - flow.T).max())
 
 
-def is_irreducible(meas, tab=None):
+def is_irreducible(meas):
     """Single communicating class under proper moves (undirected search)."""
-    tab = du_transitions(meas) if tab is None else tab
+    tab = du_transitions(meas)
     size = meas.codes.size
     seen = np.zeros(size, dtype=bool)
     stack = [0]
@@ -244,12 +244,12 @@ def is_irreducible(meas, tab=None):
     return bool(seen.all())
 
 
-def spectral_gap(meas, tab=None):
+def spectral_gap(meas):
     """Smallest nonzero decay rate of the walk, from the symmetrized
     generator."""
     if meas.inst.L > DENSE_GATE:
         raise CapacityError(f"dense spectra gated at L <= {DENSE_GATE}")
-    gap, _ = _slowest_mode(du_transitions(meas) if tab is None else tab)
+    gap, _ = _slowest_mode(du_transitions(meas))
     return 0.0 if gap is None else gap
 
 
@@ -285,14 +285,14 @@ def du_constants(inst):
     return c1, c1 * c1, not reason
 
 
-def du_mlsi_scan(meas, trials, rng, gap_probe=True):
+def du_mlsi_scan(meas, trials, rng):
     tab = du_transitions(meas)
     size = meas.codes.size
     c1, c2, ok = du_constants(meas.inst)
     constant = c1 if len(meas.inst.blocks) == 1 else c2
     gap = None
     probes = []
-    if gap_probe and meas.inst.L <= DENSE_GATE and size > 1:
+    if meas.inst.L <= DENSE_GATE and size > 1:
         # On 1 + eps * g, with g the slowest mode, the ratio approaches
         # twice the spectral gap, its infimum over this family; the
         # probes make `min_ratio <= 2 * gap + tol` a checkable ordering

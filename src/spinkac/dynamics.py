@@ -36,10 +36,6 @@ DENSITY_FLOOR = 1e-300
 ENTROPY_NOISE = 1e-12
 
 
-def flow_rhs(ctx, p):
-    return ctx.product(p, p) - p
-
-
 def stationarity_residual(ctx, p):
     """max-norm of (p o p) - p."""
     p = check_probvec(p, ctx.n)
@@ -148,17 +144,10 @@ def dissipation(ctx, f, mu):
         raise ValueError("f must be a nonnegative vector on the same state space")
     if abs(float(mu @ f) - 1.0) > 1e-8:
         raise ValueError("f must average to 1 under mu")
-    masks = ctx.masks
     total = 0.0
     mu_pair = np.multiply.outer(mu, mu)
     a = np.multiply.outer(f, f)
-    for l, k, w in ctx.pairs:
-        P = ctx.acceptance_matrix(l, k)
-        ml, mk = 1 << l, 1 << k
-        bitk = ctx._bit[k]
-        bitl = ctx._bit[l]
-        tau = np.where(bitk[None, :], (masks | ml)[:, None], (masks & ~ml)[:, None])
-        tau_p = np.where(bitl[:, None], (masks | mk)[None, :], (masks & ~mk)[None, :])
+    for w, P, tau, tau_p in ctx.moves():
         b = f[tau] * f[tau_p]
         good = (a > 0.0) & (b > 0.0) & (a != b)
         if not np.any(good):
@@ -209,7 +198,7 @@ class DecayReport:
     entropy_identically_zero: bool = False
 
 
-def decay_report(traj, J=None):
+def decay_report(traj, J):
     """Fit the exponential entropy-decay rate of a trajectory.
 
     The fit regresses log H on t after dropping the leading 10% of the
@@ -221,16 +210,13 @@ def decay_report(traj, J=None):
     """
     H = traj.entropies()
     tv = traj.tv_to_equilibrium()
-    if J is None:
-        bound = AlphaBound(None, False, "no interaction matrix supplied", math.nan, math.nan)
-    else:
-        bound = alpha_bound(J, n=int(math.log2(traj.states.shape[1])))
+    n = int(math.log2(traj.states.shape[1]))
+    bound = alpha_bound(J, n)
     tv_curve = None
     if bound.applicable:
         hbar = float(np.max(np.abs(traj.h_eq)))
         C = bound.lam + 2.0 * hbar + math.log(2.0)
-        nn = int(math.log2(traj.states.shape[1]))
-        tv_curve = np.sqrt(C * nn / 2.0) * np.exp(-0.5 * bound.value * traj.times)
+        tv_curve = np.sqrt(C * n / 2.0) * np.exp(-0.5 * bound.value * traj.times)
     if np.all(H < ENTROPY_NOISE):
         return DecayReport(traj.times, H, tv, tv_curve, math.inf, bound, 0, True)
     t0 = traj.times[0] + 0.1 * (traj.times[-1] - traj.times[0])
@@ -250,7 +236,6 @@ class ScanReport:
     samples: int
     discarded: int
     bound: AlphaBound
-    worst_f: np.ndarray | None = None
 
 
 def _sample_density(rng, size, kind):
@@ -269,7 +254,7 @@ def _sample_density(rng, size, kind):
     return f
 
 
-def nonlinear_mlsi_scan(ctx, h, trials, rng, return_worst=False):
+def nonlinear_mlsi_scan(ctx, h, trials, rng):
     """Minimum of dissipation / entropy over random densities constrained
     to the equilibrium's conserved profile.
 
@@ -286,7 +271,6 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng, return_worst=False):
     size = 1 << ctx.n
     ratios = []
     discarded = 0
-    worst = None
     for trial in range(trials):
         f0 = _sample_density(rng, size, trial % 3)
         with np.errstate(divide="ignore"):
@@ -301,10 +285,7 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng, return_worst=False):
         if ent < 1e-14:
             discarded += 1
             continue
-        ratio = dissipation(ctx, f, mu) / ent
-        if not ratios or ratio < min(ratios):
-            worst = f
-        ratios.append(ratio)
+        ratios.append(dissipation(ctx, f, mu) / ent)
     if not ratios:
         raise FitError("no usable densities survived the constraint projection")
     ratios = np.array(ratios)
@@ -314,5 +295,4 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng, return_worst=False):
         samples=len(ratios),
         discarded=discarded,
         bound=bound,
-        worst_f=worst if return_worst else None,
     )

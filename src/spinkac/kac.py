@@ -135,9 +135,6 @@ class ParticleMeasure:
             raise KeyError("code outside the shell")
         return idx
 
-    def relative_entropy_to(self, other_probs):
-        return relative_entropy(other_probs, self.probs)
-
 
 def restricted_product_measure(single_log_weights, N, blocks, T):
     """Enumerate the count shell of a product of N single-slot weight
@@ -303,7 +300,7 @@ def particle_mlsi_scan(measure, kernel, trials, rng):
 # -- event-driven simulation -------------------------------------------
 
 
-def initial_state_for_counts(n, blocks, N, T, rng=None):
+def initial_state_for_counts(n, blocks, N, T):
     """A state on the shell: fill each block's plus spins slot by slot."""
     blocks = check_partition(blocks, n)
     state = np.zeros(N, dtype=np.int64)
@@ -311,9 +308,6 @@ def initial_state_for_counts(n, blocks, N, T, rng=None):
         slots = [(i, l) for i in range(N) for l in b]
         if not 0 <= t <= len(slots):
             raise ValueError(f"count {t} impossible for block {b} with N = {N}")
-        if rng is not None:
-            order = rng.permutation(len(slots))
-            slots = [slots[x] for x in order]
         for i, l in slots[:t]:
             state[i] |= 1 << l
     return state

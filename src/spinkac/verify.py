@@ -63,7 +63,6 @@ class CriterionResult:
     value: float          # headline metric, smaller is better unless noted
     threshold: float
     detail: str
-    elapsed: float = 0.0
 
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -147,41 +146,37 @@ def _interior_density(rng, size, spread=1.0):
     return p / p.sum()
 
 
-def _make_context(rng, n, family):
+def _random_kernel(rng, n, family):
     if family == "blocks":
         blocks = _random_partition(rng, n)
-        K = build_transport_kernel("blocks", n, blocks=blocks)
-    elif family == "matrix":
+        return build_transport_kernel("blocks", n, blocks=blocks)
+    if family == "matrix":
         blocks = _random_partition(rng, n)
         base = build_transport_kernel("blocks", n, blocks=blocks)
         c = float(rng.uniform(0.2, 0.8))
-        K = build_transport_kernel("matrix", n, matrix=c * np.eye(n) + (1.0 - c) * base)
-    else:
-        K = build_transport_kernel(family, n)
-    return CollisionContext(np.zeros((n, n)), K)
+        return build_transport_kernel("matrix", n, matrix=c * np.eye(n) + (1.0 - c) * base)
+    return build_transport_kernel(family, n)
 
 
 # -- criterion 1: stationarity -----------------------------------------
 
 
 def c01_stationarity(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 1)
     models = 8 if quick else 20
     worst = 0.0
     for i in range(models):
         n = 1 + i % 4
         family = KERNEL_FAMILIES[i % len(KERNEL_FAMILIES)]
-        shape = _make_context(rng, n, family)
+        K = _random_kernel(rng, n, family)
         J = _random_coupling(rng, n, 0.6)
-        ctx = CollisionContext(J, shape.K)
+        ctx = CollisionContext(J, K)
         h = _block_constant_field(rng, n, ctx.blocks)
         worst = max(worst, stationarity_residual(ctx, gibbs(J, h)))
     passed = worst <= 1e-12
     return CriterionResult(
         1, "stationarity", passed, worst, 1e-12,
         f"max |mu o mu - mu| = {worst:.3e} over {models} models (tol 1e-12)",
-        time.perf_counter() - t0,
     )
 
 
@@ -194,16 +189,15 @@ def _conservation_instances(rng, quick):
     for i in range(count):
         n = 2 + i % 3
         family = ("mean-field", "blocks", "single-site")[i % 3]
-        shape = _make_context(rng, n, family)
+        K = _random_kernel(rng, n, family)
         J = _random_coupling(rng, n, 0.4)
-        ctx = CollisionContext(J, shape.K)
+        ctx = CollisionContext(J, K)
         p0 = _interior_density(rng, 1 << n)
         out.append((ctx, p0))
     return out
 
 
 def c02_conservation(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 2)
     worst = 0.0
     count = 0
@@ -219,7 +213,6 @@ def c02_conservation(seed=DEFAULT_SEED, quick=False, par=None):
         2, "conservation", passed, worst, 1e-10,
         f"max block-magnetization drift = {worst:.3e} over {count} trajectories "
         "(t_end 20, dt 0.01, tol 1e-10)",
-        time.perf_counter() - t0,
     )
 
 
@@ -227,7 +220,6 @@ def c02_conservation(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c03_entropy_budget(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 3)
     worst = 0.0
     trajectories = 1 if quick else 2
@@ -245,7 +237,6 @@ def c03_entropy_budget(seed=DEFAULT_SEED, quick=False, par=None):
     return CriterionResult(
         3, "entropy-budget", passed, worst, 1e-5,
         f"max |dH/dt + dissipation| = {worst:.3e} at 50 sampled times per trajectory (tol 1e-5)",
-        time.perf_counter() - t0,
     )
 
 
@@ -269,21 +260,20 @@ def _c04_one(args):
 
 
 def c04_convergence(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 4)
     count = 3 if quick else 10
     jobs = []
     for i in range(count):
         n = 2 + i % 2
         family = "mean-field" if i % 2 == 0 else "blocks"
-        shape = _make_context(rng, n, family)
+        K = _random_kernel(rng, n, family)
         J = _admissible_coupling(rng, n)
-        ctx = CollisionContext(J, shape.K)
+        ctx = CollisionContext(J, K)
         target = np.array([rng.uniform(-0.4, 0.4) for _ in ctx.blocks])
         logw = np.log(_interior_density(rng, 1 << n))
         _, p0 = match_block_means(logw, ctx.blocks, target)
         solve_field(J, ctx.blocks, target)  # the instance must be solvable
-        jobs.append((J, ctx.K, p0))
+        jobs.append((J, K, p0))
     par = par or Parallel()
     results = par.map(_c04_one, jobs)
     worst = max(r[0] for r in results)
@@ -293,7 +283,6 @@ def c04_convergence(seed=DEFAULT_SEED, quick=False, par=None):
         4, "convergence", passed, worst, 1e-6,
         f"max certified tv at T = 200/alpha is {worst:.3e} over {count} instances "
         f"({stopped} early-stopped; tol 1e-6)",
-        time.perf_counter() - t0,
     )
 
 
@@ -301,16 +290,15 @@ def c04_convergence(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c05_decay_rate(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 5)
     count = 4 if quick else 10
     min_margin = math.inf
     for i in range(count):
         n = 2 + i % 2
         family = "mean-field" if i % 3 else "blocks"
-        shape = _make_context(rng, n, family)
+        K = _random_kernel(rng, n, family)
         J = _admissible_coupling(rng, n, 0.05, 0.2)
-        ctx = CollisionContext(J, shape.K)
+        ctx = CollisionContext(J, K)
         p0 = _interior_density(rng, 1 << n)
         traj = evolve(ctx, p0, t_end=20.0, dt=0.01, store_every=5)
         rep = decay_report(traj, J)
@@ -328,7 +316,6 @@ def c05_decay_rate(seed=DEFAULT_SEED, quick=False, par=None):
         5, "decay-rate", passed, min_margin, 0.95,
         f"min alpha_fit / bound = {min_margin:.3f} over {count} instances "
         f"(>= 0.95); free single site alpha_fit = {rep1.alpha_fit}",
-        time.perf_counter() - t0,
     )
 
 
@@ -336,7 +323,6 @@ def c05_decay_rate(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 6)
     count = 2 if quick else 5
     trials = 150 if quick else 1000
@@ -357,7 +343,6 @@ def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False, par=None):
         6, "nonlinear-scan", passed, min_margin, 1.0,
         f"min ratio / bound = {min_margin:.3f} over {count} instances x {trials} densities; "
         f"achieved minima {', '.join(f'{a:.3f}' for a in achieved)}",
-        time.perf_counter() - t0,
     )
 
 
@@ -365,16 +350,15 @@ def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 7)
     par = par or Parallel()
     samples = 20_000 if quick else 100_000
     sizes = [2] if quick else [2, 3]
     worst = 0.0
     for n in sizes:
-        shape = _make_context(rng, n, "mean-field")
+        K = _random_kernel(rng, n, "mean-field")
         J = _random_coupling(rng, n, 0.3)
-        ctx = CollisionContext(J, shape.K)
+        ctx = CollisionContext(J, K)
         p0 = _interior_density(rng, 1 << n)
         t = 1.0
         exact = evolve(ctx, p0, t, dt=0.001).final
@@ -386,7 +370,6 @@ def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
     return CriterionResult(
         7, "tree-monte-carlo", passed, worst, 3.0,
         f"max componentwise deviation = {worst:.2f} sigma at {samples} samples (<= 3)",
-        time.perf_counter() - t0,
     )
 
 
@@ -394,7 +377,6 @@ def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 8)
     par = par or Parallel()
     runs = 8_000 if quick else 40_000
@@ -425,7 +407,6 @@ def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
         f"representation max deviation = {worst_sig:.2f} sigma at depths 1..4; "
         f"tail excess over n e^(-u/2n) + 3 sigma = {worst_excess:.2e} (<= 0) "
         f"for n in {tail_sizes}",
-        time.perf_counter() - t0,
     )
 
 
@@ -433,7 +414,6 @@ def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c09_particle_system(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 9)
     decay_cases = [(1, 6, 0.2), (2, 4, 0.12)] if quick else [(1, 8, 0.2), (2, 5, 0.12), (2, 4, 0.2)]
     worst_ratio = 0.0
@@ -470,7 +450,6 @@ def c09_particle_system(seed=DEFAULT_SEED, quick=False, par=None):
         9, "particle-system", passed, worst_ratio, 1.0 + 1e-9,
         f"max H_t / (H_0 e^(-alpha t)) = {worst_ratio:.12f} (<= 1 + 1e-9); "
         f"scan min / alpha = {scan_margin:.3f} over all shells, N in 2..4 (>= 1)",
-        time.perf_counter() - t0,
     )
 
 
@@ -478,7 +457,6 @@ def c09_particle_system(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c10_chaos(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     J = np.array([[0.0, 0.25], [0.25, 0.0]])
     h = np.array([0.15, 0.15])
     mu = gibbs(J, h)
@@ -504,7 +482,6 @@ def c10_chaos(seed=DEFAULT_SEED, quick=False, par=None):
         f"CLT mass ratio error {worst_ratio_err:.4f} (<= 0.05); "
         f"tv slope {rep.slope:+.3f} (within -1 +/- 0.1); "
         f"entropic gap {gap:.2e} at N=128 (<= 0.05)",
-        time.perf_counter() - t0,
     )
 
 
@@ -512,7 +489,6 @@ def c10_chaos(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c11_fisher_chaos(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     grid = [2, 4, 6, 8]
     worst_step = -math.inf
     details = []
@@ -537,7 +513,6 @@ def c11_fisher_chaos(seed=DEFAULT_SEED, quick=False, par=None):
     return CriterionResult(
         11, "fisher-chaos", passed, worst_step, 0.0,
         f"gaps over N in {grid}: {'; '.join(details)} (strictly decreasing)",
-        time.perf_counter() - t0,
     )
 
 
@@ -545,7 +520,6 @@ def c11_fisher_chaos(seed=DEFAULT_SEED, quick=False, par=None):
 
 
 def c12_ball_walks(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     rng = make_rng(seed, 12)
     margins = []
 
@@ -599,7 +573,6 @@ def c12_ball_walks(seed=DEFAULT_SEED, quick=False, par=None):
         12, "ball-walks", passed, value, 1.0,
         f"margins (>= 1): {parts}; max off-diagonal covariance at zero coupling "
         f"= {neg:.2e} (<= 0)",
-        time.perf_counter() - t0,
     )
 
 
@@ -612,9 +585,9 @@ def _repro_payload(seed, workers):
     par = Parallel(workers)
     rng = make_rng(seed, 13)
     table = ResultTable("repro-probe", seed, ("name", "value"))
-    shape = _make_context(rng, 3, "blocks")
+    K = _random_kernel(rng, 3, "blocks")
     J = _random_coupling(rng, 3, 0.4)
-    ctx = CollisionContext(J, shape.K)
+    ctx = CollisionContext(J, K)
     h = _block_constant_field(rng, 3, ctx.blocks)
     table.append("stationarity", stationarity_residual(ctx, gibbs(J, h)))
     p0 = _interior_density(rng, 8)
@@ -631,7 +604,6 @@ def _repro_payload(seed, workers):
 
 
 def c13_reproducibility(seed=DEFAULT_SEED, quick=False, par=None):
-    t0 = time.perf_counter()
     par = par or Parallel()
     same = _repro_payload(seed, par.workers) == _repro_payload(seed, par.workers)
     note = "byte-identical" if same else "not byte-identical"
@@ -639,7 +611,6 @@ def c13_reproducibility(seed=DEFAULT_SEED, quick=False, par=None):
         13, "reproducibility", same, 0.0 if same else 1.0, 0.0,
         f"double-run of the seeded probe is {note} "
         f"(deterministic reduction, {par.workers} workers)",
-        time.perf_counter() - t0,
     )
 
 
@@ -671,10 +642,12 @@ def run_all(seed=DEFAULT_SEED, quick=False, workers=None, out=None, stream=None,
     par = Parallel(default_workers() if workers is None else workers)
     results = []
     for fn in ALL_CRITERIA:
+        t0 = time.perf_counter()
         res = fn(seed=seed, quick=quick, par=par)
+        elapsed = time.perf_counter() - t0
         results.append(res)
         print(res.line(), file=stream)
-        print(f"  criterion {res.index:2d} took {res.elapsed:.1f} s", file=err)
+        print(f"  criterion {res.index:2d} took {elapsed:.1f} s", file=err)
     if out:
         table = ResultTable("acceptance-suite", seed, ("criterion", "passed", "value", "threshold"))
         table.add_meta("quick", "1" if quick else "0")

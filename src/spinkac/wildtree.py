@@ -27,10 +27,11 @@ from .core import marginal_factor, marginal_on_sites
 from .errors import CapacityError
 
 MAX_LEAVES = 1 << 20
+MAX_STEPS = 100_000
 EMPTY_FRAGMENT = (frozenset(), None)
 
 
-def sample_tree(t, rng, max_leaves=MAX_LEAVES):
+def sample_tree(t, rng):
     """Draw the branching tree alive at time t; returns sorted node paths."""
     if t < 0:
         raise ValueError("time must be nonnegative")
@@ -45,8 +46,8 @@ def sample_tree(t, rng, max_leaves=MAX_LEAVES):
             nodes += [c0, c1]
             queue += [(c0, split_at), (c1, split_at)]
             leaves += 1
-            if leaves > max_leaves:
-                raise CapacityError(f"tree exceeded {max_leaves} leaves at t = {t}")
+            if leaves > MAX_LEAVES:
+                raise CapacityError(f"tree exceeded {MAX_LEAVES} leaves at t = {t}")
     return tuple(sorted(nodes))
 
 
@@ -112,32 +113,31 @@ def discrete_iterate(ctx, p, k):
 
 @dataclass(frozen=True)
 class Moments:
-    """Running sums of a vector Monte Carlo estimator.
+    """Running moments of a vector Monte Carlo estimator.
 
-    `total` and `square` are the sums of the samples and of their
-    squares, `leaves` the total leaf count of the trees drawn (0 for
-    the partition process). Batches combine with `+`; adding them in a
-    fixed order gives the same bytes however the batches were run.
+    `mean` is the sample mean and `m2` the sum of squared deviations
+    from it, both accumulated by Welford's update, so identical samples
+    give m2 = 0 exactly; `leaves` is the total leaf count of the trees
+    drawn (0 for the partition process). Batches combine with `+` by
+    the pairwise update of Chan, Golub and LeVeque (1979); adding them
+    in a fixed order gives the same bytes however the batches were run.
     """
 
-    total: np.ndarray
-    square: np.ndarray
+    mean: np.ndarray
+    m2: np.ndarray
     samples: int
     leaves: int = 0
 
     def __add__(self, other):
-        return Moments(self.total + other.total, self.square + other.square,
-                       self.samples + other.samples, self.leaves + other.leaves)
-
-    @property
-    def mean(self):
-        return self.total / self.samples
+        count = self.samples + other.samples
+        delta = other.mean - self.mean
+        mean = self.mean + delta * (other.samples / count)
+        m2 = self.m2 + other.m2 + delta * delta * (self.samples * other.samples / count)
+        return Moments(mean, m2, count, self.leaves + other.leaves)
 
     @property
     def stderr(self):
-        mean = self.mean
-        var = np.maximum(self.square / self.samples - mean * mean, 0.0)
-        return np.sqrt(var / self.samples)
+        return np.sqrt(self.m2 / self.samples / self.samples)
 
     @property
     def mean_leaves(self):
@@ -153,17 +153,18 @@ def mc_solution(ctx, p0, t, samples, rng):
     """Monte Carlo solution of the flow at time t by tree averaging."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    size = 1 << ctx.n
-    acc = np.zeros(size)
-    acc2 = np.zeros(size)
-    total_leaves = 0
-    for _ in range(samples):
+    p0 = np.asarray(p0, dtype=float)
+    mean = np.zeros(1 << ctx.n)
+    m2 = np.zeros(1 << ctx.n)
+    leaves = 0
+    for i in range(1, samples + 1):
         tree = sample_tree(t, rng)
-        val = eval_tree(ctx, tree, np.asarray(p0, dtype=float))
-        acc += val
-        acc2 += val * val
-        total_leaves += len(tree_leaves(tree))
-    return Moments(acc, acc2, samples, total_leaves)
+        val = eval_tree(ctx, tree, p0)
+        delta = val - mean
+        mean += delta / i
+        m2 += delta * (val - mean)
+        leaves += len(tree_leaves(tree))
+    return Moments(mean, m2, samples, leaves)
 
 
 # -- marked partition process -------------------------------------------
@@ -242,15 +243,15 @@ class PartitionProcess:
             frags = self.step(frags, rng)
         return frags
 
-    def fragmentation_time(self, rng, max_steps=100000):
+    def fragmentation_time(self, rng):
         """Steps until every surviving fragment is a marked singleton."""
         frags = self.initial()
         steps = 0
         while any(mark is None for _, mark in frags):
             frags = self.step(frags, rng, drop_empty=True)
             steps += 1
-            if steps > max_steps:
-                raise CapacityError(f"fragmentation exceeded {max_steps} steps")
+            if steps > MAX_STEPS:
+                raise CapacityError(f"fragmentation exceeded {MAX_STEPS} steps")
         return steps
 
 
@@ -270,6 +271,8 @@ def mpp_expectation(K, densities, depth, runs, rng):
     coupling, via the marked-partition representation. `densities` is a
     sequence of 2**depth densities in fragment order (a single density
     is broadcast)."""
+    if runs < 1:
+        raise ValueError("need at least one run")
     proc = PartitionProcess(K)
     n = proc.n
     size = 1 << n
@@ -279,18 +282,19 @@ def mpp_expectation(K, densities, depth, runs, rng):
     densities = [np.asarray(p, dtype=float) for p in densities]
     if len(densities) != want:
         raise ValueError(f"need {want} densities for depth {depth}, got {len(densities)}")
-    acc = np.zeros(size)
-    acc2 = np.zeros(size)
-    for _ in range(runs):
+    mean = np.zeros(size)
+    m2 = np.zeros(size)
+    for i in range(1, runs + 1):
         frags = proc.run(depth, rng)
         est = np.ones(size)
         for p, frag in zip(densities, frags):
             if not frag[0] and frag[1] is None:
                 continue
             est *= fragment_factor(p, frag, n)
-        acc += est
-        acc2 += est * est
-    return Moments(acc, acc2, runs)
+        delta = est - mean
+        mean += delta / i
+        m2 += delta * (est - mean)
+    return Moments(mean, m2, runs)
 
 
 def mpp_representation_check(ctx, densities, depth, runs, rng):

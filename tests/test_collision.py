@@ -123,15 +123,22 @@ class TestAcceptance:
 
 
 class TestProduct:
-    def test_modes_agree(self):
+    def test_routes_match_reference(self):
         rng = np.random.default_rng(24)
-        for n in (2, 3, 4):
-            ctx = CollisionContext(random_symmetric(rng, n, 0.2),
-                                   collision.blocks_kernel(n, (tuple(range(n)),)))
-            p, q = random_density(rng, n), random_density(rng, n)
-            ref = ctx.product_reference(p, q)
-            assert np.abs(ctx.product(p, q, mode="tensor") - ref).max() < 1e-13
-            assert np.abs(ctx.product(p, q, mode="stream") - ref).max() < 1e-13
+        for n in range(1, 6):
+            blocks = ((0,),) if n == 1 else (tuple(range(n - 1)), (n - 1,))
+            kernels = (
+                collision.single_site_kernel(n),
+                collision.mean_field_kernel(n),
+                collision.blocks_kernel(n, blocks),
+                0.3 * np.eye(n) + 0.7 * collision.blocks_kernel(n, blocks),
+            )
+            for K in kernels:
+                ctx = CollisionContext(random_symmetric(rng, n, 0.2), K)
+                p, q = random_density(rng, n), random_density(rng, n)
+                ref = ctx.product_reference(p, q)
+                assert np.abs(ctx._product_tensor(p, q) - ref).max() < 1e-13
+                assert np.abs(ctx._product_stream(p, q) - ref).max() < 1e-13
 
     def test_commutative(self):
         rng = np.random.default_rng(25)
@@ -176,11 +183,12 @@ class TestProduct:
         half = 0.5 * (core.magnetization_profile(p, ctx.blocks) + core.magnetization_profile(q, ctx.blocks))
         assert np.abs(m - half).max() < 1e-12
 
-    def test_tensor_gate(self):
-        ctx = CollisionContext(np.zeros((8, 8)), collision.mean_field_kernel(8))
-        p = np.full(256, 1.0 / 256)
+    def test_product_gate(self):
+        n = collision.PRODUCT_N_MAX + 1
+        ctx = CollisionContext(np.zeros((n, n)), collision.mean_field_kernel(n))
+        p = np.full(1 << n, 1.0 / (1 << n))
         with pytest.raises(CapacityError):
-            ctx.product(p, p, mode="tensor")
+            ctx.product(p, p)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -20,18 +20,6 @@ class TestMasks:
         s = core.spins_matrix(2)
         assert s.tolist() == [[-1, -1], [1, -1], [-1, 1], [1, 1]]
 
-    def test_spin_accessors_roundtrip(self):
-        mask = 0b0110
-        assert core.spin_at(mask, 0) == -1
-        assert core.spin_at(mask, 1) == 1
-        assert core.set_spin(mask, 0, 1) == 0b0111
-        assert core.set_spin(mask, 1, -1) == 0b0100
-        assert core.flip_site(core.flip_site(mask, 3), 3) == mask
-
-    def test_set_spin_rejects_bad_value(self):
-        with pytest.raises(ValueError):
-            core.set_spin(0, 0, 0)
-
     def test_site_gate(self):
         with pytest.raises(CapacityError):
             core.check_sites(25)

@@ -102,8 +102,8 @@ class TestMCSolution:
         p0 = random_density(make_rng(53, 0), 2)
         sol = wildtree.mc_solution(ctx, p0, 0.0, 50, make_rng(53, 1))
         assert np.abs(sol.mean - p0).max() < 1e-15
-        # identical samples: only one-pass variance cancellation noise remains
-        assert sol.stderr.max() < 1e-7
+        # identical samples: the centred sums cancel exactly
+        assert np.all(sol.stderr == 0.0)
         assert sol.mean_leaves == 1.0
 
     def test_stationary_input(self):
@@ -252,3 +252,8 @@ class TestRepresentation:
         p = np.full(4, 0.25)
         with pytest.raises(ValueError, match="zero coupling"):
             wildtree.mpp_representation_check(ctx, p, 1, 10, make_rng(56, 6))
+
+    def test_needs_a_run(self):
+        p = np.full(4, 0.25)
+        with pytest.raises(ValueError, match="at least one run"):
+            wildtree.mpp_expectation(collision.mean_field_kernel(2), p, 1, 0, make_rng(56, 7))
