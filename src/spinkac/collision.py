@@ -15,8 +15,9 @@ The product has two routes, chosen by n alone:
 
 * ``tensor`` — the full bilinear operator as one (2^n, 4^n) matrix,
                built once per context; used for n <= 7.
-* ``stream`` — per-(l, k) vectorized accumulation, no big tensor;
-               used for n = 8..12 at ~O(4^n) memory.
+* ``stream`` — one 2^(n-1) x 2^(n-1) acceptance block and one matrix
+               product (with four columns) per site pair, no big tensor;
+               used for n = 8..12 at O(4^(n-1)) memory.
 
 ``product_reference`` evaluates the defining sum with plain loops; it
 is kept dumb on purpose, for tests to compare the two routes against.
@@ -116,6 +117,13 @@ def kernel_components(K):
     return tuple(sorted(tuple(g) for g in groups.values()))
 
 
+def _halves(x, bit):
+    """Entries of x (indexed by mask) at the masks with `bit` clear and
+    at those with it set, each in increasing mask order."""
+    x = x.reshape(-1, 2, 1 << bit)
+    return x[:, 0].ravel(), x[:, 1].ravel()
+
+
 def exchange(sigma, sigma_p, l, k):
     """Swap site l of sigma with site k of sigma' (mask arithmetic)."""
     a = (sigma_p >> k) & 1
@@ -190,8 +198,10 @@ class CollisionContext:
     def product(self, p, q, check=True):
         """Symmetrized collision product of two densities.
 
-        The tensor route serves n <= TENSOR_N_MAX and the stream route
-        n <= PRODUCT_N_MAX; larger n raises CapacityError. check=False
+        The tensor route serves n <= TENSOR_N_MAX. The stream route
+        serves n <= PRODUCT_N_MAX: per site pair it evaluates one
+        2^(n-1) x 2^(n-1) acceptance block and one matrix product, in
+        O(4^(n-1)) memory. Larger n raises CapacityError. check=False
         skips the probability validation so integrator stage vectors
         (mass 1, possibly with roundoff-negative entries) can pass
         through.
@@ -238,21 +248,30 @@ class CollisionContext:
         return self._tensor_matrix() @ W.ravel()
 
     def _product_stream(self, p, q):
-        W = 0.5 * (np.multiply.outer(p, q) + np.multiply.outer(q, p))
-        row_mass = W.sum(axis=1)
-        out = np.zeros_like(p)
-        masks = self.masks
+        # Where sigma[l] == sigma'[k] the move keeps (sigma, sigma') with
+        # acceptance 1/2, so only the two disagreeing quarter blocks move
+        # mass, from sigma to sigma ^ (1 << l). The cavity field f_l does
+        # not depend on sigma[l], so the acceptance is E = expit(2 (f_l - f_k))
+        # on the block (sigma[l], sigma'[k]) = (0, 1) and 1 - E on (1, 0),
+        # both indexed by the other bits. W = (pq' + qp') / 2 has rank 2,
+        # so twice the accepted mass leaving sigma (a0, a1) comes from one
+        # product of E with four columns.
+        total_w = sum(w for _, _, w in self.pairs)
+        out = (0.5 * total_w) * (p * q.sum() + q * p.sum())
         for l, k, w in self.pairs:
-            P = self.acceptance_matrix(l, k)
-            A = W * P
-            acc_rows = A.sum(axis=1)
-            out += w * (row_mass - acc_rows)
-            bitk = self._bit[k]
-            up = A[:, bitk].sum(axis=1)
-            down = acc_rows - up
-            ml = 1 << l
-            np.add.at(out, masks | ml, w * up)
-            np.add.at(out, masks & ~ml, w * down)
+            f_l, _ = _halves(self.fields[:, l], l)
+            f_k, _ = _halves(self.fields[:, k], k)
+            E = np.subtract.outer(2.0 * f_l, 2.0 * f_k)
+            expit(E, out=E)
+            (p0, p1), (q0, q1) = _halves(p, l), _halves(q, l)
+            (pc0, pc1), (qc0, qc1) = _halves(p, k), _halves(q, k)
+            M = E @ np.column_stack((pc0, qc0, pc1, qc1))
+            a0 = p0 * M[:, 3] + q0 * M[:, 2]
+            a1 = p1 * (qc0.sum() - M[:, 1]) + q1 * (pc0.sum() - M[:, 0])
+            d = (0.5 * w) * (a1 - a0).reshape(-1, 1 << l)
+            out_l = out.reshape(-1, 2, 1 << l)
+            out_l[:, 0] += d
+            out_l[:, 1] -= d
         return out
 
     def product_reference(self, p, q):

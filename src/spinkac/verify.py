@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import downup, kac, wildtree
-from .collision import CollisionContext, build_transport_kernel
+from .collision import CollisionContext, build_transport_kernel, kernel_components
 from .core import (
     eigen_bounds,
     gibbs,
@@ -421,7 +421,7 @@ def c09_particle_system(seed=DEFAULT_SEED, quick=False, par=None):
         J = _admissible_coupling(rng, n, scale * 0.8, scale) if n > 1 else np.array([[scale]])
         K = build_transport_kernel("mean-field", n)
         bound = alpha_bound(J, n)
-        blocks = CollisionContext(J, K).blocks
+        blocks = kernel_components(K)
         counts = [T for T in kac.admissible_counts(N, blocks)]
         T = counts[len(counts) // 3] if len(counts) > 2 else counts[0]
         meas = kac.multicanonical_measure(J, None, N, blocks, T)
@@ -438,7 +438,7 @@ def c09_particle_system(seed=DEFAULT_SEED, quick=False, par=None):
     for n, family in ((2, "mean-field"), (2, "single-site")):
         J = _admissible_coupling(rng, n, 0.08, 0.15)
         K = build_transport_kernel(family, n)
-        blocks = CollisionContext(J, K).blocks
+        blocks = kernel_components(K)
         bound = alpha_bound(J, n)
         for N in (2, 3, 4):
             for T in kac.admissible_counts(N, blocks):

@@ -140,6 +140,32 @@ class TestProduct:
                 assert np.abs(ctx._product_tensor(p, q) - ref).max() < 1e-13
                 assert np.abs(ctx._product_stream(p, q) - ref).max() < 1e-13
 
+    def test_stream_matches_moves_past_reference_gate(self):
+        # product_reference stops at n = 5; past it, sum the defining
+        # moves over whole (sigma, sigma') grids instead
+        def moves_product(ctx, p, q):
+            W = 0.5 * (np.multiply.outer(p, q) + np.multiply.outer(q, p))
+            out = np.zeros_like(p)
+            for w, P, tau, _ in ctx.moves():
+                out += w * (W * (1.0 - P)).sum(axis=1)
+                out += w * np.bincount(tau.ravel(), (W * P).ravel(), minlength=p.size)
+            return out
+
+        rng = np.random.default_rng(29)
+        for n in (6, 7, 8):
+            blocks = (tuple(range(n - 1)), (n - 1,))
+            kernels = (
+                collision.single_site_kernel(n),
+                collision.mean_field_kernel(n),
+                0.3 * np.eye(n) + 0.7 * collision.blocks_kernel(n, blocks),
+            )
+            for K in kernels:
+                ctx = CollisionContext(random_symmetric(rng, n, 0.2), K)
+                p, q = random_density(rng, n), random_density(rng, n)
+                ref = moves_product(ctx, p, q)
+                assert np.abs(ctx._product_stream(p, q) - ref).max() < 1e-14
+        assert np.array_equal(ctx.product(p, q), ctx.product(q, p))
+
     def test_commutative(self):
         rng = np.random.default_rng(25)
         ctx = CollisionContext(random_symmetric(rng, 3, 0.25), collision.mean_field_kernel(3))

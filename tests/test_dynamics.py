@@ -64,6 +64,25 @@ class TestEvolve:
         e_fine = np.abs(dynamics.evolve(ctx, p0, 1.0, 0.05).final - ref).max()
         assert 10.0 < e_coarse / e_fine < 24.0
 
+    def test_stream_route_flow(self):
+        # n = 8 is past the tensor route, so every product here streams
+        rng = np.random.default_rng(50)
+        J = np.full((8, 8), 0.1 / 8)
+        ctx = make_ctx(J)
+        p0 = interior_density(rng, 8)
+        traj = dynamics.evolve(ctx, p0, 0.2, 0.05)
+        assert len(traj.times) == 5
+        assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-12
+        m = np.array([core.magnetization_profile(p, ctx.blocks) for p in traj.states])
+        assert np.abs(m - m[0]).max() <= 1e-10
+
+    def test_stream_route_gibbs_is_stationary(self):
+        J = np.full((9, 9), 0.04)
+        np.fill_diagonal(J, 0.06)
+        ctx = make_ctx(J, "blocks", blocks=(tuple(range(5)), tuple(range(5, 9))))
+        h = np.array([0.2] * 5 + [-0.3] * 4)
+        assert dynamics.stationarity_residual(ctx, core.gibbs(J, h)) <= 1e-12
+
     def test_input_validation(self):
         ctx = make_ctx(np.zeros((2, 2)))
         uniform = np.full(4, 0.25)
