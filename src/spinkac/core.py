@@ -298,42 +298,6 @@ def entropy_ratio_scan(mu, functions, numerator):
     return RatioScan(float(ratios.min()), float(np.median(ratios)), len(ratios), discarded)
 
 
-def marginal_on_sites(p, sites, n=None):
-    """Marginal of p on a sorted site tuple, indexed by packed sub-mask.
-
-    Sub-mask bit i corresponds to sites[i]. The empty tuple yields
-    the scalar array [1.0].
-    """
-    p = np.asarray(p, dtype=float)
-    if n is None:
-        n = sites_of(p)
-    sites = tuple(sorted(sites))
-    if not sites:
-        return np.array([np.sum(p)])
-    masks = np.arange(p.size, dtype=np.int64)
-    pat = np.zeros(p.size, dtype=np.int64)
-    for i, l in enumerate(sites):
-        pat |= ((masks >> l) & 1) << i
-    return np.bincount(pat, weights=p, minlength=1 << len(sites))
-
-
-def marginal_factor(p, sites, n=None):
-    """Vector over all full masks whose entry is the p-marginal of the mask's
-    restriction to `sites` (1.0 everywhere for the empty tuple)."""
-    p = np.asarray(p, dtype=float)
-    if n is None:
-        n = sites_of(p)
-    sites = tuple(sorted(sites))
-    if not sites:
-        return np.ones(p.size)
-    marg = marginal_on_sites(p, sites, n)
-    masks = np.arange(p.size, dtype=np.int64)
-    pat = np.zeros(p.size, dtype=np.int64)
-    for i, l in enumerate(sites):
-        pat |= ((masks >> l) & 1) << i
-    return marg[pat]
-
-
 def match_block_means(logw, blocks, target):
     """Find per-block constant fields c so the tilted measure hits target means.
 

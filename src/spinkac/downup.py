@@ -498,19 +498,15 @@ def eigenvalue_condition_report(inst):
 # -- correspondence with the N-slot exchange system --------------------
 
 
-def particle_shaped_instance(J, h_slots, N, T):
+def particle_shaped_instance(J, h, N, T):
     """The L = N*n single-slice system whose conditioned measure matches
-    the N-slot conditioned product: block-diagonal interaction, fields
-    laid out slot by slot."""
+    the N-slot conditioned product: block-diagonal interaction, the
+    field h repeated slot by slot."""
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
     L = N * n
     lam = np.kron(np.eye(N), J)
-    if h_slots is None:
-        w = np.zeros(L)
-    else:
-        h_slots = np.asarray(h_slots, dtype=float)
-        w = np.tile(h_slots, N) if h_slots.ndim == 1 else np.concatenate(h_slots)
+    w = np.zeros(L) if h is None else np.tile(np.asarray(h, dtype=float), N)
     M = 2 * int(T) - L
     return single_block_instance(L, M, lam, w)
 

@@ -48,8 +48,6 @@ class Trajectory:
     states: np.ndarray  # (len(times), 2**n)
     h_eq: np.ndarray
     mu_eq: np.ndarray
-    blocks: tuple
-    requested_t_end: float
     stopped_early: bool = False
 
     @property
@@ -126,8 +124,6 @@ def evolve(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None):
         states=np.array(states),
         h_eq=h_eq,
         mu_eq=mu_eq,
-        blocks=ctx.blocks,
-        requested_t_end=float(t_end),
         stopped_early=stopped,
     )
 

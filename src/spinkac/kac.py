@@ -127,7 +127,6 @@ class ParticleMeasure:
     codes: np.ndarray    # sorted combined codes, slot i at bits [i*n, (i+1)*n)
     probs: np.ndarray
     logw: np.ndarray     # unnormalized product log-weights on the shell
-    single_logw: list    # per-slot log-weight tables (length N)
 
     def index_of(self, codes):
         idx = np.searchsorted(self.codes, codes)
@@ -137,16 +136,10 @@ class ParticleMeasure:
 
 
 def restricted_product_measure(single_log_weights, N, blocks, T):
-    """Enumerate the count shell of a product of N single-slot weight
-    tables and normalize. `single_log_weights` is one table (shared) or
-    a length-N list."""
-    if isinstance(single_log_weights, np.ndarray) and single_log_weights.ndim == 1:
-        tables = [np.asarray(single_log_weights, dtype=float)] * N
-    else:
-        tables = [np.asarray(w, dtype=float) for w in single_log_weights]
-        if len(tables) != N:
-            raise ValueError(f"need {N} weight tables, got {len(tables)}")
-    n = int(tables[0].size).bit_length() - 1
+    """Enumerate the count shell of the product of N copies of one
+    single-slot weight table and normalize."""
+    table = np.asarray(single_log_weights, dtype=float)
+    n = int(table.size).bit_length() - 1
     if N * n > ENUMERATION_GATE:
         raise CapacityError(f"shell enumeration gated at N*n <= {ENUMERATION_GATE}")
     blocks = check_partition(blocks, n)
@@ -164,26 +157,20 @@ def restricted_product_measure(single_log_weights, N, blocks, T):
     for i in range(N):
         sub = (codes >> (i * n)) & sub_mask
         total += counts[sub]
-        logw += tables[i][sub]
+        logw += table[sub]
     keep = np.all(total == np.array(T), axis=1)
     codes = codes[keep]
     if codes.size == 0:
         raise ValueError(f"empty shell for counts {T}")
     logw = logw[keep]
     probs = np.exp(logw - logsumexp(logw))
-    return ParticleMeasure(n, N, blocks, T, codes, probs, logw, tables)
+    return ParticleMeasure(n, N, blocks, T, codes, probs, logw)
 
 
 def multicanonical_measure(J, h, N, blocks, T):
-    """Conditioned product of Gibbs measures: h may be None, one field
-    vector shared by all slots, or a per-slot list."""
-    J = check_interaction(J)
-    n = J.shape[0]
-    if h is None or (isinstance(h, np.ndarray) and h.ndim == 1):
-        tables = log_gibbs_weights(J, h)
-    else:
-        tables = [log_gibbs_weights(J, np.asarray(hi, dtype=float)) for hi in h]
-    return restricted_product_measure(tables, N, blocks, T)
+    """Conditioned product of Gibbs measures: h is None or one field
+    vector shared by all slots."""
+    return restricted_product_measure(log_gibbs_weights(check_interaction(J), h), N, blocks, T)
 
 
 # -- exchange moves on a shell -----------------------------------------
@@ -231,7 +218,10 @@ def _pair_moves(measure, kernel):
 
 def dirichlet_form(measure, F, G, kernel=None):
     """(1/2Nn) sum over slot pairs and site pairs of mu[K r dF dG]
-    (kernel given) or mu[r dF dG] (kernel None, the all-pairs variant)."""
+    (kernel given) or mu[r dF dG] (kernel None, the all-pairs variant).
+
+    The same sum as `transition_table(measure, kernel).dirichlet(F, G)`,
+    but streamed move by move, so the table is never held in memory."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     total = 0.0

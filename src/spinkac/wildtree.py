@@ -2,18 +2,18 @@
 
 A random binary tree grows from the root by splitting each leaf at unit
 rate; the flow's solution at time t is the expectation, over the tree
-alive at t, of the leafwise collision product of the initial density.
-Trees are stored as sorted tuples of root paths (tuples of 0/1 bits);
-the root is the empty path, and a valid tree is ancestor-closed with
-zero or two children per node. Leaves are consumed in lexicographic
-path order wherever a list of densities is supplied.
+alive at t, of the leafwise collision product of the initial density
+(the Wild sum). A tree is a nested tuple: a leaf is ``()`` and a split
+node is ``(child0, child1)``, collapsed as ``child0 o child1``, so the
+leaves read left to right. Every leaf carries the same initial density.
 
 The zero-coupling flow additionally admits a dual description by a
-marked partition process: fragments carry a set of sites and an
-optional mark, and each fragment independently splits by one of four
-equally likely moves per step. The fragment order mirrors the regular
-binary tree of the same depth, so depth-u expectations can be compared
-against the u-fold square iteration of the product.
+marked partition process: a fragment ``(A, mark)`` carries a site set A
+as an int bit mask and an optional mark, and each fragment
+independently splits by one of four equally likely moves per step. The
+fragment order mirrors the regular binary tree of the same depth, so
+depth-u expectations can be compared against the u-fold square
+iteration of the product.
 """
 
 from __future__ import annotations
@@ -23,84 +23,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import marginal_factor, marginal_on_sites
 from .errors import CapacityError
 
 MAX_LEAVES = 1 << 20
 MAX_STEPS = 100_000
-EMPTY_FRAGMENT = (frozenset(), None)
+EMPTY_FRAGMENT = (0, None)
 
 
 def sample_tree(t, rng):
-    """Draw the branching tree alive at time t; returns sorted node paths."""
+    """Draw the branching tree alive at time t, as a nested tuple.
+
+    Nodes draw their split times in pre-order, child 1 before child 0.
+    """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    nodes = [()]
-    queue = [((), 0.0)]
     leaves = 1
-    while queue:
-        path, birth = queue.pop()
+
+    def grow(birth):
+        nonlocal leaves
         split_at = birth + rng.exponential()
-        if split_at <= t:
-            c0, c1 = path + (0,), path + (1,)
-            nodes += [c0, c1]
-            queue += [(c0, split_at), (c1, split_at)]
-            leaves += 1
-            if leaves > MAX_LEAVES:
-                raise CapacityError(f"tree exceeded {MAX_LEAVES} leaves at t = {t}")
-    return tuple(sorted(nodes))
+        if split_at > t:
+            return ()
+        leaves += 1
+        if leaves > MAX_LEAVES:
+            raise CapacityError(f"tree exceeded {MAX_LEAVES} leaves at t = {t}")
+        child1 = grow(split_at)
+        child0 = grow(split_at)
+        return (child0, child1)
+
+    return grow(0.0)
 
 
-def regular_tree(depth):
-    """Full binary tree with 2**depth leaves."""
-    nodes = [()]
-    for d in range(1, depth + 1):
-        nodes += [tuple((i >> (d - 1 - j)) & 1 for j in range(d)) for i in range(1 << d)]
-    return tuple(sorted(nodes))
+def _leaves(tree):
+    return _leaves(tree[0]) + _leaves(tree[1]) if tree else 1
 
 
-def tree_leaves(tree):
-    node_set = set(tree)
-    return tuple(p for p in tree if p + (0,) not in node_set)
+def eval_tree(ctx, tree, p):
+    """Collapse a tree bottom-up with the collision product, with the
+    density p at every leaf."""
 
+    def value(node):
+        return ctx.product(value(node[0]), value(node[1])) if node else p
 
-def check_tree(tree):
-    node_set = set(tree)
-    if () not in node_set:
-        raise ValueError("tree must contain the root")
-    for p in tree:
-        if p and p[:-1] not in node_set:
-            raise ValueError(f"node {p} lacks its parent")
-        has0 = p + (0,) in node_set
-        has1 = p + (1,) in node_set
-        if has0 != has1:
-            raise ValueError(f"node {p} has exactly one child")
-    return tuple(sorted(node_set))
-
-
-def eval_tree(ctx, tree, densities):
-    """Collapse a tree bottom-up with the collision product.
-
-    densities: one density (used at every leaf) or a sequence matching
-    the leaf count, consumed in lexicographic leaf order.
-    """
-    tree = check_tree(tree)
-    node_set = set(tree)
-    leaves = tree_leaves(tree)
-    if isinstance(densities, np.ndarray) and densities.ndim == 1:
-        assign = {leaf: densities for leaf in leaves}
-    else:
-        densities = list(densities)
-        if len(densities) != len(leaves):
-            raise ValueError(f"tree has {len(leaves)} leaves, got {len(densities)} densities")
-        assign = dict(zip(leaves, densities))
-
-    def value(path):
-        if path + (0,) in node_set:
-            return ctx.product(value(path + (0,)), value(path + (1,)))
-        return assign[path]
-
-    return value(())
+    return value(tree)
 
 
 def discrete_iterate(ctx, p, k):
@@ -163,7 +128,7 @@ def mc_solution(ctx, p0, t, samples, rng):
         delta = val - mean
         mean += delta / i
         m2 += delta * (val - mean)
-        leaves += len(tree_leaves(tree))
+        leaves += _leaves(tree)
     return Moments(mean, m2, samples, leaves)
 
 
@@ -202,8 +167,8 @@ def split_fragment(frag, u, b, step_K, step_lazy, rng):
     if b == 2:
         return EMPTY_FRAGMENT, frag
     if mark is None:
-        if u in A:
-            pair = ((A - {u}, None), (frozenset((u,)), step_K(u, rng)))
+        if A >> u & 1:
+            pair = ((A & ~(1 << u), None), (1 << u, step_K(u, rng)))
         else:
             pair = ((A, None), EMPTY_FRAGMENT)
     else:
@@ -221,7 +186,7 @@ class PartitionProcess:
         self._step_lazy = _sampler(lazy_kernel(self.K))
 
     def initial(self):
-        return [(frozenset(range(self.n)), None)]
+        return [((1 << self.n) - 1, None)]
 
     def step(self, fragments, rng, drop_empty=False):
         out = []
@@ -229,7 +194,7 @@ class PartitionProcess:
             u = int(rng.integers(self.n))
             b = int(rng.integers(1, 5))
             for child in split_fragment(frag, u, b, self._step_K, self._step_lazy, rng):
-                if drop_empty and not child[0] and child[1] is None:
+                if drop_empty and child == EMPTY_FRAGMENT:
                     continue
                 out.append(child)
         return out
@@ -256,39 +221,38 @@ class PartitionProcess:
 
 
 def fragment_factor(p, frag, n):
-    """The state-space factor a fragment contributes to the product estimate."""
+    """The state-space factor a fragment contributes to the product
+    estimate: at each full mask s, the p-marginal of s restricted to A.
+
+    A marked singleton A = {j} takes the marginal of the mark's site
+    instead, read at s's bit j.
+    """
     A, mark = frag
-    if mark is None:
-        return marginal_factor(p, tuple(A), n)
-    site_marg = marginal_on_sites(p, (mark,), n)
-    j = next(iter(A))
     masks = np.arange(1 << n, dtype=np.int64)
-    return site_marg[(masks >> j) & 1]
+    if mark is None:
+        on = masks & A
+        return np.bincount(on, weights=p, minlength=1 << n)[on]
+    bit = 1 << mark
+    marg = np.bincount(masks & bit, weights=p, minlength=1 << n)
+    return np.where(masks & A, marg[bit], marg[0])
 
 
-def mpp_expectation(K, densities, depth, runs, rng):
-    """Monte Carlo estimate of the depth-u iterated product at zero
-    coupling, via the marked-partition representation. `densities` is a
-    sequence of 2**depth densities in fragment order (a single density
-    is broadcast)."""
+def mpp_expectation(K, p, depth, runs, rng):
+    """Monte Carlo estimate of the depth-u iterated product of p at zero
+    coupling, via the marked-partition representation."""
     if runs < 1:
         raise ValueError("need at least one run")
     proc = PartitionProcess(K)
     n = proc.n
     size = 1 << n
-    want = 1 << depth
-    if isinstance(densities, np.ndarray) and densities.ndim == 1:
-        densities = [densities] * want
-    densities = [np.asarray(p, dtype=float) for p in densities]
-    if len(densities) != want:
-        raise ValueError(f"need {want} densities for depth {depth}, got {len(densities)}")
+    p = np.asarray(p, dtype=float)
     mean = np.zeros(size)
     m2 = np.zeros(size)
     for i in range(1, runs + 1):
         frags = proc.run(depth, rng)
         est = np.ones(size)
-        for p, frag in zip(densities, frags):
-            if not frag[0] and frag[1] is None:
+        for frag in frags:
+            if frag == EMPTY_FRAGMENT:
                 continue
             est *= fragment_factor(p, frag, n)
         delta = est - mean
@@ -297,16 +261,13 @@ def mpp_expectation(K, densities, depth, runs, rng):
     return Moments(mean, m2, runs)
 
 
-def mpp_representation_check(ctx, densities, depth, runs, rng):
+def mpp_representation_check(ctx, p, depth, runs, rng):
     """Compare the partition-process estimate with the exact iterated
-    product. Zero coupling only. Returns (estimate, exact, max_sigmas)."""
+    product of p. Zero coupling only. Returns (estimate, exact, max_sigmas)."""
     if np.any(ctx.J != 0.0):
         raise ValueError("the partition representation requires zero coupling")
-    est = mpp_expectation(ctx.K, densities, depth, runs, rng)
-    if isinstance(densities, np.ndarray) and densities.ndim == 1:
-        exact = discrete_iterate(ctx, densities, depth)
-    else:
-        exact = eval_tree(ctx, regular_tree(depth), list(densities))
+    est = mpp_expectation(ctx.K, p, depth, runs, rng)
+    exact = discrete_iterate(ctx, p, depth)
     return est, exact, est.sigmas(exact, 1e-15)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinkac import core, downup, dynamics, kac
+from spinkac import core, downup, dynamics, kac, wildtree
 from spinkac.errors import CapacityError, ConvergenceError, DegenerateProfileError
 
 
@@ -199,18 +199,29 @@ def test_pinsker_inequality(seed):
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_marginals_are_densities(seed):
+    # a fragment's factor at state s is the p-mass of the states that
+    # agree with s on A; a marked singleton {j} reads the mark's site
     rng = np.random.default_rng(seed)
     p = random_density(rng, 3)
-    for sites in ((0,), (1, 2), (0, 1, 2), ()):
-        marg = core.marginal_on_sites(p, sites)
-        assert marg.size == 1 << len(sites)
-        assert abs(marg.sum() - 1.0) < 1e-12
-        assert marg.min() >= 0.0
+    states = range(8)
+    for A in (0b001, 0b010, 0b110, 0b101, 0b111):
+        factor = wildtree.fragment_factor(p, (A, None), 3)
+        brute = [sum(p[t] for t in states if t & A == s & A) for s in states]
+        assert np.abs(factor - brute).max() < 1e-15
+        # one state per pattern on A: the marginal is a density
+        assert abs(sum(factor[s] for s in states if s & ~A == 0) - 1.0) < 1e-12
+    for j, mark in ((0, 2), (1, 1), (2, 0)):
+        factor = wildtree.fragment_factor(p, (1 << j, mark), 3)
+        brute = [sum(p[t] for t in states if t >> mark & 1 == s >> j & 1) for s in states]
+        assert np.abs(factor - brute).max() < 1e-15
 
 
 def test_marginal_of_product_factorizes():
     rng = np.random.default_rng(11)
     a, b = rng.dirichlet([2, 2]), rng.dirichlet([2, 2])
     p = np.array([a[(m >> 0) & 1] * b[(m >> 1) & 1] for m in range(4)])
-    assert np.abs(core.marginal_on_sites(p, (0,)) - a).max() < 1e-14
-    assert np.abs(core.marginal_on_sites(p, (1,)) - b).max() < 1e-14
+    on0 = wildtree.fragment_factor(p, (0b01, None), 2)
+    on1 = wildtree.fragment_factor(p, (0b10, None), 2)
+    assert np.abs(on0 - a[[0, 1, 0, 1]]).max() < 1e-14
+    assert np.abs(on1 - b[[0, 0, 1, 1]]).max() < 1e-14
+    assert np.abs(on0 * on1 - p).max() < 1e-14

@@ -7,6 +7,7 @@ import pytest
 
 from spinkac import collision, dynamics, wildtree
 from spinkac.collision import CollisionContext
+from spinkac.errors import CapacityError
 from spinkac.rng import make_rng
 
 
@@ -18,11 +19,13 @@ def random_density(rng, n):
     return rng.dirichlet(np.full(1 << n, 2.0))
 
 
+def leaf_count(tree):
+    return leaf_count(tree[0]) + leaf_count(tree[1]) if tree else 1
+
+
 class TestTrees:
     def test_zero_time_is_root_only(self):
-        tree = wildtree.sample_tree(0.0, make_rng(51, 0))
-        assert tree == ((),)
-        assert wildtree.tree_leaves(tree) == ((),)
+        assert wildtree.sample_tree(0.0, make_rng(51, 0)) == ()
 
     def test_growth_statistics(self):
         # leaf count grows like e^t; the root survives with chance e^{-t}
@@ -32,63 +35,61 @@ class TestTrees:
         unsplit = 0
         for i in range(runs):
             tree = wildtree.sample_tree(1.0, rng)
-            leaves[i] = len(wildtree.tree_leaves(tree))
-            unsplit += tree == ((),)
+            leaves[i] = leaf_count(tree)
+            unsplit += tree == ()
         se = leaves.std() / math.sqrt(runs)
         assert abs(leaves.mean() - math.e) <= 3 * se
         frac = unsplit / runs
         se_u = math.sqrt(frac * (1 - frac) / runs)
         assert abs(frac - math.exp(-1.0)) <= 3 * se_u
 
-    def test_malformed_trees_rejected(self):
-        with pytest.raises(ValueError, match="root"):
-            wildtree.check_tree(((0,), (1,)))
-        with pytest.raises(ValueError, match="one child"):
-            wildtree.check_tree(((), (0,)))
-        with pytest.raises(ValueError, match="parent"):
-            wildtree.check_tree(((), (0,), (1,), (0, 0), (0, 1), (1, 1, 0)))
+    def test_draw_order_is_pinned(self):
+        # nodes draw their split times in pre-order, child 1 before
+        # child 0; these shapes fix that order on one stream
+        rng = make_rng(51, 2)
+        got = [wildtree.sample_tree(1.2, rng) for _ in range(6)]
+        assert got == [
+            (),
+            (((), ((), ())), ((((), ()), ((), ())), ())),
+            ((), ()),
+            ((), ()),
+            ((), ()),
+            ((((), ((), ())), ()), ()),
+        ]
 
-    def test_regular_tree_shape(self):
-        tree = wildtree.regular_tree(2)
-        assert len(wildtree.tree_leaves(tree)) == 4
-        assert len(tree) == 7
+    def test_leaf_cap(self, monkeypatch):
+        monkeypatch.setattr(wildtree, "MAX_LEAVES", 4)
+        rng = make_rng(51, 3)
+        with pytest.raises(CapacityError, match="4 leaves"):
+            for _ in range(1000):
+                wildtree.sample_tree(3.0, rng)
 
 
 class TestEvalTree:
     def test_single_node_returns_input(self):
         ctx = free_ctx(2)
         p = random_density(make_rng(52, 0), 2)
-        assert np.array_equal(wildtree.eval_tree(ctx, ((),), p), p)
+        assert np.array_equal(wildtree.eval_tree(ctx, (), p), p)
 
     def test_depth_one_is_the_product(self):
         ctx = free_ctx(2)
-        rng = make_rng(52, 1)
-        p, q = random_density(rng, 2), random_density(rng, 2)
-        got = wildtree.eval_tree(ctx, ((), (0,), (1,)), [p, q])
-        assert np.abs(got - ctx.product(p, q)).max() < 1e-15
+        p = random_density(make_rng(52, 1), 2)
+        assert np.array_equal(wildtree.eval_tree(ctx, ((), ()), p), ctx.product(p, p))
 
     def test_comb_tree_associates_leftward(self):
-        # four leaves hanging off one spine evaluate as ((a o b) o c) o d
+        # three splits down the left spine evaluate as ((p o p) o p) o p
         ctx = free_ctx(2)
-        rng = make_rng(52, 2)
-        a, b, c, d = (random_density(rng, 2) for _ in range(4))
-        comb = ((), (0,), (1,), (0, 0), (0, 1), (0, 0, 0), (0, 0, 1))
-        got = wildtree.eval_tree(ctx, comb, [a, b, c, d])
-        want = ctx.product(ctx.product(ctx.product(a, b), c), d)
-        assert np.abs(got - want).max() < 1e-15
-
-    def test_leaf_count_mismatch(self):
-        ctx = free_ctx(2)
-        p = random_density(make_rng(52, 3), 2)
-        with pytest.raises(ValueError, match="leaves"):
-            wildtree.eval_tree(ctx, ((), (0,), (1,)), [p])
+        p = random_density(make_rng(52, 2), 2)
+        got = wildtree.eval_tree(ctx, ((((), ()), ()), ()), p)
+        want = ctx.product(ctx.product(ctx.product(p, p), p), p)
+        assert np.array_equal(got, want)
 
     def test_discrete_iterate(self):
         ctx = CollisionContext(np.full((2, 2), 0.1), collision.mean_field_kernel(2))
         rng = make_rng(52, 4)
         p = random_density(rng, 2)
         assert np.array_equal(wildtree.discrete_iterate(ctx, p, 0), p)
-        via_tree = wildtree.eval_tree(ctx, wildtree.regular_tree(2), p)
+        via_tree = wildtree.eval_tree(ctx, (((), ()), ((), ())), p)
         assert np.abs(wildtree.discrete_iterate(ctx, p, 2) - via_tree).max() < 1e-14
         from spinkac.core import magnetization_profile
         m0 = magnetization_profile(p, ctx.blocks)
@@ -151,22 +152,22 @@ class TestFragments:
         # identity site chain: the shed site keeps its own mark
         proc = wildtree.PartitionProcess(collision.single_site_kernel(3))
         rng = make_rng(54, 1)
-        whole = (frozenset({0, 1, 2}), None)
+        whole = (0b111, None)
         left, right = wildtree.split_fragment(whole, 1, 3, proc._step_K, proc._step_lazy, rng)
-        assert left == (frozenset({0, 2}), None)
-        assert right == (frozenset({1}), 1)
+        assert left == (0b101, None)
+        assert right == (0b010, 1)
 
     def test_refresh_outside_the_set_stands_pat(self):
         proc = wildtree.PartitionProcess(collision.single_site_kernel(3))
         rng = make_rng(54, 2)
-        frag = (frozenset({0, 2}), None)
+        frag = (0b101, None)
         assert wildtree.split_fragment(frag, 1, 3, proc._step_K, proc._step_lazy, rng) == (
             frag, wildtree.EMPTY_FRAGMENT)
 
     def test_marked_singleton_moves_lazily(self):
         proc = wildtree.PartitionProcess(collision.single_site_kernel(3))
         rng = make_rng(54, 3)
-        frag = (frozenset({2}), 2)
+        frag = (0b100, 2)
         left, right = wildtree.split_fragment(frag, 0, 3, proc._step_K, proc._step_lazy, rng)
         assert left == frag  # the identity chain cannot move the mark
         assert right == wildtree.EMPTY_FRAGMENT
@@ -174,15 +175,15 @@ class TestFragments:
     def test_move_four_swaps_the_pair(self):
         proc = wildtree.PartitionProcess(collision.single_site_kernel(3))
         rng = make_rng(54, 4)
-        whole = (frozenset({0, 1, 2}), None)
+        whole = (0b111, None)
         left, right = wildtree.split_fragment(whole, 1, 4, proc._step_K, proc._step_lazy, rng)
-        assert left == (frozenset({1}), 1)
-        assert right == (frozenset({0, 2}), None)
+        assert left == (0b010, 1)
+        assert right == (0b101, None)
 
     def test_keep_moves(self):
         proc = wildtree.PartitionProcess(collision.mean_field_kernel(2))
         rng = make_rng(54, 5)
-        frag = (frozenset({0, 1}), None)
+        frag = (0b11, None)
         assert wildtree.split_fragment(frag, 0, 1, proc._step_K, proc._step_lazy, rng) == (
             frag, wildtree.EMPTY_FRAGMENT)
         assert wildtree.split_fragment(frag, 0, 2, proc._step_K, proc._step_lazy, rng) == (
