@@ -6,14 +6,21 @@ alive at t, of the leafwise collision product of the initial density
 (the Wild sum). A tree is a nested tuple: a leaf is ``()`` and a split
 node is ``(child0, child1)``, collapsed as ``child0 o child1``, so the
 leaves read left to right. Every leaf carries the same initial density.
+Trees collapse through one evaluator that keeps, for the length of one
+call, the value of every subtree it has met, keyed by the nested tuple;
+small subtrees recur across the trees of a Monte Carlo sum, so each
+distinct one is multiplied out once.
 
 The zero-coupling flow additionally admits a dual description by a
 marked partition process: a fragment ``(A, mark)`` carries a site set A
-as an int bit mask and an optional mark, and each fragment
-independently splits by one of four equally likely moves per step. The
-fragment order mirrors the regular binary tree of the same depth, so
-depth-u expectations can be compared against the u-fold square
-iteration of the product.
+as an int bit mask and a mark (-1 for none; the empty fragment is
+``(0, -1)``), and each fragment independently splits by one of four
+equally likely moves per step. A batch of runs is held as two int
+arrays of shape (runs, 2**depth), one for A and one for the marks, and
+one step draws the sites, moves and uniforms of every fragment of the
+batch in one call each. The fragment order mirrors the regular binary
+tree of the same depth, so depth-u expectations can be compared against
+the u-fold square iteration of the product.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from .errors import CapacityError
 
 MAX_LEAVES = 1 << 20
 MAX_STEPS = 100_000
-EMPTY_FRAGMENT = (0, None)
+MEMO_ENTRIES = 1 << 16
+BATCH_FRAGMENTS = 1 << 18
 
 
 def sample_tree(t, rng):
@@ -58,14 +66,37 @@ def _leaves(tree):
     return _leaves(tree[0]) + _leaves(tree[1]) if tree else 1
 
 
+def _collapser(ctx, p):
+    """The tree evaluator: a function that collapses a tree bottom-up
+    with the collision product, with the density p at every leaf.
+
+    It keeps the value of each subtree it has collapsed, keyed by the
+    nested tuple itself, so a subtree that recurs (within one tree or
+    across the trees of one call) is multiplied out once. The keys are
+    ordered, so no symmetry of the product is assumed. Past
+    MEMO_ENTRIES values it starts afresh: at long horizons most large
+    subtrees are distinct, and the restart bounds the memory without
+    changing any value.
+    """
+    memo = {(): p}
+
+    def value(node):
+        val = memo.get(node)
+        if val is None:
+            val = ctx.product(value(node[0]), value(node[1]))
+            if len(memo) >= MEMO_ENTRIES:
+                memo.clear()
+                memo[()] = p
+            memo[node] = val
+        return val
+
+    return value
+
+
 def eval_tree(ctx, tree, p):
     """Collapse a tree bottom-up with the collision product, with the
     density p at every leaf."""
-
-    def value(node):
-        return ctx.product(value(node[0]), value(node[1])) if node else p
-
-    return value(tree)
+    return _collapser(ctx, p)(tree)
 
 
 def discrete_iterate(ctx, p, k):
@@ -81,9 +112,11 @@ class Moments:
     """Running moments of a vector Monte Carlo estimator.
 
     `mean` is the sample mean and `m2` the sum of squared deviations
-    from it, both accumulated by Welford's update, so identical samples
-    give m2 = 0 exactly; `leaves` is the total leaf count of the trees
-    drawn (0 for the partition process). Batches combine with `+` by
+    from it. The tree estimator accumulates both by Welford's update;
+    the partition process takes two passes over its batch of deviations
+    from the first sample. Either way identical samples give m2 = 0
+    exactly. `leaves` is the total leaf count of the trees drawn (0 for
+    the partition process). Batches combine with `+` by
     the pairwise update of Chan, Golub and LeVeque (1979); adding them
     in a fixed order gives the same bytes however the batches were run.
     """
@@ -122,9 +155,10 @@ def mc_solution(ctx, p0, t, samples, rng):
     mean = np.zeros(1 << ctx.n)
     m2 = np.zeros(1 << ctx.n)
     leaves = 0
+    value = _collapser(ctx, p0)
     for i in range(1, samples + 1):
         tree = sample_tree(t, rng)
-        val = eval_tree(ctx, tree, p0)
+        val = value(tree)
         delta = val - mean
         mean += delta / i
         m2 += delta * (val - mean)
@@ -141,83 +175,75 @@ def lazy_kernel(K):
     return K / n + (1.0 - 1.0 / n) * np.eye(n)
 
 
-def _sampler(P):
+def _cumulative(P):
     cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
-
-    def step(x, rng):
-        return int(np.searchsorted(cum[x], rng.random(), side="right"))
-
-    return step
+    return cum
 
 
-def split_fragment(frag, u, b, step_K, step_lazy, rng):
-    """Apply one of the four equally likely moves to a fragment.
+def split_fragment(A, mark, u, b, r, cum_K, cum_lazy):
+    """Apply one of the four equally likely moves to each fragment.
+
+    A and mark are int arrays of one shape, the site mask and the mark
+    (-1 for none) of each fragment; u, b and r hold each fragment's
+    drawn site, move and uniform. cum_K and cum_lazy are the cumulative
+    rows of K and of its lazy chain. Returns the two children, each an
+    (A, mark) pair of arrays.
 
     b = 1 keeps the fragment left, b = 2 keeps it right. b in {3, 4}
-    refreshes: an unmarked set either sheds the drawn site into a fresh
-    marked singleton (site in set) or stands pat (site outside); a
-    marked singleton moves its mark by the lazy chain. b = 4 applies
-    the refresh and then swaps the output pair, including in the
-    stand-pat sub-case.
+    refreshes: an unmarked set either sheds the site u into a fresh
+    singleton, marked by one K-step from u (u in the set), or stands
+    pat (u outside); a marked singleton moves its mark by the lazy
+    chain. Marks move by inverse CDF of r. b = 4 applies the refresh
+    and then swaps the output pair, including in the stand-pat
+    sub-case.
     """
-    A, mark = frag
-    if b == 1:
-        return frag, EMPTY_FRAGMENT
-    if b == 2:
-        return EMPTY_FRAGMENT, frag
-    if mark is None:
-        if A >> u & 1:
-            pair = ((A & ~(1 << u), None), (1 << u, step_K(u, rng)))
-        else:
-            pair = ((A, None), EMPTY_FRAGMENT)
-    else:
-        pair = ((A, step_lazy(mark, rng)), EMPTY_FRAGMENT)
-    return pair if b == 3 else (pair[1], pair[0])
+    bit = 1 << u
+    refresh = b >= 3
+    marked = mark >= 0
+    shed = refresh & ~marked & (A & bit != 0)
+    cum = np.where(marked[..., None], cum_lazy[mark], cum_K[u])
+    moved = (cum <= r[..., None]).sum(axis=-1)
+    stay = (np.where(shed, A & ~bit, A), np.where(refresh & marked, moved, mark))
+    out = (np.where(shed, bit, 0), np.where(shed, moved, -1))
+    swap = (b == 2) | (b == 4)
+    first = tuple(np.where(swap, o, s) for s, o in zip(stay, out))
+    second = tuple(np.where(swap, s, o) for s, o in zip(stay, out))
+    return first, second
 
 
 class PartitionProcess:
-    """Fragment dynamics for a given site-transport kernel."""
+    """Fragment dynamics for a given site-transport kernel, run on a
+    batch of independent runs at once."""
 
     def __init__(self, K):
         self.K = np.asarray(K, dtype=float)
         self.n = self.K.shape[0]
-        self._step_K = _sampler(self.K)
-        self._step_lazy = _sampler(lazy_kernel(self.K))
+        self._cum_K = _cumulative(self.K)
+        self._cum_lazy = _cumulative(lazy_kernel(self.K))
 
-    def initial(self):
-        return [((1 << self.n) - 1, None)]
+    def initial(self, runs):
+        """`runs` copies of the unmarked full site set, as (A, mark)."""
+        return np.full((runs, 1), (1 << self.n) - 1), np.full((runs, 1), -1)
 
-    def step(self, fragments, rng, drop_empty=False):
-        out = []
-        for frag in fragments:
-            u = int(rng.integers(self.n))
-            b = int(rng.integers(1, 5))
-            for child in split_fragment(frag, u, b, self._step_K, self._step_lazy, rng):
-                if drop_empty and child == EMPTY_FRAGMENT:
-                    continue
-                out.append(child)
-        return out
+    def step(self, A, mark, rng):
+        """One step of every fragment: (runs, F) arrays in, (runs, 2F)
+        out, each fragment's two children side by side."""
+        u = rng.integers(self.n, size=A.shape)
+        b = rng.integers(1, 5, size=A.shape)
+        r = rng.random(A.shape)
+        children = split_fragment(A, mark, u, b, r, self._cum_K, self._cum_lazy)
+        return tuple(np.stack(pair, axis=-1).reshape(A.shape[0], -1) for pair in zip(*children))
 
-    def run(self, depth, rng):
-        """Fragments after `depth` steps, in binary-tree order (2**depth)."""
+    def run(self, depth, runs, rng):
+        """Fragments of `runs` runs after `depth` steps, as (runs, 2**depth)
+        arrays (A, mark) in binary-tree order."""
         if depth > 20:
             raise CapacityError("fragment count 2**depth exceeds the gate at depth 20")
-        frags = self.initial()
+        A, mark = self.initial(runs)
         for _ in range(depth):
-            frags = self.step(frags, rng)
-        return frags
-
-    def fragmentation_time(self, rng):
-        """Steps until every surviving fragment is a marked singleton."""
-        frags = self.initial()
-        steps = 0
-        while any(mark is None for _, mark in frags):
-            frags = self.step(frags, rng, drop_empty=True)
-            steps += 1
-            if steps > MAX_STEPS:
-                raise CapacityError(f"fragmentation exceeded {MAX_STEPS} steps")
-        return steps
+            A, mark = self.step(A, mark, rng)
+        return A, mark
 
 
 def fragment_factor(p, frag, n):
@@ -237,28 +263,40 @@ def fragment_factor(p, frag, n):
     return np.where(masks & A, marg[bit], marg[0])
 
 
+def _run_estimates(proc, p, depth, runs, rng):
+    """Per-run estimates, (runs, 2**n): the product of the factors of
+    each run's fragments, read from a table over the (A, mark + 1)
+    pairs drawn. The empty fragment's factor is exactly 1."""
+    n = proc.n
+    A, mark = proc.run(depth, runs, rng)
+    keys, index = np.unique(A * (n + 1) + mark + 1, return_inverse=True)
+    pairs = [divmod(int(k), n + 1) for k in keys]
+    table = np.array([fragment_factor(p, (a, m - 1 if m else None), n) for a, m in pairs])
+    table[keys == 0] = 1.0
+    index = index.reshape(A.shape)
+    est = table[index[:, 0]]
+    for col in index.T[1:]:
+        est *= table[col]
+    return est
+
+
 def mpp_expectation(K, p, depth, runs, rng):
     """Monte Carlo estimate of the depth-u iterated product of p at zero
-    coupling, via the marked-partition representation."""
+    coupling, via the marked-partition representation.
+
+    Runs are drawn in batches of at most BATCH_FRAGMENTS fragments."""
     if runs < 1:
         raise ValueError("need at least one run")
     proc = PartitionProcess(K)
-    n = proc.n
-    size = 1 << n
     p = np.asarray(p, dtype=float)
-    mean = np.zeros(size)
-    m2 = np.zeros(size)
-    for i in range(1, runs + 1):
-        frags = proc.run(depth, rng)
-        est = np.ones(size)
-        for frag in frags:
-            if frag == EMPTY_FRAGMENT:
-                continue
-            est *= fragment_factor(p, frag, n)
-        delta = est - mean
-        mean += delta / i
-        m2 += delta * (est - mean)
-    return Moments(mean, m2, runs)
+    block = max(1, BATCH_FRAGMENTS >> depth)
+    est = np.concatenate([
+        _run_estimates(proc, p, depth, min(block, runs - lo), rng)
+        for lo in range(0, runs, block)
+    ])
+    dev = est - est[0]
+    shift = dev.mean(axis=0)
+    return Moments(est[0] + shift, np.square(dev - shift).sum(axis=0), runs)
 
 
 def mpp_representation_check(ctx, p, depth, runs, rng):
@@ -272,10 +310,30 @@ def mpp_representation_check(ctx, p, depth, runs, rng):
 
 
 def fragmentation_times(K, runs, rng):
-    """Fragmentation times of `runs` independent partition processes, as
-    a list, so batches concatenate with `+`."""
+    """Fragmentation times (steps until every surviving fragment is a
+    marked singleton) of `runs` independent partition processes, as a
+    list, so batches concatenate with `+`.
+
+    Marked singletons stay marked and empties are dropped, so each run
+    is followed through its one unmarked set, stepped as a batch until
+    that set is empty.
+    """
     proc = PartitionProcess(K)
-    return [proc.fragmentation_time(rng) for _ in range(runs)]
+    A, mark = proc.initial(runs)
+    live = np.arange(runs)
+    times = np.zeros(runs, dtype=np.int64)
+    steps = 0
+    while live.size:
+        steps += 1
+        if steps > MAX_STEPS:
+            raise CapacityError(f"fragmentation exceeded {MAX_STEPS} steps")
+        A, mark = proc.step(A, mark, rng)
+        A = np.where(mark < 0, A, 0).sum(axis=1, keepdims=True)
+        done = A[:, 0] == 0
+        times[live[done]] = steps
+        live, A = live[~done], A[~done]
+        mark = np.full(A.shape, -1)
+    return times.tolist()
 
 
 def fragmentation_tail(times, n):
@@ -287,6 +345,6 @@ def fragmentation_tail(times, n):
     runs = times.size
     horizon = int(2 * n * math.log(max(runs, 2) * n)) + 1
     u = np.arange(1, horizon + 1)
-    tail = np.array([(times >= uu).mean() for uu in u])
+    tail = (times >= u[:, None]).mean(axis=1)
     stderr = np.sqrt(np.maximum(tail * (1 - tail), 0.0) / runs)
     return u, tail, stderr

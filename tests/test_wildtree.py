@@ -138,65 +138,142 @@ class TestMCSolution:
         assert np.abs(parts.mean - whole.mean).max() < 1e-14
         assert np.abs(parts.stderr - whole.stderr).max() < 1e-12
 
+    def test_memo_matches_a_plain_loop(self):
+        # the same trees from the same stream, collapsed without the
+        # memo and averaged by Welford's update, give the same bytes
+        J = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.05], [0.1, 0.05, 0.0]])
+        ctx = CollisionContext(J, collision.mean_field_kernel(3))
+        p0 = random_density(make_rng(53, 7), 3)
+        samples = 2000
+        sol = wildtree.mc_solution(ctx, p0, 1.2, samples, make_rng(53, 8))
+
+        def plain(node):
+            return ctx.product(plain(node[0]), plain(node[1])) if node else p0
+
+        rng = make_rng(53, 8)
+        mean = np.zeros(8)
+        m2 = np.zeros(8)
+        for i in range(1, samples + 1):
+            val = plain(wildtree.sample_tree(1.2, rng))
+            delta = val - mean
+            mean += delta / i
+            m2 += delta * (val - mean)
+        assert np.array_equal(sol.mean, mean)
+        assert np.array_equal(sol.m2, m2)
+
+    def test_product_runs_once_per_distinct_subtree(self, monkeypatch):
+        ctx = free_ctx(3)
+        p0 = random_density(make_rng(53, 9), 3)
+        calls = []
+        product = ctx.product
+        monkeypatch.setattr(ctx, "product", lambda p, q: calls.append(1) or product(p, q))
+        wildtree.mc_solution(ctx, p0, 1.5, 500, make_rng(53, 10))
+
+        distinct = set()
+        splits = 0
+
+        def walk(node):
+            nonlocal splits
+            if node:
+                splits += 1
+                distinct.add(node)
+                walk(node[0])
+                walk(node[1])
+
+        rng = make_rng(53, 10)
+        for _ in range(500):
+            walk(wildtree.sample_tree(1.5, rng))
+        assert len(calls) == len(distinct)
+        assert len(distinct) < splits / 4
+
+    def test_memo_restart_keeps_the_bytes(self, monkeypatch):
+        ctx = free_ctx(2)
+        p0 = random_density(make_rng(53, 11), 2)
+        whole = wildtree.mc_solution(ctx, p0, 2.0, 300, make_rng(53, 12))
+        monkeypatch.setattr(wildtree, "MEMO_ENTRIES", 4)
+        small = wildtree.mc_solution(ctx, p0, 2.0, 300, make_rng(53, 12))
+        assert np.array_equal(small.mean, whole.mean)
+        assert np.array_equal(small.m2, whole.m2)
+
+
+def split(proc, frag, u, b, r=0.5):
+    """split_fragment on one fragment, as two (A, mark) int pairs."""
+    A, mark = (np.array([x]) for x in frag)
+    pair = wildtree.split_fragment(A, mark, np.array([u]), np.array([b]), np.array([r]),
+                                   proc._cum_K, proc._cum_lazy)
+    return tuple((int(a[0]), int(m[0])) for a, m in pair)
+
+
+EMPTY = (0, -1)
+
 
 class TestFragments:
     def test_empty_fragment_splits_to_empties(self):
         proc = wildtree.PartitionProcess(collision.mean_field_kernel(3))
-        rng = make_rng(54, 0)
         for b in (1, 2, 3, 4):
-            pair = wildtree.split_fragment(
-                wildtree.EMPTY_FRAGMENT, 1, b, proc._step_K, proc._step_lazy, rng)
-            assert pair == (wildtree.EMPTY_FRAGMENT, wildtree.EMPTY_FRAGMENT)
+            assert split(proc, EMPTY, 1, b) == (EMPTY, EMPTY)
 
     def test_refresh_sheds_a_marked_singleton(self):
         # identity site chain: the shed site keeps its own mark
         proc = wildtree.PartitionProcess(collision.single_site_kernel(3))
-        rng = make_rng(54, 1)
-        whole = (0b111, None)
-        left, right = wildtree.split_fragment(whole, 1, 3, proc._step_K, proc._step_lazy, rng)
-        assert left == (0b101, None)
-        assert right == (0b010, 1)
+        assert split(proc, (0b111, -1), 1, 3) == ((0b101, -1), (0b010, 1))
 
     def test_refresh_outside_the_set_stands_pat(self):
         proc = wildtree.PartitionProcess(collision.single_site_kernel(3))
-        rng = make_rng(54, 2)
-        frag = (0b101, None)
-        assert wildtree.split_fragment(frag, 1, 3, proc._step_K, proc._step_lazy, rng) == (
-            frag, wildtree.EMPTY_FRAGMENT)
+        frag = (0b101, -1)
+        assert split(proc, frag, 1, 3) == (frag, EMPTY)
 
     def test_marked_singleton_moves_lazily(self):
         proc = wildtree.PartitionProcess(collision.single_site_kernel(3))
-        rng = make_rng(54, 3)
         frag = (0b100, 2)
-        left, right = wildtree.split_fragment(frag, 0, 3, proc._step_K, proc._step_lazy, rng)
-        assert left == frag  # the identity chain cannot move the mark
-        assert right == wildtree.EMPTY_FRAGMENT
+        # the identity chain cannot move the mark
+        assert split(proc, frag, 0, 3) == (frag, EMPTY)
+
+    def test_marks_move_by_inverse_cdf(self):
+        # mean-field K on 2 sites steps to site 1 when r >= 1/2; the lazy
+        # chain from site 0 goes to site 1 only when r >= 3/4
+        proc = wildtree.PartitionProcess(collision.mean_field_kernel(2))
+        assert split(proc, (0b11, -1), 0, 3, r=0.4) == ((0b10, -1), (0b01, 0))
+        assert split(proc, (0b11, -1), 0, 3, r=0.6) == ((0b10, -1), (0b01, 1))
+        assert split(proc, (0b01, 0), 1, 3, r=0.7) == ((0b01, 0), EMPTY)
+        assert split(proc, (0b01, 0), 1, 3, r=0.8) == ((0b01, 1), EMPTY)
 
     def test_move_four_swaps_the_pair(self):
         proc = wildtree.PartitionProcess(collision.single_site_kernel(3))
-        rng = make_rng(54, 4)
-        whole = (0b111, None)
-        left, right = wildtree.split_fragment(whole, 1, 4, proc._step_K, proc._step_lazy, rng)
-        assert left == (0b010, 1)
-        assert right == (0b101, None)
+        assert split(proc, (0b111, -1), 1, 4) == ((0b010, 1), (0b101, -1))
+        # including the stand-pat sub-case
+        assert split(proc, (0b101, -1), 1, 4) == (EMPTY, (0b101, -1))
 
     def test_keep_moves(self):
         proc = wildtree.PartitionProcess(collision.mean_field_kernel(2))
-        rng = make_rng(54, 5)
-        frag = (0b11, None)
-        assert wildtree.split_fragment(frag, 0, 1, proc._step_K, proc._step_lazy, rng) == (
-            frag, wildtree.EMPTY_FRAGMENT)
-        assert wildtree.split_fragment(frag, 0, 2, proc._step_K, proc._step_lazy, rng) == (
-            wildtree.EMPTY_FRAGMENT, frag)
+        frag = (0b11, -1)
+        assert split(proc, frag, 0, 1) == (frag, EMPTY)
+        assert split(proc, frag, 0, 2) == (EMPTY, frag)
+
+    def test_step_lays_children_in_tree_order(self):
+        # each fragment's two children sit side by side, in its place
+        proc = wildtree.PartitionProcess(collision.mean_field_kernel(3))
+        A, mark = proc.run(3, 50, make_rng(54, 6))
+        assert A.shape == mark.shape == (50, 8)
+        A4, mark4 = proc.step(A, mark, make_rng(54, 7))
+        assert A4.shape == (50, 16)
+        # a step only splits sets: siblings' masks are disjoint and
+        # together within their parent's
+        left, right = A4[:, 0::2], A4[:, 1::2]
+        assert not np.any(left & right)
+        assert np.all((left | right) & ~A == 0)
+
+    def test_depth_gate(self):
+        proc = wildtree.PartitionProcess(collision.mean_field_kernel(2))
+        with pytest.raises(CapacityError, match="depth 20"):
+            proc.run(21, 1, make_rng(54, 8))
 
 
 class TestFragmentation:
     def test_single_site_time_is_geometric(self):
         # one site: each step converts the unmarked set with chance 1/2,
         # so P(H >= u) = 2^{1-u} exactly
-        proc = wildtree.PartitionProcess(np.eye(1))
-        rng = make_rng(55, 0)
-        times = np.array([proc.fragmentation_time(rng) for _ in range(20000)])
+        times = np.array(wildtree.fragmentation_times(np.eye(1), 20000, make_rng(55, 0)))
         for u in (1, 2, 3, 4, 5, 6):
             tail = (times >= u).mean()
             want = 2.0 ** (1 - u)
@@ -215,14 +292,34 @@ class TestFragmentation:
     def test_mean_grows_superlinearly(self):
         means = {}
         for n in (2, 4, 8):
-            proc = wildtree.PartitionProcess(collision.mean_field_kernel(n))
-            rng = make_rng(55, n)
-            means[n] = np.mean([proc.fragmentation_time(rng) for _ in range(2000)])
+            K = collision.mean_field_kernel(n)
+            means[n] = np.mean(wildtree.fragmentation_times(K, 2000, make_rng(55, n)))
         assert means[2] < means[4] < means[8]
         assert means[4] > 2.0 * means[2]
         assert means[8] > 2.0 * means[4]
         for n, m in means.items():
             assert 1.0 < m / (n * math.log(n)) < 8.0
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_mean_time_is_the_coupon_sum(self, n):
+        # an unmarked set of k sites sheds with chance k / 2n per step,
+        # so E H = sum_{k=1..n} 2n / k
+        times = np.array(wildtree.fragmentation_times(
+            collision.mean_field_kernel(n), 20000, make_rng(55, 10 + n)))
+        exact = sum(2.0 * n / k for k in range(1, n + 1))
+        se = times.std() / math.sqrt(times.size)
+        assert abs(times.mean() - exact) <= 3 * se
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(wildtree, "MAX_STEPS", 3)
+        with pytest.raises(CapacityError, match="3 steps"):
+            wildtree.fragmentation_times(collision.mean_field_kernel(8), 100, make_rng(55, 20))
+
+    def test_tail_counts_match_a_per_u_loop(self):
+        times = wildtree.fragmentation_times(collision.mean_field_kernel(4), 3000, make_rng(55, 21))
+        u, tail, _ = wildtree.fragmentation_tail(times, 4)
+        arr = np.asarray(times)
+        assert np.array_equal(tail, np.array([(arr >= uu).mean() for uu in u]))
 
 
 class TestRepresentation:
@@ -247,6 +344,20 @@ class TestRepresentation:
         est, exact, sig = wildtree.mpp_representation_check(ctx, p, 3, 15000, make_rng(56, 5))
         assert sig <= 3.0
         assert est.samples == 15000
+
+    def test_marks_moved_by_k_are_detected(self, monkeypatch):
+        # away from mean field the marks' law moves the estimate: marks
+        # moved by K instead of the lazy chain show at depth 3 with
+        # 20,000 runs (about 10 sigma), and the true process passes on
+        # the same stream
+        K = np.array([[0.9, 0.1], [0.1, 0.9]])
+        ctx = CollisionContext(np.zeros((2, 2)), collision.build_transport_kernel("matrix", 2, matrix=K))
+        p = random_density(make_rng(57, 2), 2)
+        _, _, sig = wildtree.mpp_representation_check(ctx, p, 3, 20000, make_rng(57, 10))
+        assert sig <= 3.0
+        monkeypatch.setattr(wildtree, "lazy_kernel", lambda K: K)
+        _, _, sig = wildtree.mpp_representation_check(ctx, p, 3, 20000, make_rng(57, 10))
+        assert sig > 3.0
 
     def test_coupling_must_vanish(self):
         ctx = CollisionContext(np.full((2, 2), 0.1), collision.mean_field_kernel(2))
