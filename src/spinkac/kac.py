@@ -41,6 +41,7 @@ from .errors import CapacityError
 
 EXPONENTIAL_GATE = 12
 ENUMERATION_GATE = 22
+WALK_BLOCK = 4096  # walk events drawn per generator call
 
 
 def mean_field_alpha_bound(J, h=None):
@@ -262,14 +263,14 @@ def generator_matrix(measure, kernel):
 
 def particle_entropy_decay(measure, kernel, nu0, t_grid):
     """Exact H(nu_t | mu) along the shell semigroup, by symmetrized
-    eigendecomposition of the generator."""
+    eigendecomposition of the generator: nu0 is projected on the
+    eigenbasis once, so each time point costs one matrix-vector product."""
     evals, Q, sq = _exact_chain(measure, kernel).spectrum()
     mu = measure.probs
-    nu0 = np.asarray(nu0, dtype=float)
+    c = (np.asarray(nu0, dtype=float) / sq) @ Q
     out = []
     for t in t_grid:
-        prop = (Q * np.exp(t * evals)) @ Q.T
-        nu_t = ((nu0 / sq) @ prop) * sq
+        nu_t = (Q @ (c * np.exp(t * evals))) * sq
         nu_t = np.maximum(nu_t, 0.0)
         nu_t /= nu_t.sum()
         out.append(relative_entropy(nu_t, mu))
@@ -311,74 +312,118 @@ class ParticleRun:
     occupation: dict | None  # combined code -> occupied time
 
 
+def walk_acceptance(fields, logw, l, k, si, sj, same_slot):
+    """Heat-bath acceptance of one walk event, read from the plain lists
+    `ctx.fields.tolist()` and `ctx.logw.tolist()`.
+
+    Equals `ctx.diagonal_acceptance(l, k, si)` for an event that pairs a
+    slot with itself and `ctx.acceptance(l, k, si, sj)` otherwise. A
+    logit below -709 takes the exp(logit) tail, so no coupling size can
+    overflow `math.exp`.
+    """
+    if same_slot:
+        if not ((si >> l) ^ (si >> k)) & 1:
+            return 0.5
+        x = logw[si ^ ((1 << l) | (1 << k))] - logw[si]
+    else:
+        bk = (sj >> k) & 1
+        if bk == (si >> l) & 1:
+            return 0.5
+        x = (fields[si][l] - fields[sj][k]) * (2.0 if bk else -2.0)
+    return 1.0 / (1.0 + math.exp(-x)) if x > -709.0 else math.exp(x)
+
+
+def _check_init(init, n, blocks, N, T):
+    state = np.array(init, dtype=np.int64)
+    if state.shape != (N,):
+        raise ValueError(f"init must hold N = {N} configurations, got shape {state.shape}")
+    if np.any((state < 0) | (state >= 1 << n)):
+        raise ValueError(f"init holds a configuration outside 0..{(1 << n) - 1}")
+    counts = tuple(int(c) for c in block_count_table(n, blocks)[state].sum(axis=0))
+    if counts != tuple(int(t) for t in T):
+        raise ValueError(f"init has block counts {counts}, off the shell {tuple(T)}")
+    return state
+
+
 def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False):
     """Event-driven exchange among N slots carrying ctx's (J, K).
 
     Every ordered slot pair has rate 1/N, so events arrive at rate N
     total; each event draws slots (i, j) uniformly, site l uniformly,
     site k from K(l, .), and accepts the spin exchange with the
-    heat-bath probability. Site pairs always stay inside one
-    irreducible block of K, which conserves the shell counts; an event
-    whose site pair crosses blocks raises RuntimeError.
+    heat-bath probability `walk_acceptance`. Events are drawn WALK_BLOCK
+    at a time with one generator call per quantity: the exponential
+    waits (their running sum gives the event times), i, j, l, the
+    uniform that picks k by inverse CDF on the rows of K, and the
+    acceptance uniform. The state then changes event by event, and
+    events past t_end are dropped.
+
+    Site pairs must stay inside one irreducible block of K, which
+    conserves the shell counts; a K that links two of ctx.blocks raises
+    RuntimeError before any event. A given `init` must hold N
+    configurations with block counts T, else ValueError.
     """
     n = ctx.n
     block_of = np.empty(n, dtype=int)
     for bi, b in enumerate(ctx.blocks):
-        for l in b:
-            block_of[l] = bi
-    state = initial_state_for_counts(n, ctx.blocks, N, T) if init is None else np.array(init)
-    cum_rows = np.cumsum(ctx.K, axis=1)
-    cum_rows[:, -1] = 1.0
-    occupation = {} if record_occupation else None
+        block_of[list(b)] = bi
+    for l, k in zip(*np.nonzero(ctx.K)):
+        if block_of[l] != block_of[k]:
+            raise RuntimeError(
+                f"transport kernel moved site {l + 1} to site {k + 1} outside its block"
+            )
+    if init is None:
+        state = initial_state_for_counts(n, ctx.blocks, N, T)
+    else:
+        state = _check_init(init, n, ctx.blocks, N, T)
     if record_occupation and N * n > ENUMERATION_GATE:
         raise CapacityError("occupation recording needs N*n within the enumeration gate")
-
-    def code():
-        c = 0
-        for i in range(N):
-            c |= int(state[i]) << (i * n)
-        return c
+    cum_rows = np.cumsum(ctx.K, axis=1)
+    cum_rows[:, -1] = 1.0
+    fields = ctx.fields.tolist()
+    logw = ctx.logw.tolist()
+    state = state.tolist()
+    occupation = {} if record_occupation else None
+    code = sum(s << (i * n) for i, s in enumerate(state)) if record_occupation else 0
 
     t = 0.0
     events = 0
     accepted = 0
     while True:
-        wait = rng.exponential(1.0 / N)
-        if t + wait > t_end:
+        times = t + np.cumsum(rng.exponential(1.0 / N, WALK_BLOCK))
+        slots_i = rng.integers(N, size=WALK_BLOCK)
+        slots_j = rng.integers(N, size=WALK_BLOCK)
+        sites_l = rng.integers(n, size=WALK_BLOCK)
+        sites_k = np.sum(cum_rows[sites_l] <= rng.random(WALK_BLOCK)[:, None], axis=1)
+        uniforms = rng.random(WALK_BLOCK)
+        stop = int(np.searchsorted(times, t_end, side="right"))
+        for te, i, j, l, k, u in zip(
+            times[:stop].tolist(), slots_i[:stop].tolist(), slots_j[:stop].tolist(),
+            sites_l[:stop].tolist(), sites_k[:stop].tolist(), uniforms[:stop].tolist(),
+        ):
             if record_occupation:
-                c = code()
-                occupation[c] = occupation.get(c, 0.0) + (t_end - t)
-            break
-        if record_occupation:
-            c = code()
-            occupation[c] = occupation.get(c, 0.0) + wait
-        t += wait
-        events += 1
-        i = int(rng.integers(N))
-        j = int(rng.integers(N))
-        l = int(rng.integers(n))
-        k = int(np.searchsorted(cum_rows[l], rng.random(), side="right"))
-        if block_of[l] != block_of[k]:
-            raise RuntimeError(
-                f"transport kernel moved site {l + 1} to site {k + 1} outside its block"
-            )
-        si, sj = int(state[i]), int(state[j])
-        if i == j:
-            acc = ctx.diagonal_acceptance(l, k, si)
-            if rng.random() < acc:
-                accepted += 1
-                if ((si >> l) & 1) != ((si >> k) & 1):
+                occupation[code] = occupation.get(code, 0.0) + (te - t)
+            t = te
+            si, sj = state[i], state[j]
+            if u >= walk_acceptance(fields, logw, l, k, si, sj, i == j):
+                continue
+            accepted += 1
+            if i == j:
+                if ((si >> l) ^ (si >> k)) & 1:
                     state[i] = si ^ ((1 << l) | (1 << k))
-        else:
-            acc = ctx.acceptance(l, k, si, sj)
-            if rng.random() < acc:
-                accepted += 1
-                bl = (si >> l) & 1
-                bk = (sj >> k) & 1
-                if bl != bk:
-                    state[i] = si ^ (1 << l)
-                    state[j] = sj ^ (1 << k)
-    return ParticleRun(state, events, accepted, occupation)
+                    if record_occupation:
+                        code ^= ((1 << l) | (1 << k)) << (i * n)
+            elif ((si >> l) ^ (sj >> k)) & 1:
+                state[i] = si ^ (1 << l)
+                state[j] = sj ^ (1 << k)
+                if record_occupation:
+                    code ^= (1 << (i * n + l)) | (1 << (j * n + k))
+        events += stop
+        if stop < WALK_BLOCK:
+            break
+    if record_occupation:
+        occupation[code] = occupation.get(code, 0.0) + (t_end - t)
+    return ParticleRun(np.array(state, dtype=np.int64), events, accepted, occupation)
 
 
 def occupation_tv(measure, run):

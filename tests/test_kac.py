@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -352,6 +353,64 @@ class TestSimulation:
         with pytest.raises(CapacityError):
             kac.simulate_particles(ctx, 12, (12,), 1.0, make_rng(64, 2),
                                    record_occupation=True)
+
+    @pytest.mark.parametrize("scale", [0.3, 1000.0])  # 1000: logits past 2000
+    def test_walk_acceptance_matches_context(self, scale):
+        A = make_rng(64, 4).standard_normal((3, 3))
+        ctx = mean_field_ctx(scale * (A + A.T) / 2.0)
+        fields, logw = ctx.fields.tolist(), ctx.logw.tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l, k, s, sp in itertools.product(range(3), range(3), range(8), range(8)):
+                got = kac.walk_acceptance(fields, logw, l, k, s, sp, False)
+                want = ctx.acceptance(l, k, s, sp)
+                assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+                got = kac.walk_acceptance(fields, logw, l, k, s, s, True)
+                want = ctx.diagonal_acceptance(l, k, s)
+                assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+
+    def test_huge_logits_do_not_overflow(self):
+        J = np.array([[0.0, 300.0, -250.0], [300.0, 0.0, 200.0], [-250.0, 200.0, 0.0]])
+        ctx = mean_field_ctx(J)
+        assert np.abs(2.0 * np.subtract.outer(ctx.fields, ctx.fields)).max() > 710.0
+        assert np.abs(np.subtract.outer(ctx.logw, ctx.logw)).max() > 710.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = kac.simulate_particles(ctx, 4, (6,), 2000.0, make_rng(64, 5))
+        assert run.events > 0
+        assert kac.block_count_table(3, ctx.blocks)[run.final_state].sum() == 6
+
+    def test_same_seed_same_run(self):
+        ctx = mean_field_ctx(np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.3], [0.1, 0.3, 0.0]]))
+        a, b = (kac.simulate_particles(ctx, 3, (4,), 3000.0, make_rng(64, 6),
+                                       record_occupation=True) for _ in range(2))
+        assert np.array_equal(a.final_state, b.final_state)
+        assert (a.events, a.accepted) == (b.events, b.accepted)
+        assert a.occupation == b.occupation
+
+    def test_two_block_occupation_matches_shell_law(self):
+        # K is the identity, so every event stays in one of two blocks;
+        # slots pair with themselves a third of the time at N = 3
+        J = np.array([[0.0, 0.3], [0.3, 0.0]])
+        ctx = CollisionContext(J, collision.single_site_kernel(2))
+        assert ctx.blocks == ((0,), (1,))
+        T = (1, 2)
+        m = kac.multicanonical_measure(J, None, 3, ctx.blocks, T)
+        # TV shrinks like t^(-1/2); at t = 1e5 it stayed below 0.011
+        # over 20 seeds
+        run = kac.simulate_particles(ctx, 3, T, 100000.0, make_rng(64, 7),
+                                     record_occupation=True)
+        assert kac.occupation_tv(m, run) <= 0.02
+
+    def test_init_must_sit_on_its_shell(self):
+        ctx = mean_field_ctx(np.zeros((2, 2)))
+        rng = make_rng(64, 8)
+        for init, match in (([3, 0], "N = 3"), ([3, 0, 4], "outside"),
+                            ([3, 3, 0], "block counts"), ([-1, 3, 0], "outside")):
+            with pytest.raises(ValueError, match=match):
+                kac.simulate_particles(ctx, 3, (3,), 1.0, rng, init=np.array(init))
+        run = kac.simulate_particles(ctx, 3, (3,), 1.0, rng, init=[3, 1, 0])
+        assert kac.block_count_table(2, ctx.blocks)[run.final_state].sum() == 3
 
 
 class TestRateBounds:
