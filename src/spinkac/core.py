@@ -9,6 +9,11 @@ Conventions used across the package:
   ``2**n`` indexed by mask.
 * A site partition is a tuple of disjoint, covering tuples of 0-based
   site indices. Per-block quantities are reported in block order.
+* A conserved state space (a count shell of N slots, a fixed-magnetization
+  slice) is a "code array": a sorted 1-D int64 array of bitmask codes,
+  each with a fixed number of set bits inside every block mask. States
+  are numbered by their position in it, `code_index` maps codes back to
+  positions, and `swap_moves` lists the two-bit exchanges that stay in it.
 
 Dense enumeration is gated at ``n <= 24`` sites.
 """
@@ -225,6 +230,42 @@ def entropy_functional(mu, F):
     return float(np.sum(mu[pos] * F[pos] * np.log(F[pos]))) - mean * math.log(mean)
 
 
+def site_mask(sites):
+    """The bitmask with bit l set for every site l of a block."""
+    mask = 0
+    for l in sites:
+        mask |= 1 << int(l)
+    return mask
+
+
+def slice_codes(width, masks, counts):
+    """Sorted int64 codes of `width` bits with counts[b] set bits inside
+    masks[b], for every b."""
+    codes = np.arange(1 << width, dtype=np.int64)
+    for mask, count in zip(masks, counts):
+        codes = codes[np.bitwise_count(codes & mask) == count]
+    return codes
+
+
+def code_index(codes, query):
+    """Positions of the query codes in a code array; KeyError if one is absent."""
+    idx = np.searchsorted(codes, query)
+    if np.any(codes[np.minimum(idx, codes.size - 1)] != query):
+        raise KeyError("code outside the state space")
+    return idx
+
+
+def swap_moves(codes, a, b):
+    """(src, dst) positions of the exchanges of bits a and b that stay in
+    the code array: codes[dst] = codes[src] with bits a and b swapped, src
+    ascending. States whose two bits agree have no move."""
+    src = np.flatnonzero(((codes >> a) ^ (codes >> b)) & 1)
+    moved = codes[src] ^ ((1 << a) | (1 << b))
+    dst = np.searchsorted(codes, moved)
+    ok = codes[np.minimum(dst, codes.size - 1)] == moved
+    return src[ok], dst[ok]
+
+
 @dataclass
 class ReversibleChain:
     """A continuous-time jump chain reversible for `probs`: it jumps
@@ -234,6 +275,14 @@ class ReversibleChain:
     dst: np.ndarray
     rate: np.ndarray
     probs: np.ndarray
+
+    @classmethod
+    def from_moves(cls, srcs, dsts, rates, probs):
+        """The chain of per-move lists of (src, dst, rate) arrays."""
+        if not srcs:
+            none = np.zeros(0, dtype=np.intp)
+            return cls(none, none, np.zeros(0), probs)
+        return cls(np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), probs)
 
     def dirichlet(self, F, G):
         """(1/2) sum over jumps of probs(src) rate dF dG."""

@@ -30,6 +30,9 @@ from .core import (
     interaction_condition,
     interaction_row_norm,
     sample_test_function,
+    site_mask,
+    slice_codes,
+    swap_moves,
 )
 from .errors import CapacityError
 from .kac import dirichlet_form
@@ -102,12 +105,6 @@ class DuMeasure:
     logw: np.ndarray
     spins: np.ndarray  # (states, L) floats, +-1
 
-    def index_of(self, codes):
-        idx = np.searchsorted(self.codes, codes)
-        if np.any(self.codes[np.clip(idx, 0, len(self.codes) - 1)] != codes):
-            raise KeyError("configuration outside the slice")
-        return idx
-
     def mean(self):
         return self.probs @ self.spins
 
@@ -117,35 +114,26 @@ class DuMeasure:
         return (centered * self.probs[:, None]).T @ centered
 
 
-def du_measure(inst):
-    L = inst.L
-    if L > ENUMERATION_GATE:
-        raise CapacityError(f"slice enumeration gated at L <= {ENUMERATION_GATE}")
-    codes = np.arange(1 << L, dtype=np.int64)
-    keep = np.ones(codes.size, dtype=bool)
-    for b, k in zip(inst.blocks, inst.balls):
-        bm = 0
-        for i in b:
-            bm |= 1 << i
-        keep &= np.bitwise_count((codes & bm).astype(np.uint64)).astype(int) == k
-    codes = codes[keep]
-    bits = ((codes[:, None] >> np.arange(L)) & 1).astype(float)
-    spins = 2.0 * bits - 1.0
-    logw = 0.5 * np.einsum("si,ij,sj->s", spins, inst.lam_matrix, spins) + spins @ inst.w
-    shift = logw.max()
-    probs = np.exp(logw - shift)
+def _normalized(inst, codes, logw, spins):
+    probs = np.exp(logw - logw.max())
     probs /= probs.sum()
     return DuMeasure(inst, codes, probs, logw, spins)
 
 
+def du_measure(inst):
+    L = inst.L
+    if L > ENUMERATION_GATE:
+        raise CapacityError(f"slice enumeration gated at L <= {ENUMERATION_GATE}")
+    codes = slice_codes(L, [site_mask(b) for b in inst.blocks], inst.balls)
+    spins = 2.0 * ((codes[:, None] >> np.arange(L)) & 1).astype(float) - 1.0
+    logw = 0.5 * np.einsum("si,ij,sj->s", spins, inst.lam_matrix, spins) + spins @ inst.w
+    return _normalized(inst, codes, logw, spins)
+
+
 def tilt(meas, v):
     """Reweight by exp(<v, spins>) on the same slice."""
-    v = np.asarray(v, dtype=float)
-    logw = meas.logw + meas.spins @ v
-    shift = logw.max()
-    probs = np.exp(logw - shift)
-    probs /= probs.sum()
-    return DuMeasure(meas.inst, meas.codes, probs, logw, meas.spins)
+    logw = meas.logw + meas.spins @ np.asarray(v, dtype=float)
+    return _normalized(meas.inst, meas.codes, logw, meas.spins)
 
 
 def _log_weight_of(inst, code):
@@ -171,45 +159,28 @@ def du_rate(meas, code, i, j):
 
 def du_transitions(meas):
     """All proper ball moves with their rates, vectorized over the slice,
-    as a chain reversible for the slice measure."""
-    inst = meas.inst
+    as a chain reversible for the slice measure. A ball at site i moves
+    to a hole j of its block with probability proportional to the weight
+    after the move, among all its moves and staying put."""
     codes = meas.codes
-    size = codes.size
-    bits = (codes[:, None] >> np.arange(inst.L)) & 1
+    weights = np.exp(meas.logw)
     srcs, dsts, rates = [], [], []
-    for b in inst.blocks:
+    for b in meas.inst.blocks:
         for i in b:
-            occ = bits[:, i] == 1
-            if not np.any(occ):
-                continue
-            # denominator: weights of all available moves, stay included
-            denom = np.zeros(size)
-            denom[occ] = np.exp(meas.logw[occ])
-            for k in b:
-                if k == i:
-                    continue
-                can = occ & (bits[:, k] == 0)
-                if not np.any(can):
-                    continue
-                moved = meas.index_of(codes[can] ^ ((1 << i) | (1 << k)))
-                denom[can] += np.exp(meas.logw[moved])
+            moves = []
             for j in b:
-                if j == i:
-                    continue
-                can = occ & (bits[:, j] == 0)
-                if not np.any(can):
-                    continue
-                dst = meas.index_of(codes[can] ^ ((1 << i) | (1 << j)))
-                r = np.exp(meas.logw[dst]) / denom[can]
-                srcs.append(np.flatnonzero(can))
+                if j != i:
+                    src, dst = swap_moves(codes, i, j)
+                    ball = ((codes[src] >> i) & 1) == 1
+                    moves.append((src[ball], dst[ball]))
+            denom = weights.copy()
+            for src, dst in moves:
+                denom[src] += weights[dst]
+            for src, dst in moves:
+                srcs.append(src)
                 dsts.append(dst)
-                rates.append(r)
-    if not srcs:
-        z = np.zeros(0)
-        return ReversibleChain(z.astype(int), z.astype(int), z, meas.probs)
-    return ReversibleChain(
-        np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), meas.probs
-    )
+                rates.append(weights[dst] / denom[src])
+    return ReversibleChain.from_moves(srcs, dsts, rates, meas.probs)
 
 
 def du_generator(meas):
@@ -314,32 +285,29 @@ def du_mlsi_scan(meas, trials, rng):
 # -- entropy factorization ---------------------------------------------
 
 
-def _grouped_entropy(probs, F, keys):
-    """sum over groups of P(group) * Ent of F under the conditional,
-    grouping states by the integer key."""
+def _conditionals(probs, keys, rows):
+    """Yield (mass, conditional law, rows) for each group of entries with
+    equal key, in key order; entry e stands for state rows[e], and the
+    rows of a group keep their order. Groups without mass are skipped."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    p = probs[order]
-    f = F[order]
+    rows = rows[order]
     bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
-    total = 0.0
     for a, b in zip(bounds[:-1], bounds[1:]):
-        mass = p[a:b].sum()
-        if mass <= 0:
-            continue
-        total += mass * entropy_functional(p[a:b] / mass, f[a:b])
-    return total
+        p = probs[rows[a:b]]
+        mass = p.sum()
+        if mass > 0:
+            yield mass, p / mass, rows[a:b]
 
 
 def block_factorization_value(meas, F):
     """sum over blocks of nu[Ent of F inside the block given the rest]."""
+    rows = np.arange(meas.codes.size)
     total = 0.0
     for b in meas.inst.blocks:
-        bm = 0
-        for i in b:
-            bm |= 1 << i
-        keys = meas.codes & ~np.int64(bm)
-        total += _grouped_entropy(meas.probs, F, keys)
+        keys = meas.codes & ~site_mask(b)
+        for mass, q, idx in _conditionals(meas.probs, keys, rows):
+            total += mass * entropy_functional(q, F[idx])
     return total
 
 
@@ -352,67 +320,43 @@ def factorization_check(meas, trials, rng):
     return DuScanReport(scan.min_ratio, scan.median_ratio, c1, ok, scan.samples, scan.discarded)
 
 
-def _ball_groups(meas):
-    """Group states by the configuration left after removing one ball:
-    returns a map from reduced code to (state index array, ball site array)."""
-    groups = {}
-    bits = (meas.codes[:, None] >> np.arange(meas.inst.L)) & 1
-    for idx in range(meas.codes.size):
-        code = int(meas.codes[idx])
-        for i in np.flatnonzero(bits[idx]):
-            groups.setdefault(code & ~(1 << int(i)), []).append(idx)
-    return groups
+def _ball_conditionals(meas):
+    """The conditionals of the slice law given all balls but one, one
+    group per (state, ball) pair keyed by the code with that ball
+    removed (single-block slices)."""
+    if len(meas.inst.blocks) != 1:
+        raise ValueError("ball coordinates are defined for single-block slices")
+    rows, sites = np.nonzero((meas.codes[:, None] >> np.arange(meas.inst.L)) & 1)
+    return _conditionals(meas.probs, meas.codes[rows] & ~(1 << sites), rows)
 
 
 def ball_factorization_value(meas, F):
     """sum over ball coordinates of the expected conditional entropy of
     F given the positions of all other balls (single-block slices)."""
-    if len(meas.inst.blocks) != 1:
-        raise ValueError("ball coordinates are defined for single-block slices")
-    total = 0.0
-    for idxs in _ball_groups(meas).values():
-        idxs = np.array(idxs)
-        mass = meas.probs[idxs].sum()
-        if mass <= 0:
-            continue
-        total += mass * entropy_functional(meas.probs[idxs] / mass, F[idxs])
-    return total
+    groups = _ball_conditionals(meas)
+    return sum((mass * entropy_functional(q, F[idx]) for mass, q, idx in groups), 0.0)
+
+
+def _covariance(q, F, G):
+    return float(q @ (F * G)) - float(q @ F) * float(q @ G)
 
 
 def ball_dirichlet_value(meas, F, G):
     """sum over ball coordinates of the expected conditional covariance;
     equals the walk's Dirichlet form on the slice."""
-    if len(meas.inst.blocks) != 1:
-        raise ValueError("ball coordinates are defined for single-block slices")
-    total = 0.0
-    for idxs in _ball_groups(meas).values():
-        idxs = np.array(idxs)
-        mass = meas.probs[idxs].sum()
-        if mass <= 0:
-            continue
-        q = meas.probs[idxs] / mass
-        cov = float(q @ (F[idxs] * G[idxs])) - float(q @ F[idxs]) * float(q @ G[idxs])
-        total += mass * cov
-    return total
+    groups = _ball_conditionals(meas)
+    return sum((mass * _covariance(q, F[idx], G[idx]) for mass, q, idx in groups), 0.0)
 
 
 def jensen_residual(meas, F):
     """max over ball-removal groups of Ent minus Cov(F, log F) under the
     conditional; nonpositive up to rounding."""
-    if len(meas.inst.blocks) != 1:
-        raise ValueError("ball coordinates are defined for single-block slices")
+    groups = _ball_conditionals(meas)
     logF = np.log(F)
-    worst = -math.inf
-    for idxs in _ball_groups(meas).values():
-        idxs = np.array(idxs)
-        mass = meas.probs[idxs].sum()
-        if mass <= 0:
-            continue
-        q = meas.probs[idxs] / mass
-        ent = entropy_functional(q, F[idxs])
-        cov = float(q @ (F[idxs] * logF[idxs])) - float(q @ F[idxs]) * float(q @ logF[idxs])
-        worst = max(worst, ent - cov)
-    return worst
+    return max(
+        (entropy_functional(q, F[idx]) - _covariance(q, F[idx], logF[idx]) for _, q, idx in groups),
+        default=-math.inf,
+    )
 
 
 # -- covariance and correlation checks ---------------------------------

@@ -29,12 +29,16 @@ from .core import (
     check_interaction,
     check_partition,
     check_probvec,
+    code_index,
     entropy_ratio_scan,
     interaction_condition,
     interaction_row_norm,
     log_gibbs_weights,
     relative_entropy,
     sample_test_function,
+    site_mask,
+    slice_codes,
+    swap_moves,
 )
 from .dynamics import AlphaBound, dissipation
 from .errors import CapacityError
@@ -62,13 +66,8 @@ def mean_field_alpha_bound(J, h=None):
 def block_count_table(n, blocks):
     """per-mask vector of +1 counts in each block, shape (2**n, nblocks)."""
     masks = np.arange(1 << n, dtype=np.int64)
-    cols = []
-    for b in blocks:
-        bm = 0
-        for l in b:
-            bm |= 1 << l
-        cols.append(np.bitwise_count((masks & bm).astype(np.uint64)).astype(np.int64))
-    return np.stack(cols, axis=1)
+    counts = [np.bitwise_count(masks & site_mask(b)) for b in blocks]
+    return np.stack(counts, axis=1).astype(np.int64)
 
 
 def canonical_counts(nu, blocks, N):
@@ -130,10 +129,7 @@ class ParticleMeasure:
     logw: np.ndarray     # unnormalized product log-weights on the shell
 
     def index_of(self, codes):
-        idx = np.searchsorted(self.codes, codes)
-        if np.any(self.codes[np.clip(idx, 0, len(self.codes) - 1)] != codes):
-            raise KeyError("code outside the shell")
-        return idx
+        return code_index(self.codes, codes)
 
 
 def restricted_product_measure(single_log_weights, N, blocks, T):
@@ -150,20 +146,14 @@ def restricted_product_measure(single_log_weights, N, blocks, T):
     for t, b in zip(T, blocks):
         if not 0 <= t <= N * len(b):
             raise ValueError(f"count {t} impossible for block size {len(b)} with N = {N}")
-    counts = block_count_table(n, blocks)
-    codes = np.arange(1 << (N * n), dtype=np.int64)
-    sub_mask = (1 << n) - 1
-    total = np.zeros((codes.size, len(blocks)), dtype=np.int64)
-    logw = np.zeros(codes.size)
-    for i in range(N):
-        sub = (codes >> (i * n)) & sub_mask
-        total += counts[sub]
-        logw += table[sub]
-    keep = np.all(total == np.array(T), axis=1)
-    codes = codes[keep]
+    # block b of the combined code: its sites in every slot
+    masks = [sum(site_mask(b) << (i * n) for i in range(N)) for b in blocks]
+    codes = slice_codes(N * n, masks, T)
     if codes.size == 0:
         raise ValueError(f"empty shell for counts {T}")
-    logw = logw[keep]
+    logw = np.zeros(codes.size)
+    for i in range(N):
+        logw += table[(codes >> (i * n)) & ((1 << n) - 1)]
     probs = np.exp(logw - logsumexp(logw))
     return ParticleMeasure(n, N, blocks, T, codes, probs, logw)
 
@@ -178,14 +168,16 @@ def multicanonical_measure(J, h, N, blocks, T):
 
 
 def _pair_moves(measure, kernel):
-    """Yield (dst_index, rate_weight, pair_weight) arrays per (i,j,l,k).
+    """Yield (src, dst, rate_weight, pair_weight) per (i,j,l,k): index
+    arrays of the exchanges of bits i*n+l and j*n+k that stay on the shell.
 
     rate r is the heat-bath probability from the measure's own product
     weights; pair_weight is K[l,k] (or 1 for the unweighted variant).
-    Identity moves are skipped (their gradient terms vanish).
+    Identity moves have no entries (their gradient terms vanish), and an
+    exchange that exits the shell targets a zero-mass state, so its
+    heat-bath rate is zero and it is dropped too.
     """
     n, N = measure.n, measure.N
-    codes = measure.codes
     for i in range(N):
         for j in range(N):
             for l in range(n):
@@ -193,28 +185,9 @@ def _pair_moves(measure, kernel):
                     w = 1.0 if kernel is None else float(kernel[l, k])
                     if w == 0.0:
                         continue
-                    pos1 = i * n + l
-                    pos2 = j * n + k
-                    if pos1 == pos2:
-                        continue
-                    b1 = (codes >> pos1) & 1
-                    b2 = (codes >> pos2) & 1
-                    differ = (b1 ^ b2).astype(bool)
-                    if not np.any(differ):
-                        continue
-                    flip = (1 << pos1) | (1 << pos2)
-                    new_codes = codes[differ] ^ flip
-                    # an exchange that exits the shell targets a zero-mass
-                    # state, so its heat-bath rate is zero: drop it
-                    dst = np.searchsorted(codes, new_codes)
-                    ok = codes[np.clip(dst, 0, codes.size - 1)] == new_codes
-                    if not np.any(ok):
-                        continue
-                    src_mask = np.zeros(codes.size, dtype=bool)
-                    src_mask[np.flatnonzero(differ)[ok]] = True
-                    dst = dst[ok]
-                    r = expit(measure.logw[dst] - measure.logw[src_mask])
-                    yield src_mask, dst, r, w
+                    src, dst = swap_moves(measure.codes, i * n + l, j * n + k)
+                    if src.size:
+                        yield src, dst, expit(measure.logw[dst] - measure.logw[src]), w
 
 
 def dirichlet_form(measure, F, G, kernel=None):
@@ -226,10 +199,10 @@ def dirichlet_form(measure, F, G, kernel=None):
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     total = 0.0
-    for src_mask, dst, r, w in _pair_moves(measure, kernel):
-        dF = F[dst] - F[src_mask]
-        dG = G[dst] - G[src_mask]
-        total += w * float(np.sum(measure.probs[src_mask] * r * dF * dG))
+    for src, dst, r, w in _pair_moves(measure, kernel):
+        dF = F[dst] - F[src]
+        dG = G[dst] - G[src]
+        total += w * float(np.sum(measure.probs[src] * r * dF * dG))
     return total / (2.0 * measure.N * measure.n)
 
 
@@ -237,17 +210,11 @@ def transition_table(measure, kernel):
     """The shell process as a reversible chain: jump rate r * K / (N n)
     for each exchange that stays on the shell."""
     srcs, dsts, rates = [], [], []
-    all_idx = np.arange(measure.codes.size)
-    for src_mask, dst, r, w in _pair_moves(measure, kernel):
-        srcs.append(all_idx[src_mask])
+    for src, dst, r, w in _pair_moves(measure, kernel):
+        srcs.append(src)
         dsts.append(dst)
         rates.append(w * r / (measure.N * measure.n))
-    if not srcs:
-        z = np.zeros(0)
-        return ReversibleChain(z.astype(int), z.astype(int), z, measure.probs)
-    return ReversibleChain(
-        np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), measure.probs
-    )
+    return ReversibleChain.from_moves(srcs, dsts, rates, measure.probs)
 
 
 def _exact_chain(measure, kernel):
@@ -480,19 +447,8 @@ def shell_log_mass(nu, blocks, N, T=None):
     return float(table[tuple(int(t) for t in T)])
 
 
-def restricted_mass(nu, blocks, N, rho):
-    """nu^{xN}(shell at density rho), computed by the lattice DP.
-
-    `rho` is a per-block plus fraction (N|b|rho_b must be an integer) or
-    a tuple of integer counts directly.
-    """
-    nu = np.asarray(nu, dtype=float)
-    n = int(nu.size).bit_length() - 1
-    blocks = check_partition(blocks, n)
-    if all(isinstance(r, (int, np.integer)) for r in rho):
-        T = tuple(int(r) for r in rho)
-    else:
-        T = density_to_counts(rho, N, blocks)
+def restricted_mass(nu, blocks, N, T):
+    """nu^{xN}(shell with integer block counts T), by the lattice DP."""
     lv = shell_log_mass(nu, blocks, N, T)
     return math.exp(lv) if lv > -745 else 0.0
 

@@ -251,11 +251,11 @@ def fragment_factor(p, frag, n):
     estimate: at each full mask s, the p-marginal of s restricted to A.
 
     A marked singleton A = {j} takes the marginal of the mark's site
-    instead, read at s's bit j.
+    instead, read at s's bit j; mark -1 means no mark.
     """
     A, mark = frag
     masks = np.arange(1 << n, dtype=np.int64)
-    if mark is None:
+    if mark < 0:
         on = masks & A
         return np.bincount(on, weights=p, minlength=1 << n)[on]
     bit = 1 << mark
@@ -271,7 +271,7 @@ def _run_estimates(proc, p, depth, runs, rng):
     A, mark = proc.run(depth, runs, rng)
     keys, index = np.unique(A * (n + 1) + mark + 1, return_inverse=True)
     pairs = [divmod(int(k), n + 1) for k in keys]
-    table = np.array([fragment_factor(p, (a, m - 1 if m else None), n) for a, m in pairs])
+    table = np.array([fragment_factor(p, (a, m - 1), n) for a, m in pairs])
     table[keys == 0] = 1.0
     index = index.reshape(A.shape)
     est = table[index[:, 0]]

@@ -25,6 +25,85 @@ class TestMasks:
             core.check_sites(25)
 
 
+def brute_slice(width, masks, counts):
+    return [c for c in range(1 << width)
+            if all(bin(c & m).count("1") == k for m, k in zip(masks, counts))]
+
+
+SLICES = [
+    (5, [0b11111], [2]),
+    (6, [0b000111, 0b111000], [1, 2]),
+    (7, [0b1010101, 0b0101010], [2, 1]),
+    (5, [0b00110], [1]),            # bits outside every mask are free
+    (4, [], []),                    # no constraint: the whole cube
+    (4, [0b0011, 0b1100], [0, 2]),
+]
+
+
+class TestCodeArrays:
+    def test_site_mask(self):
+        assert core.site_mask(()) == 0
+        assert core.site_mask((0, 2, 5)) == 0b100101
+
+    @pytest.mark.parametrize("width, masks, counts", SLICES)
+    def test_slice_codes_match_brute_force(self, width, masks, counts):
+        codes = core.slice_codes(width, masks, counts)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == brute_slice(width, masks, counts)
+
+    def test_impossible_count_gives_empty_slice(self):
+        assert core.slice_codes(4, [0b0011], [3]).size == 0
+
+    @pytest.mark.parametrize("width, masks, counts", SLICES)
+    def test_code_index_finds_every_code(self, width, masks, counts):
+        codes = core.slice_codes(width, masks, counts)
+        perm = np.random.default_rng(width).permutation(codes.size)
+        assert np.array_equal(core.code_index(codes, codes[perm]), perm)
+
+    def test_code_index_rejects_absent_codes(self):
+        codes = core.slice_codes(6, [0b000111, 0b111000], [1, 2])
+        for absent in (0, 0b000011, 0b111111, 1 << 7):
+            with pytest.raises(KeyError):
+                core.code_index(codes, np.array([codes[0], absent]))
+
+    @pytest.mark.parametrize("width, masks, counts", SLICES)
+    def test_swap_moves_match_brute_force(self, width, masks, counts):
+        codes = core.slice_codes(width, masks, counts)
+        listed = codes.tolist()
+        for a in range(width):
+            for b in range(width):
+                flip = (1 << a) | (1 << b)
+                want = [(s, listed.index(c ^ flip)) for s, c in enumerate(listed)
+                        if (c >> a & 1) != (c >> b & 1) and c ^ flip in listed]
+                src, dst = core.swap_moves(codes, a, b)
+                assert list(zip(src.tolist(), dst.tolist())) == want
+
+    def test_swaps_across_blocks_leave_the_slice(self):
+        codes = core.slice_codes(4, [0b0011, 0b1100], [1, 1])
+        src, dst = core.swap_moves(codes, 0, 2)
+        # a swap between the blocks carries a set bit from one block to
+        # the other, so no state keeps its counts
+        assert src.size == dst.size == 0
+        src, dst = core.swap_moves(codes, 0, 1)
+        assert np.array_equal(codes[dst], codes[src] ^ 0b0011)
+
+    def test_chain_from_no_moves(self):
+        probs = np.array([1.0])
+        tab = core.ReversibleChain.from_moves([], [], [], probs)
+        assert tab.src.size == tab.dst.size == tab.rate.size == 0
+        assert tab.dirichlet(np.ones(1), np.ones(1)) == 0.0
+        assert np.array_equal(tab.generator(), np.zeros((1, 1)))
+
+    def test_chain_from_moves_concatenates(self):
+        probs = np.full(3, 1.0 / 3.0)
+        tab = core.ReversibleChain.from_moves(
+            [np.array([0]), np.array([1, 2])], [np.array([1]), np.array([0, 0])],
+            [np.array([0.5]), np.array([0.5, 0.25])], probs)
+        assert tab.src.tolist() == [0, 1, 2]
+        assert tab.dst.tolist() == [1, 0, 0]
+        assert tab.rate.tolist() == [0.5, 0.5, 0.25]
+
+
 class TestGibbs:
     def test_single_free_spin_is_fair(self):
         assert core.gibbs(np.zeros((1, 1))).tolist() == [0.5, 0.5]
@@ -205,7 +284,7 @@ def test_marginals_are_densities(seed):
     p = random_density(rng, 3)
     states = range(8)
     for A in (0b001, 0b010, 0b110, 0b101, 0b111):
-        factor = wildtree.fragment_factor(p, (A, None), 3)
+        factor = wildtree.fragment_factor(p, (A, -1), 3)
         brute = [sum(p[t] for t in states if t & A == s & A) for s in states]
         assert np.abs(factor - brute).max() < 1e-15
         # one state per pattern on A: the marginal is a density
@@ -220,8 +299,8 @@ def test_marginal_of_product_factorizes():
     rng = np.random.default_rng(11)
     a, b = rng.dirichlet([2, 2]), rng.dirichlet([2, 2])
     p = np.array([a[(m >> 0) & 1] * b[(m >> 1) & 1] for m in range(4)])
-    on0 = wildtree.fragment_factor(p, (0b01, None), 2)
-    on1 = wildtree.fragment_factor(p, (0b10, None), 2)
+    on0 = wildtree.fragment_factor(p, (0b01, -1), 2)
+    on1 = wildtree.fragment_factor(p, (0b10, -1), 2)
     assert np.abs(on0 - a[[0, 1, 0, 1]]).max() < 1e-14
     assert np.abs(on1 - b[[0, 0, 1, 1]]).max() < 1e-14
     assert np.abs(on0 * on1 - p).max() < 1e-14

@@ -121,6 +121,29 @@ class TestRates:
             pairing = -float(meas.probs @ (F * (G @ H)))
             assert tab.dirichlet(F, H) == pytest.approx(pairing, abs=1e-12)
 
+    def test_every_move_matches_scalar_rate(self):
+        # a two-block slice with couplings and fields: each proper ball
+        # move appears once, at the rate of the scalar reference
+        rng = make_rng(71, 11)
+        A = 0.3 * rng.standard_normal((7, 7))
+        inst = du.DuInstance(7, (A + A.T) / 2.0, rng.standard_normal(7),
+                             ((0, 2, 4, 6), (1, 3, 5)), (0, -1))
+        meas = du.du_measure(inst)
+        tab = du.du_transitions(meas)
+        codes = meas.codes.tolist()
+        seen = set()
+        for s, d, r in zip(tab.src.tolist(), tab.dst.tolist(), tab.rate.tolist()):
+            moved = codes[s] ^ codes[d]
+            i = (codes[s] & moved).bit_length() - 1
+            j = (codes[d] & moved).bit_length() - 1
+            assert bin(moved).count("1") == 2
+            assert r == pytest.approx(du.du_rate(meas, codes[s], i, j), rel=1e-12)
+            seen.add((s, i, j))
+        want = {(s, i, j) for s, c in enumerate(codes) for b in inst.blocks
+                for i in b for j in b if c >> i & 1 and not c >> j & 1}
+        assert len(seen) == tab.src.size
+        assert seen == want
+
     def test_detailed_balance_general_interaction(self):
         rng = make_rng(71, 9)
         A = 0.2 * rng.standard_normal((5, 5))

@@ -194,7 +194,8 @@ class TestMasses:
     def test_uniform_mass_is_binomial(self):
         nu = np.full(2, 0.5)
         for N in (2, 4, 10):
-            got = kac.restricted_mass(nu, ((0,),), N, (Fraction(1, 2),))
+            T = kac.density_to_counts((Fraction(1, 2),), N, ((0,),))
+            got = kac.restricted_mass(nu, ((0,),), N, T)
             assert got == pytest.approx(math.comb(N, N // 2) / 2.0 ** N, rel=1e-12)
 
     def test_lattice_against_brute_force(self):
@@ -333,7 +334,7 @@ class TestSimulation:
         J = np.array([[0.0, 0.15], [0.15, 0.0]])
         ctx = mean_field_ctx(J)
         m = kac.multicanonical_measure(J, None, 2, ((0, 1),), (2,))
-        run = kac.simulate_particles(ctx, 2, (2,), 20000.0, make_rng(9, 2),
+        run = kac.simulate_particles(ctx, 2, (2,), 80000.0, make_rng(9, 2),
                                      record_occupation=True)
         assert kac.occupation_tv(m, run) <= 0.02
 
