@@ -14,6 +14,10 @@ Conventions used across the package:
   each with a fixed number of set bits inside every block mask. States
   are numbered by their position in it, `code_index` maps codes back to
   positions, and `swap_moves` lists the two-bit exchanges that stay in it.
+* A reversible jump chain (`ReversibleChain`) keeps one entry per
+  undirected edge: ``src < dst`` and ``rate = q(src -> dst)``. The
+  reverse rate follows from reversibility,
+  ``q(dst -> src) = probs[src] * rate / probs[dst]``.
 
 Dense enumeration is gated at ``n <= 24`` sites.
 """
@@ -36,6 +40,7 @@ PROBVEC_TOL = 1e-12      # mass and negativity slack of a density
 FIELD_TOL = 1e-10        # max-norm residual of the block-mean solve
 FIELD_MAX_ITER = 200     # damped Newton iterations of the block-mean solve
 BLOCK_CONSTANT_TOL = 1e-12  # spread a block-constant field may have within a block
+LANCZOS_STATES = 250     # slow modes of larger chains come from Lanczos, not dense eigh
 
 
 def check_sites(n):
@@ -268,8 +273,10 @@ def swap_moves(codes, a, b):
 
 @dataclass
 class ReversibleChain:
-    """A continuous-time jump chain reversible for `probs`: it jumps
-    src[e] -> dst[e] at rate[e]. Identity moves are left out."""
+    """A continuous-time jump chain reversible for `probs`, one entry per
+    undirected edge: src[e] < dst[e], and the chain jumps src -> dst at
+    rate[e] and dst -> src at probs[src] * rate[e] / probs[dst]. Identity
+    moves are left out."""
 
     src: np.ndarray
     dst: np.ndarray
@@ -278,32 +285,69 @@ class ReversibleChain:
 
     @classmethod
     def from_moves(cls, srcs, dsts, rates, probs):
-        """The chain of per-move lists of (src, dst, rate) arrays."""
+        """The chain of per-move lists of (src, dst, rate) arrays, keeping
+        the moves with src < dst; the others are their reverses."""
         if not srcs:
             none = np.zeros(0, dtype=np.intp)
             return cls(none, none, np.zeros(0), probs)
-        return cls(np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), probs)
+        src, dst, rate = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates)
+        up = src < dst
+        return cls(src[up], dst[up], rate[up], probs)
 
     def dirichlet(self, F, G):
-        """(1/2) sum over jumps of probs(src) rate dF dG."""
+        """sum over edges of probs(src) rate dF dG."""
         dF = F[self.dst] - F[self.src]
         dG = G[self.dst] - G[self.src]
-        return float(np.sum(self.probs[self.src] * self.rate * dF * dG)) / 2.0
+        return float(np.sum(self.probs[self.src] * self.rate * dF * dG))
 
-    def generator(self):
+    def symmetric(self):
+        """The generator symmetrized by sqrt(probs), as SciPy CSR: the
+        edge entry rate * sqrt(probs[src] / probs[dst]) at (src, dst) and
+        (dst, src), minus each state's exit rate on the diagonal."""
+        from scipy.sparse import csr_array  # imported on use: only spectra need it
+
         size = self.probs.size
-        L = np.zeros((size, size))
-        np.add.at(L, (self.src, self.dst), self.rate)
-        np.add.at(L, (self.src, self.src), -self.rate)
-        return L
+        sq = np.sqrt(self.probs)
+        off = self.rate * sq[self.src] / sq[self.dst]
+        back = self.rate * self.probs[self.src] / self.probs[self.dst]
+        exit_rate = np.bincount(self.src, self.rate, size) + np.bincount(self.dst, back, size)
+        diag = np.arange(size)
+        rows = np.concatenate([self.src, self.dst, diag])
+        cols = np.concatenate([self.dst, self.src, diag])
+        return csr_array((np.concatenate([off, off, -exit_rate]), (rows, cols)), shape=(size, size))
 
     def spectrum(self):
         """(eigenvalues, orthonormal eigenvectors, sqrt(probs)) of the
-        generator symmetrized by sqrt(probs); eigenvalues ascending."""
+        symmetrized generator, by dense eigh; eigenvalues ascending."""
+        evals, vecs = np.linalg.eigh(self.symmetric().toarray())
+        return evals, vecs, np.sqrt(self.probs)
+
+    def slow_mode(self):
+        """(gap, g): the gap is minus the second-largest eigenvalue of the
+        generator (0 for a reducible chain), g its eigenfunction, signed
+        so that its largest-magnitude entry is positive. Dense eigh up to
+        LANCZOS_STATES states, ARPACK's Lanczos above."""
+        size = self.probs.size
+        if size < 2:
+            raise ValueError("a one-state chain has no slow mode")
         sq = np.sqrt(self.probs)
-        S = self.generator() * sq[:, None] / sq[None, :]
-        evals, vecs = np.linalg.eigh((S + S.T) / 2.0)
-        return evals, vecs, sq
+        if size <= LANCZOS_STATES:
+            evals, vecs, _ = self.spectrum()
+            lam, v = evals[-2], vecs[:, -2]
+        else:
+            # imported on use: it adds about 8 MB of resident memory
+            from scipy.sparse.linalg import eigsh
+
+            # a fixed start keeps the result reproducible; sqrt(probs) is
+            # the top eigenvector itself, so ARPACK cannot start from it
+            v0 = np.sin(np.arange(1.0, size + 1.0))
+            evals, vecs = eigsh(self.symmetric(), k=2, which="LA", v0=v0)
+            second = int(np.argmin(evals))
+            lam, v = evals[second], vecs[:, second]
+        g = v / sq
+        if g[np.argmax(np.abs(g))] < 0.0:
+            g = -g
+        return max(0.0, -float(lam)), g
 
 
 def sample_test_function(size, trial, rng):
@@ -347,6 +391,19 @@ def entropy_ratio_scan(mu, functions, numerator):
     return RatioScan(float(ratios.min()), float(np.median(ratios)), len(ratios), discarded)
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-D array: SciPy's `logsumexp` arithmetic
+    (the maximal terms held out of the shifted sum) without its per-call
+    overhead."""
+    top = a.max()
+    at_top = a == top
+    k = float(np.count_nonzero(at_top))
+    e = np.exp(a - top)
+    e[at_top] = 0.0
+    s = e.sum()
+    return np.log1p(s / k) + np.log(k) + top
+
+
 def match_block_means(logw, blocks, target):
     """Find per-block constant fields c so the tilted measure hits target means.
 
@@ -377,7 +434,7 @@ def match_block_means(logw, blocks, target):
 
     def state(cvec):
         lp = logw + M @ cvec
-        lp -= logsumexp(lp)
+        lp -= _logsumexp(lp)
         p = np.exp(lp)
         m = (p @ M) / sizes
         return p, m, float(np.max(np.abs(m - target)))

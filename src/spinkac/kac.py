@@ -8,10 +8,11 @@ the total spin of every irreducible block of K summed across all slots,
 so it lives on a count shell. The stationary law on a shell is the
 conditioned product of single-configuration Gibbs weights.
 
-Exact routes are gated by total bit count: generator matrices and their
-exponentials at N*n <= 12, shell enumeration and Dirichlet-form sums at
-N*n <= 22. Count-shell masses for large N go through a log-domain
-convolution over the block-count lattice instead of enumeration.
+Exact routes are gated by total bit count: dense spectra and the
+exponentials they give at N*n <= 12, shell enumeration and
+Dirichlet-form sums at N*n <= 22. Count-shell masses for large N go
+through a log-domain convolution over the block-count lattice instead
+of enumeration.
 """
 
 from __future__ import annotations
@@ -168,26 +169,30 @@ def multicanonical_measure(J, h, N, blocks, T):
 
 
 def _pair_moves(measure, kernel):
-    """Yield (src, dst, rate_weight, pair_weight) per (i,j,l,k): index
-    arrays of the exchanges of bits i*n+l and j*n+k that stay on the shell.
+    """Yield (src, dst, rate_weight, pair_weight) per unordered pair of
+    bits a < b: index arrays of the exchanges of bits a and b that stay on
+    the shell, src < dst.
 
     rate r is the heat-bath probability from the measure's own product
-    weights; pair_weight is K[l,k] (or 1 for the unweighted variant).
-    Identity moves have no entries (their gradient terms vanish), and an
-    exchange that exits the shell targets a zero-mass state, so its
-    heat-bath rate is zero and it is dropped too.
+    weights; pair_weight is K[l,k] + K[k,l] for the sites l, k of bits a,
+    b (2 for the unweighted variant), since the ordered pairs (a, b) and
+    (b, a) ring the same exchange. Identity moves have no entries (their
+    gradient terms vanish), and an exchange that exits the shell targets
+    a zero-mass state, so its heat-bath rate is zero and it is dropped too.
     """
     n, N = measure.n, measure.N
-    for i in range(N):
-        for j in range(N):
-            for l in range(n):
-                for k in range(n):
-                    w = 1.0 if kernel is None else float(kernel[l, k])
-                    if w == 0.0:
-                        continue
-                    src, dst = swap_moves(measure.codes, i * n + l, j * n + k)
-                    if src.size:
-                        yield src, dst, expit(measure.logw[dst] - measure.logw[src]), w
+    codes = measure.codes
+    for a in range(N * n):
+        for b in range(a + 1, N * n):
+            l, k = a % n, b % n
+            w = 2.0 if kernel is None else float(kernel[l, k] + kernel[k, l])
+            if w == 0.0:
+                continue
+            src, dst = swap_moves(codes, a, b)
+            up = src < dst
+            src, dst = src[up], dst[up]
+            if src.size:
+                yield src, dst, expit(measure.logw[dst] - measure.logw[src]), w
 
 
 def dirichlet_form(measure, F, G, kernel=None):
@@ -195,7 +200,7 @@ def dirichlet_form(measure, F, G, kernel=None):
     (kernel given) or mu[r dF dG] (kernel None, the all-pairs variant).
 
     The same sum as `transition_table(measure, kernel).dirichlet(F, G)`,
-    but streamed move by move, so the table is never held in memory."""
+    but streamed edge by edge, so the table is never held in memory."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     total = 0.0
@@ -203,12 +208,13 @@ def dirichlet_form(measure, F, G, kernel=None):
         dF = F[dst] - F[src]
         dG = G[dst] - G[src]
         total += w * float(np.sum(measure.probs[src] * r * dF * dG))
-    return total / (2.0 * measure.N * measure.n)
+    return total / (measure.N * measure.n)
 
 
 def transition_table(measure, kernel):
-    """The shell process as a reversible chain: jump rate r * K / (N n)
-    for each exchange that stays on the shell."""
+    """The shell process as a reversible chain, one entry per edge: jump
+    rate r * (K[l,k] + K[k,l]) / (N n) for each exchange that stays on
+    the shell."""
     srcs, dsts, rates = [], [], []
     for src, dst, r, w in _pair_moves(measure, kernel):
         srcs.append(src)
@@ -217,22 +223,13 @@ def transition_table(measure, kernel):
     return ReversibleChain.from_moves(srcs, dsts, rates, measure.probs)
 
 
-def _exact_chain(measure, kernel):
-    if measure.N * measure.n > EXPONENTIAL_GATE:
-        raise CapacityError(f"generator matrices gated at N*n <= {EXPONENTIAL_GATE}")
-    return transition_table(measure, kernel)
-
-
-def generator_matrix(measure, kernel):
-    """Dense generator of the shell process (exact route)."""
-    return _exact_chain(measure, kernel).generator()
-
-
 def particle_entropy_decay(measure, kernel, nu0, t_grid):
     """Exact H(nu_t | mu) along the shell semigroup, by symmetrized
     eigendecomposition of the generator: nu0 is projected on the
     eigenbasis once, so each time point costs one matrix-vector product."""
-    evals, Q, sq = _exact_chain(measure, kernel).spectrum()
+    if measure.N * measure.n > EXPONENTIAL_GATE:
+        raise CapacityError(f"dense spectra gated at N*n <= {EXPONENTIAL_GATE}")
+    evals, Q, sq = transition_table(measure, kernel).spectrum()
     mu = measure.probs
     c = (np.asarray(nu0, dtype=float) / sq) @ Q
     out = []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from spinkac import core, downup, dynamics, kac, wildtree
 from spinkac.errors import CapacityError, ConvergenceError, DegenerateProfileError
@@ -92,16 +93,87 @@ class TestCodeArrays:
         tab = core.ReversibleChain.from_moves([], [], [], probs)
         assert tab.src.size == tab.dst.size == tab.rate.size == 0
         assert tab.dirichlet(np.ones(1), np.ones(1)) == 0.0
-        assert np.array_equal(tab.generator(), np.zeros((1, 1)))
+        assert np.array_equal(tab.symmetric().toarray(), np.zeros((1, 1)))
 
     def test_chain_from_moves_concatenates(self):
+        # moves with src > dst are the reverses of kept edges and go
         probs = np.full(3, 1.0 / 3.0)
         tab = core.ReversibleChain.from_moves(
-            [np.array([0]), np.array([1, 2])], [np.array([1]), np.array([0, 0])],
-            [np.array([0.5]), np.array([0.5, 0.25])], probs)
-        assert tab.src.tolist() == [0, 1, 2]
-        assert tab.dst.tolist() == [1, 0, 0]
-        assert tab.rate.tolist() == [0.5, 0.5, 0.25]
+            [np.array([0]), np.array([1, 0, 2])], [np.array([1]), np.array([0, 2, 0])],
+            [np.array([0.5]), np.array([0.5, 0.25, 0.25])], probs)
+        assert tab.src.tolist() == [0, 0]
+        assert tab.dst.tolist() == [1, 2]
+        assert tab.rate.tolist() == [0.5, 0.25]
+
+
+def chain_generator(tab):
+    """Dense generator of a chain, both directions of every edge written
+    out from reversibility."""
+    size = tab.probs.size
+    L = np.zeros((size, size))
+    for s, d, r in zip(tab.src.tolist(), tab.dst.tolist(), tab.rate.tolist()):
+        L[s, d] += r
+        L[d, s] += tab.probs[s] * r / tab.probs[d]
+    L[np.diag_indices(size)] = -L.sum(axis=1)
+    return L
+
+
+def complete_graphs(sizes, rng):
+    """A chain on disjoint complete graphs of the given sizes, with random
+    positive probabilities and rates; reducible when there are two."""
+    probs = rng.uniform(0.5, 1.5, sum(sizes))
+    probs /= probs.sum()
+    srcs, dsts = [], []
+    start = 0
+    for size in sizes:
+        a, b = np.triu_indices(size, 1)
+        srcs.append(a + start)
+        dsts.append(b + start)
+        start += size
+    src, dst = np.concatenate(srcs), np.concatenate(dsts)
+    rate = rng.uniform(0.5, 1.5, src.size) / probs[src]
+    return core.ReversibleChain(src, dst, rate, probs)
+
+
+class TestChainSpectra:
+    def test_symmetric_is_the_similar_generator(self):
+        tab = complete_graphs((5,), np.random.default_rng(20))
+        L = chain_generator(tab)
+        sq = np.sqrt(tab.probs)
+        S = tab.symmetric().toarray()
+        assert np.abs(S - sq[:, None] * L / sq[None, :]).max() < 1e-12
+        assert np.array_equal(S, S.T)
+        assert np.abs(L.sum(axis=1)).max() < 1e-12
+
+    def test_dirichlet_sums_both_directions(self):
+        rng = np.random.default_rng(21)
+        tab = complete_graphs((6,), rng)
+        L = chain_generator(tab)
+        F, G = rng.standard_normal(6), rng.standard_normal(6)
+        directed = 0.5 * sum(tab.probs[s] * L[s, d] * (F[d] - F[s]) * (G[d] - G[s])
+                             for s in range(6) for d in range(6) if d != s)
+        assert tab.dirichlet(F, G) == pytest.approx(directed, rel=1e-12)
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (150, 151)])
+    def test_reducible_chain_has_zero_gap(self, sizes):
+        # two components: the top eigenvalue 0 is double on the dense
+        # path (7 states) and the Lanczos path (301 states) alike
+        tab = complete_graphs(sizes, np.random.default_rng(22))
+        assert (tab.probs.size > core.LANCZOS_STATES) == (sizes[0] > 100)
+        gap, g = tab.slow_mode()
+        assert gap == pytest.approx(0.0, abs=1e-10)
+        assert tab.dirichlet(g, g) == pytest.approx(0.0, abs=1e-10)
+
+    def test_slow_mode_sign_is_fixed(self):
+        # eigh's sign is arbitrary; over eight chains, an unsigned mode
+        # would come out positive at its peak on all of them 1 time in 256
+        for seed in range(8):
+            _, g = complete_graphs((5,), np.random.default_rng(seed)).slow_mode()
+            assert g[np.argmax(np.abs(g))] > 0.0
+
+    def test_one_state_chain_has_no_slow_mode(self):
+        with pytest.raises(ValueError):
+            core.ReversibleChain.from_moves([], [], [], np.array([1.0])).slow_mode()
 
 
 class TestGibbs:
@@ -232,6 +304,17 @@ class TestFieldSolve:
     def test_boundary_target_rejected(self):
         with pytest.raises(DegenerateProfileError):
             core.solve_field(np.zeros((2, 2)), ((0, 1),), np.array([1.0]))
+
+    def test_logsumexp_matches_scipy(self):
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            a = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=int(rng.integers(1, 64)))
+            if trial % 4 == 0:
+                a[rng.integers(a.size, size=3)] = a.max()  # ties at the maximum
+            if trial % 4 == 1:
+                a = np.round(a)
+            want = logsumexp(a)
+            assert abs(core._logsumexp(a) - want) <= 2.0 * np.spacing(abs(want))
 
 
 class TestEntropy:

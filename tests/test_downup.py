@@ -1,13 +1,14 @@
 """Ball-relocation walks on magnetization slices."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from spinkac import downup as du
-from spinkac import kac
+from spinkac import core, kac
 from spinkac.core import entropy_functional, sample_test_function
 from spinkac.errors import CapacityError
 from spinkac.rng import make_rng
@@ -20,6 +21,21 @@ def random_psd_instance(L, M, seed):
     lam = lam @ lam.T * 0.5
     w = 0.3 * rng.standard_normal(L)
     return du.DuInstance(L, lam, w, (tuple(range(L)),), (M,))
+
+
+def rate_generator(meas):
+    """Dense generator of the walk from the scalar rates `du_rate`, one
+    ordered (ball site, hole site) move at a time."""
+    index = {c: s for s, c in enumerate(meas.codes.tolist())}
+    G = np.zeros((len(index), len(index)))
+    for c, s in index.items():
+        for b in meas.inst.blocks:
+            for i in b:
+                for j in b:
+                    if c >> i & 1 and not c >> j & 1:
+                        G[s, index[c ^ (1 << i | 1 << j)]] = du.du_rate(meas, c, i, j)
+    G[np.diag_indices(len(index))] = -G.sum(axis=1)
+    return G
 
 
 def rank_one(L, top, v=None):
@@ -98,22 +114,30 @@ class TestRates:
         assert du.du_rate(meas, 0b001, 0, 2) == pytest.approx(math.exp(0.4) / z, rel=1e-12)
 
     def test_two_state_generator(self):
-        G = du.du_generator(du.du_measure(du.single_block_instance(2, 0)))
+        meas = du.du_measure(du.single_block_instance(2, 0))
+        G = rate_generator(meas)
         assert np.array_equal(G, np.array([[-0.5, 0.5], [0.5, -0.5]]))
+        # uniform weights: the symmetrized generator is the generator
+        assert np.array_equal(du.du_transitions(meas).symmetric().toarray(), G)
 
     def test_two_state_generator_with_field(self):
         meas = du.du_measure(du.single_block_instance(2, 0, w=np.array([0.3, -0.1])))
-        G = du.du_generator(meas)
+        G = rate_generator(meas)
         assert G[0, 1] == pytest.approx(expit(-0.8), abs=1e-15)
         assert G[1, 0] == pytest.approx(expit(0.8), abs=1e-15)
         assert np.abs(G.sum(axis=1)).max() < 1e-15
+        sq = np.sqrt(meas.probs)
+        S = du.du_transitions(meas).symmetric().toarray()
+        assert np.abs(S - sq[:, None] * G / sq[None, :]).max() < 1e-15
 
     def test_matches_generator_pairing(self):
+        # a two-block slice: the pairing with the generator sums over
+        # every directed move, the table over one entry per edge
         rng = make_rng(71, 10)
         A = 0.2 * rng.standard_normal((5, 5))
         inst = du.DuInstance(5, A @ A.T, rng.standard_normal(5), ((0, 1, 2), (3, 4)), (1, 0))
         meas = du.du_measure(inst)
-        G = du.du_generator(meas)
+        G = rate_generator(meas)
         tab = du.du_transitions(meas)
         for _ in range(5):
             F = np.exp(rng.standard_normal(meas.codes.size))
@@ -122,8 +146,9 @@ class TestRates:
             assert tab.dirichlet(F, H) == pytest.approx(pairing, abs=1e-12)
 
     def test_every_move_matches_scalar_rate(self):
-        # a two-block slice with couplings and fields: each proper ball
-        # move appears once, at the rate of the scalar reference
+        # a two-block slice with couplings and fields: each edge appears
+        # once, src < dst, and both of its directions match the scalar
+        # reference
         rng = make_rng(71, 11)
         A = 0.3 * rng.standard_normal((7, 7))
         inst = du.DuInstance(7, (A + A.T) / 2.0, rng.standard_normal(7),
@@ -133,23 +158,40 @@ class TestRates:
         codes = meas.codes.tolist()
         seen = set()
         for s, d, r in zip(tab.src.tolist(), tab.dst.tolist(), tab.rate.tolist()):
+            assert s < d
             moved = codes[s] ^ codes[d]
             i = (codes[s] & moved).bit_length() - 1
             j = (codes[d] & moved).bit_length() - 1
             assert bin(moved).count("1") == 2
             assert r == pytest.approx(du.du_rate(meas, codes[s], i, j), rel=1e-12)
-            seen.add((s, i, j))
+            back = meas.probs[s] * r / meas.probs[d]
+            assert back == pytest.approx(du.du_rate(meas, codes[d], j, i), rel=1e-12)
+            seen.update({(s, i, j), (d, j, i)})
         want = {(s, i, j) for s, c in enumerate(codes) for b in inst.blocks
                 for i in b for j in b if c >> i & 1 and not c >> j & 1}
-        assert len(seen) == tab.src.size
+        assert len(seen) == 2 * tab.src.size
         assert seen == want
 
     def test_detailed_balance_general_interaction(self):
+        # brute force over every directed move: mu(s) q(s, d) = mu(d) q(d, s)
         rng = make_rng(71, 9)
         A = 0.2 * rng.standard_normal((5, 5))
         inst = du.DuInstance(5, (A + A.T) / 2.0, rng.standard_normal(5),
                              ((0, 1, 2), (3, 4)), (1, 0))
-        assert du.detailed_balance_residual(du.du_measure(inst)) < 1e-12
+        meas = du.du_measure(inst)
+        index = {c: s for s, c in enumerate(meas.codes.tolist())}
+        moves = 0
+        for c, s in index.items():
+            for b in inst.blocks:
+                for i in b:
+                    for j in b:
+                        if c >> i & 1 and not c >> j & 1:
+                            e = c ^ (1 << i | 1 << j)
+                            there = meas.probs[s] * du.du_rate(meas, c, i, j)
+                            back = meas.probs[index[e]] * du.du_rate(meas, e, j, i)
+                            assert there == pytest.approx(back, rel=1e-12)
+                            moves += 1
+        assert moves == 2 * du.du_transitions(meas).src.size
 
     def test_walk_connects_the_slice(self):
         meas = du.du_measure(du.single_block_instance(4, 0))
@@ -161,6 +203,31 @@ class TestRates:
         assert meas.codes.size == 1
         assert du.is_irreducible(meas)
         assert du.spectral_gap(meas) == 0.0
+
+
+class TestSlowMode:
+    @pytest.mark.parametrize("L", [10, 12])
+    def test_lanczos_matches_dense(self, L):
+        # 252 states (just above the crossover) and 924: the Lanczos gap
+        # and signed mode agree with dense eigh, so the scan's probes do
+        rng = make_rng(73, L)
+        A = rng.standard_normal((L, L))
+        lam = A @ A.T
+        lam *= 0.15 / np.linalg.eigvalsh(lam)[-1]
+        meas = du.du_measure(du.single_block_instance(L, 0, lam, 0.4 * rng.standard_normal(L)))
+        tab = du.du_transitions(meas)
+        assert meas.codes.size > core.LANCZOS_STATES
+        gap, g = tab.slow_mode()
+        evals, vecs, sq = tab.spectrum()
+        want = vecs[:, -2] / sq
+        want *= np.sign(want[np.argmax(np.abs(want))])
+        assert gap == pytest.approx(-evals[-2], rel=1e-10)
+        assert np.abs(g - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_gap_gated(self):
+        meas = SimpleNamespace(inst=SimpleNamespace(L=du.SPECTRAL_GATE + 1))
+        with pytest.raises(CapacityError):
+            du.spectral_gap(meas)
 
 
 class TestScan:

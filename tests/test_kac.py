@@ -20,6 +20,35 @@ def mean_field_ctx(J):
     return CollisionContext(J, collision.mean_field_kernel(n))
 
 
+def shell_generator(m, K):
+    """Dense generator of the shell process from the heat-bath rule, one
+    ordered (slot, site, slot, site) move at a time: rate
+    K[l, k] * w(after) / (w(before) + w(after)) / (N n), or weight 1 in
+    place of K[l, k] when K is None."""
+    n, N = m.n, m.N
+    index = {c: i for i, c in enumerate(m.codes.tolist())}
+    L = np.zeros((len(index), len(index)))
+    for c, s in index.items():
+        for i, j, l, k in itertools.product(range(N), range(N), range(n), range(n)):
+            a, b = i * n + l, j * n + k
+            if (c >> a & 1) == (c >> b & 1) or (c ^ (1 << a | 1 << b)) not in index:
+                continue
+            d = index[c ^ (1 << a | 1 << b)]
+            w = 1.0 if K is None else K[l, k]
+            rate = w / (1.0 + math.exp(m.logw[s] - m.logw[d])) / (N * n)
+            L[s, d] += rate
+            L[s, s] -= rate
+    return L
+
+
+def directed_dirichlet(m, L, F, G):
+    """(1/2) sum over ordered state pairs of mu(s) L(s, d) dF dG."""
+    dF = F[None, :] - F[:, None]
+    dG = G[None, :] - G[:, None]
+    off = L - np.diag(np.diag(L))
+    return 0.5 * float(np.sum(m.probs[:, None] * off * dF * dG))
+
+
 class TestShells:
     def test_canonical_density_balanced(self):
         nu = np.full(2, 0.5)
@@ -113,7 +142,7 @@ class TestDirichlet:
         J = np.array([[0.05, 0.1], [0.1, 0.05]])
         m = kac.multicanonical_measure(J, np.array([0.2, 0.2]), 3, ((0, 1),), (4,))
         K = collision.mean_field_kernel(2)
-        L = kac.generator_matrix(m, K)
+        L = shell_generator(m, K)
         for _ in range(5):
             F = np.exp(rng.standard_normal(m.codes.size))
             G = np.exp(rng.standard_normal(m.codes.size))
@@ -123,9 +152,41 @@ class TestDirichlet:
     def test_reversibility_of_generator(self):
         m = kac.multicanonical_measure(np.array([[0.1, 0.25], [0.25, 0.1]]), np.array([0.3, 0.3]),
                                        2, ((0, 1),), (2,))
-        L = kac.generator_matrix(m, collision.mean_field_kernel(2))
+        K = collision.mean_field_kernel(2)
+        L = shell_generator(m, K)
         flow = m.probs[:, None] * L
         assert np.abs(flow - flow.T).max() < 1e-12
+        # the table's one entry per edge carries both directions
+        sq = np.sqrt(m.probs)
+        S = kac.transition_table(m, K).symmetric().toarray()
+        assert np.abs(S - sq[:, None] * L / sq[None, :]).max() < 1e-12
+
+    @pytest.mark.parametrize("kernel", ["none", "skewed", "blocks"])
+    def test_edges_match_all_directed_moves(self, kernel):
+        # one entry per edge against every ordered move; the skewed
+        # kernel has K[l, k] != K[k, l], the blocks kernel two blocks
+        rng = make_rng(61, 2)
+        J = np.array([[0.1, 0.2, 0.0], [0.2, 0.05, 0.1], [0.0, 0.1, 0.1]])
+        h = np.array([0.3, -0.2, 0.1])
+        blocks, T = ((0, 1, 2),), (4,)
+        K = None
+        if kernel == "skewed":
+            K = rng.uniform(0.0, 1.0, (3, 3))
+            K /= K.sum(axis=1, keepdims=True)
+        elif kernel == "blocks":
+            blocks, T = ((0, 1), (2,)), (2, 1)
+            K = collision.blocks_kernel(3, blocks)
+        m = kac.multicanonical_measure(J, h, 3, blocks, T)
+        L = shell_generator(m, K)
+        tab = kac.transition_table(m, K)
+        assert np.all(tab.src < tab.dst)
+        assert tab.src.size == np.count_nonzero(np.triu(L, 1))
+        for _ in range(3):
+            F = np.exp(rng.standard_normal(m.codes.size))
+            G = np.log(F)
+            want = directed_dirichlet(m, L, F, G)
+            assert tab.dirichlet(F, G) == pytest.approx(want, rel=1e-12)
+            assert kac.dirichlet_form(m, F, G, kernel=K) == pytest.approx(want, rel=1e-12)
 
 
 class TestScan:
