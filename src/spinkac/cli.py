@@ -87,7 +87,8 @@ def cmd_mlsi_nl(args):
     ctx = model.context()
     rng = make_rng(args.seed)
     scan = nonlinear_mlsi_scan(ctx, model.h, args.trials, rng)
-    bound_txt = f"{scan.bound.value:.17g}" if scan.bound.applicable else f"n/a ({scan.bound.reason})"
+    bound = alpha_bound(ctx.J, ctx.n)
+    bound_txt = f"{bound.value:.17g}" if bound.applicable else f"n/a ({bound.reason})"
     print(f"min ratio    = {scan.min_ratio:.17g}")
     print(f"median ratio = {scan.median_ratio:.17g}")
     print(f"alpha bound  = {bound_txt}")
@@ -308,7 +309,7 @@ def cmd_downup(args):
     print(f"min ratio    = {scan.min_ratio:.6g}")
     print(f"median ratio = {scan.median_ratio:.6g}")
     print(f"constant     = {const_txt}")
-    if getattr(scan, "gap", None) is not None:
+    if scan.gap is not None:
         print(f"spectral gap = {scan.gap:.6g}")
     if args.out:
         table = ResultTable(claim, args.seed,

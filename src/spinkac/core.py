@@ -13,7 +13,8 @@ Conventions used across the package:
   slice) is a "code array": a sorted 1-D int64 array of bitmask codes,
   each with a fixed number of set bits inside every block mask. States
   are numbered by their position in it, `code_index` maps codes back to
-  positions, and `swap_moves` lists the two-bit exchanges that stay in it.
+  positions, and `swap_moves` lists each two-bit exchange that stays in it
+  once, as an edge from the lower code to the higher.
 * A reversible jump chain (`ReversibleChain`) keeps one entry per
   undirected edge: ``src < dst`` and ``rate = q(src -> dst)``. The
   reverse rate follows from reversibility,
@@ -261,10 +262,13 @@ def code_index(codes, query):
 
 
 def swap_moves(codes, a, b):
-    """(src, dst) positions of the exchanges of bits a and b that stay in
-    the code array: codes[dst] = codes[src] with bits a and b swapped, src
-    ascending. States whose two bits agree have no move."""
-    src = np.flatnonzero(((codes >> a) ^ (codes >> b)) & 1)
+    """(src, dst) positions of the exchanges of bits a < b that stay in the
+    code array, one per undirected edge: codes[src] has bit a set and bit b
+    clear, and codes[dst] is it with the two bits swapped, so src < dst.
+    src ascending."""
+    if not a < b:
+        raise ValueError(f"need bit a < bit b, got {a} and {b}")
+    src = np.flatnonzero((codes >> a) & ~(codes >> b) & 1)
     moved = codes[src] ^ ((1 << a) | (1 << b))
     dst = np.searchsorted(codes, moved)
     ok = codes[np.minimum(dst, codes.size - 1)] == moved
@@ -285,14 +289,12 @@ class ReversibleChain:
 
     @classmethod
     def from_moves(cls, srcs, dsts, rates, probs):
-        """The chain of per-move lists of (src, dst, rate) arrays, keeping
-        the moves with src < dst; the others are their reverses."""
+        """The chain of per-move lists of (src, dst, rate) edge arrays,
+        each with src < dst, concatenated."""
         if not srcs:
             none = np.zeros(0, dtype=np.intp)
             return cls(none, none, np.zeros(0), probs)
-        src, dst, rate = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates)
-        up = src < dst
-        return cls(src[up], dst[up], rate[up], probs)
+        return cls(np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), probs)
 
     def dirichlet(self, F, G):
         """sum over edges of probs(src) rate dF dG."""
@@ -371,16 +373,18 @@ class RatioScan:
     median_ratio: float
     samples: int
     discarded: int
+    gap: float | None = None  # the chain's spectral gap, where the scan probed its slow mode
 
 
 def entropy_ratio_scan(mu, functions, numerator):
     """Minimum and median of numerator(F) / Ent_mu(F) over the test
-    functions, read one at a time; F with Ent_mu(F) < 1e-13 is
-    discarded and counted."""
+    functions, read one at a time; a function given as None (one that
+    could not be built) and F with Ent_mu(F) < 1e-13 are discarded and
+    counted."""
     ratios = []
     discarded = 0
     for F in functions:
-        ent = entropy_functional(mu, F)
+        ent = 0.0 if F is None else entropy_functional(mu, F)
         if ent < 1e-13:
             discarded += 1
             continue

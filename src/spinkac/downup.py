@@ -4,8 +4,12 @@ A configuration on L sites with a prescribed spin sum per block is read
 as balls (plus spins) on sites. Each ball carries a rate-1 clock; when
 it rings, the ball jumps to a vacancy in its own block (possibly back
 to its own site), chosen with probability proportional to the weight of
-the resulting configuration. The walk is reversible for the conditioned
-Ising measure on the slice, and its entropy-production constants, the
+the resulting configuration. So the ball resamples its site from the
+slice law conditioned on where all other balls sit: removing it leaves
+a key code, and the states that put it back on a site of its block form
+its ball-removal group. Each such resampling is reversible for the
+conditioned Ising measure on the slice, and so is the walk, whose
+generator is their sum over balls. Its entropy-production constants, the
 entropy factorization across blocks, the tilted covariance bound, and
 the negative-correlation property of the zero-interaction case are all
 checkable exactly at small L.
@@ -159,50 +163,37 @@ def du_rate(meas, code, i, j):
     return float(np.exp(target - shift) / np.exp(logs - shift).sum())
 
 
+def _ball_removals(meas):
+    """(rows, keys), one entry per (state, ball) pair: the state's position
+    and its code with that ball removed."""
+    rows, sites = np.nonzero((meas.codes[:, None] >> np.arange(meas.inst.L)) & 1)
+    return rows, meas.codes[rows] & ~(1 << sites)
+
+
 def du_transitions(meas):
-    """All proper ball moves with their rates, vectorized over the slice,
-    as a chain reversible for the slice measure. A ball at site i moves
-    to a hole j of its block with probability proportional to the weight
-    after the move, among all its moves and staying put."""
-    codes = meas.codes
-    weights = np.exp(meas.logw)
+    """The walk as a chain reversible for the slice measure, one entry per
+    edge. Removing a ball leaves a key code; the states that put it back
+    on a site of its block form the ball-removal group of that key, and a
+    ringing ball resamples its site from the slice law conditioned on its
+    group. So the edge s -> d, which moves one ball, has rate
+    exp(logw[d] - top) / mass, where the group is keyed by
+    codes[s] & codes[d], top is its largest log-weight and mass its sum
+    of exp(logw - top); no weight is taken unshifted."""
+    codes, logw = meas.codes, meas.logw
+    rows, keys = _ball_removals(meas)
+    groups, member = np.unique(keys, return_inverse=True)
+    top = np.full(groups.size, -np.inf)
+    np.maximum.at(top, member, logw[rows])
+    mass = np.bincount(member, np.exp(logw[rows] - top[member]), groups.size)
     srcs, dsts, rates = [], [], []
     for b in meas.inst.blocks:
-        for i in b:
-            moves = []
-            for j in b:
-                if j != i:
-                    src, dst = swap_moves(codes, i, j)
-                    ball = ((codes[src] >> i) & 1) == 1
-                    moves.append((src[ball], dst[ball]))
-            denom = weights.copy()
-            for src, dst in moves:
-                denom[src] += weights[dst]
-            for src, dst in moves:
-                srcs.append(src)
-                dsts.append(dst)
-                rates.append(weights[dst] / denom[src])
+        for i, j in itertools.combinations(b, 2):
+            src, dst = swap_moves(codes, i, j)
+            g = np.searchsorted(groups, codes[src] & codes[dst])
+            srcs.append(src)
+            dsts.append(dst)
+            rates.append(np.exp(logw[dst] - top[g]) / mass[g])
     return ReversibleChain.from_moves(srcs, dsts, rates, meas.probs)
-
-
-def is_irreducible(meas):
-    """Single communicating class under proper moves (undirected search)."""
-    tab = du_transitions(meas)
-    size = meas.codes.size
-    seen = np.zeros(size, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    adj = {}
-    for s, d in zip(tab.src.tolist(), tab.dst.tolist()):
-        adj.setdefault(s, []).append(d)
-        adj.setdefault(d, []).append(s)
-    while stack:
-        v = stack.pop()
-        for u in adj.get(v, ()):
-            if not seen[u]:
-                seen[u] = True
-                stack.append(u)
-    return bool(seen.all())
 
 
 def spectral_gap(meas):
@@ -219,17 +210,6 @@ def spectral_gap(meas):
 # -- scans --------------------------------------------------------------
 
 
-@dataclass
-class DuScanReport:
-    min_ratio: float
-    median_ratio: float
-    constant: float
-    constant_applicable: bool
-    samples: int
-    discarded: int
-    gap: float | None = None
-
-
 def du_constants(inst):
     """(single-walk constant, multicomponent constant, applicable)."""
     _, lam, reason = interaction_condition(inst.lam_matrix)
@@ -238,10 +218,11 @@ def du_constants(inst):
 
 
 def du_mlsi_scan(meas, trials, rng):
+    """Minimum of Dirichlet(F, log F) / Ent(F) over random positive F, as
+    a `RatioScan`; within the spectral gate it also probes the slowest
+    mode and carries the spectral gap."""
     tab = du_transitions(meas)
     size = meas.codes.size
-    c1, c2, ok = du_constants(meas.inst)
-    constant = c1 if len(meas.inst.blocks) == 1 else c2
     gap = None
     probes = []
     if meas.inst.L <= SPECTRAL_GATE and size > 1:
@@ -257,9 +238,8 @@ def du_mlsi_scan(meas, trials, rng):
         (sample_test_function(size, trial, rng) for trial in range(trials)), probes
     )
     scan = entropy_ratio_scan(meas.probs, functions, lambda F: tab.dirichlet(F, np.log(F)))
-    return DuScanReport(
-        scan.min_ratio, scan.median_ratio, constant, ok, scan.samples, scan.discarded, gap
-    )
+    scan.gap = gap
+    return scan
 
 
 # -- entropy factorization ---------------------------------------------
@@ -292,12 +272,11 @@ def block_factorization_value(meas, F):
 
 
 def factorization_check(meas, trials, rng):
-    """min over sampled F of the block-factorization sum over Ent."""
-    c1, _, ok = du_constants(meas.inst)
+    """min over sampled F of the block-factorization sum over Ent, as a
+    `RatioScan`."""
     size = meas.codes.size
     functions = (sample_test_function(size, trial, rng) for trial in range(trials))
-    scan = entropy_ratio_scan(meas.probs, functions, lambda F: block_factorization_value(meas, F))
-    return DuScanReport(scan.min_ratio, scan.median_ratio, c1, ok, scan.samples, scan.discarded)
+    return entropy_ratio_scan(meas.probs, functions, lambda F: block_factorization_value(meas, F))
 
 
 def _ball_conditionals(meas):
@@ -306,8 +285,8 @@ def _ball_conditionals(meas):
     removed (single-block slices)."""
     if len(meas.inst.blocks) != 1:
         raise ValueError("ball coordinates are defined for single-block slices")
-    rows, sites = np.nonzero((meas.codes[:, None] >> np.arange(meas.inst.L)) & 1)
-    return _conditionals(meas.probs, meas.codes[rows] & ~(1 << sites), rows)
+    rows, keys = _ball_removals(meas)
+    return _conditionals(meas.probs, keys, rows)
 
 
 def ball_factorization_value(meas, F):
@@ -394,29 +373,6 @@ def negcorr_max_offdiag(meas):
         raise ValueError("negative correlation is claimed for zero interaction only")
     cov = meas.covariance()
     return float(cov[~np.eye(meas.inst.L, dtype=bool)].max())
-
-
-@dataclass
-class EigenConditionReport:
-    top: float
-    second: float
-    top_vector_constant: bool
-    stated_ok: bool
-    relaxed_ok: bool
-
-
-def eigenvalue_condition_report(inst):
-    """Stated hypothesis versus the relaxed one that ignores a constant
-    top eigenvector; flags instances where only the relaxed form holds."""
-    lam_m = inst.lam_matrix
-    evals, vecs = np.linalg.eigh(lam_m)
-    top = float(evals[-1])
-    second = float(evals[-2]) if inst.L > 1 else top
-    v = vecs[:, -1]
-    const = bool(np.allclose(v, v[0], atol=1e-8))
-    return EigenConditionReport(
-        top, second, const, top < 0.5, (second < 0.5) if const else (top < 0.5)
-    )
 
 
 # -- correspondence with the N-slot exchange system --------------------

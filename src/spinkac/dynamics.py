@@ -18,7 +18,7 @@ import numpy as np
 from .core import (
     check_probvec,
     check_regular,
-    entropy_functional,
+    entropy_ratio_scan,
     gibbs,
     interaction_condition,
     interaction_row_norm,
@@ -225,15 +225,6 @@ def decay_report(traj, J):
     return DecayReport(traj.times, H, tv, tv_curve, -slope, bound, int(np.sum(keep)))
 
 
-@dataclass
-class ScanReport:
-    min_ratio: float
-    median_ratio: float
-    samples: int
-    discarded: int
-    bound: AlphaBound
-
-
 def _sample_density(rng, size, kind):
     if kind == 0:
         s = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
@@ -252,7 +243,7 @@ def _sample_density(rng, size, kind):
 
 def nonlinear_mlsi_scan(ctx, h, trials, rng):
     """Minimum of dissipation / entropy over random densities constrained
-    to the equilibrium's conserved profile.
+    to the equilibrium's conserved profile, as a `RatioScan`.
 
     Candidate densities (exponentials of Gaussian fields, Hamming-ball
     plateaus, near-point masses) are projected onto the constraint set
@@ -263,32 +254,16 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng):
     mu = gibbs(ctx.J, h)
     log_mu = log_gibbs_weights(ctx.J, h)
     target = magnetization_profile(mu, ctx.blocks, ctx.n)
-    bound = alpha_bound(ctx.J, ctx.n)
     size = 1 << ctx.n
-    ratios = []
-    discarded = 0
-    for trial in range(trials):
-        f0 = _sample_density(rng, size, trial % 3)
+
+    def projected(trial):
         with np.errstate(divide="ignore"):
-            logf = np.log(f0)
+            logf = np.log(_sample_density(rng, size, trial % 3))
         try:
             _, nu = match_block_means(log_mu + logf, ctx.blocks, target)
         except (ConvergenceError, ValueError):
-            discarded += 1
-            continue
-        f = nu / mu
-        ent = entropy_functional(mu, f)
-        if ent < 1e-14:
-            discarded += 1
-            continue
-        ratios.append(dissipation(ctx, f, mu) / ent)
-    if not ratios:
-        raise FitError("no usable densities survived the constraint projection")
-    ratios = np.array(ratios)
-    return ScanReport(
-        min_ratio=float(np.min(ratios)),
-        median_ratio=float(np.median(ratios)),
-        samples=len(ratios),
-        discarded=discarded,
-        bound=bound,
-    )
+            return None
+        return nu / mu
+
+    densities = (projected(trial) for trial in range(trials))
+    return entropy_ratio_scan(mu, densities, lambda f: dissipation(ctx, f, mu))

@@ -95,16 +95,6 @@ def admissible_counts(N, blocks):
     return out
 
 
-def canonical_density(nu, blocks, N):
-    """Per-block plus-spin fractions floor(N|b|(1+m)/2)/(N|b|), as exact
-    fractions so admissibility is an integer statement."""
-    nu = np.asarray(nu, dtype=float)
-    n = int(nu.size).bit_length() - 1
-    blocks = check_partition(blocks, n)
-    T = canonical_counts(nu, blocks, N)
-    return tuple(Fraction(t, N * len(b)) for t, b in zip(T, blocks))
-
-
 def density_to_counts(rho, N, blocks):
     """Convert per-block fractions to integer shell counts, demanding
     that N|b|rho_b is an integer."""
@@ -189,8 +179,6 @@ def _pair_moves(measure, kernel):
             if w == 0.0:
                 continue
             src, dst = swap_moves(codes, a, b)
-            up = src < dst
-            src, dst = src[up], dst[up]
             if src.size:
                 yield src, dst, expit(measure.logw[dst] - measure.logw[src]), w
 
@@ -581,26 +569,6 @@ def _fisher_per_slot(ctx, mu, nu, N):
     return dirichlet_form(gamma_mu, F, np.log(F), kernel=ctx.K) / N
 
 
-def _tilted_pair(ctx, h, f):
-    mu = np.exp(log_gibbs_weights(ctx.J, h))
-    mu /= mu.sum()
-    f = np.asarray(f, dtype=float)
-    if np.min(f) <= 0:
-        raise ValueError("the density ratio must be strictly positive")
-    f = f / float(mu @ f)
-    nu = f * mu
-    nu /= nu.sum()
-    return mu, nu, 2.0 * dissipation(ctx, f, mu)
-
-
-def fisher_chaos_gap(ctx, h, f, N):
-    """| (1/N) Dirichlet(F_N, log F_N) - 2 * dissipation(f) | for the
-    shell likelihood ratio F_N between the tilted and plain conditioned
-    products."""
-    mu, nu, target = _tilted_pair(ctx, h, f)
-    return abs(_fisher_per_slot(ctx, mu, nu, N) - target)
-
-
 @dataclass
 class FisherChaosTable:
     N_grid: np.ndarray
@@ -612,7 +580,15 @@ class FisherChaosTable:
 def fisher_chaos_check(ctx, h, f, N_grid):
     """Table of the per-slot Dirichlet value and its gap to twice the
     single-configuration dissipation along a grid of N."""
-    mu, nu, target = _tilted_pair(ctx, h, f)
+    mu = np.exp(log_gibbs_weights(ctx.J, h))
+    mu /= mu.sum()
+    f = np.asarray(f, dtype=float)
+    if np.min(f) <= 0:
+        raise ValueError("the density ratio must be strictly positive")
+    f = f / float(mu @ f)
+    nu = f * mu
+    nu /= nu.sum()
+    target = 2.0 * dissipation(ctx, f, mu)
     check_irreducible(nu, ctx.blocks)
     per = np.array([_fisher_per_slot(ctx, mu, nu, int(N)) for N in N_grid])
     return FisherChaosTable(np.asarray(N_grid), per, np.abs(per - target), target)

@@ -337,7 +337,7 @@ def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False, par=None):
         h = _block_constant_field(rng, n, ctx.blocks, scale=0.5)
         scan = nonlinear_mlsi_scan(ctx, h, trials, rng)
         achieved.append(scan.min_ratio)
-        min_margin = min(min_margin, scan.min_ratio / scan.bound.value)
+        min_margin = min(min_margin, scan.min_ratio / alpha_bound(J, n).value)
     passed = min_margin >= 1.0
     return CriterionResult(
         6, "nonlinear-scan", passed, min_margin, 1.0,

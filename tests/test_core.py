@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from spinkac import core, downup, dynamics, kac, wildtree
-from spinkac.errors import CapacityError, ConvergenceError, DegenerateProfileError
+from spinkac.errors import CapacityError, ConvergenceError, DegenerateProfileError, FitError
 
 
 def random_density(rng, n):
@@ -72,12 +72,19 @@ class TestCodeArrays:
         codes = core.slice_codes(width, masks, counts)
         listed = codes.tolist()
         for a in range(width):
-            for b in range(width):
+            for b in range(a + 1, width):
+                # every unordered exchange once, from its lower position
                 flip = (1 << a) | (1 << b)
                 want = [(s, listed.index(c ^ flip)) for s, c in enumerate(listed)
-                        if (c >> a & 1) != (c >> b & 1) and c ^ flip in listed]
+                        if (c >> a & 1) != (c >> b & 1) and c ^ flip in listed[s + 1:]]
                 src, dst = core.swap_moves(codes, a, b)
                 assert list(zip(src.tolist(), dst.tolist())) == want
+
+    def test_swap_moves_need_ordered_bits(self):
+        codes = core.slice_codes(4, [0b1111], [2])
+        for a, b in ((1, 1), (2, 1)):
+            with pytest.raises(ValueError, match="a < bit b"):
+                core.swap_moves(codes, a, b)
 
     def test_swaps_across_blocks_leave_the_slice(self):
         codes = core.slice_codes(4, [0b0011, 0b1100], [1, 1])
@@ -96,14 +103,13 @@ class TestCodeArrays:
         assert np.array_equal(tab.symmetric().toarray(), np.zeros((1, 1)))
 
     def test_chain_from_moves_concatenates(self):
-        # moves with src > dst are the reverses of kept edges and go
         probs = np.full(3, 1.0 / 3.0)
         tab = core.ReversibleChain.from_moves(
-            [np.array([0]), np.array([1, 0, 2])], [np.array([1]), np.array([0, 2, 0])],
-            [np.array([0.5]), np.array([0.5, 0.25, 0.25])], probs)
-        assert tab.src.tolist() == [0, 0]
-        assert tab.dst.tolist() == [1, 2]
-        assert tab.rate.tolist() == [0.5, 0.25]
+            [np.array([0]), np.array([0, 1])], [np.array([1]), np.array([2, 2])],
+            [np.array([0.5]), np.array([0.25, 0.125])], probs)
+        assert tab.src.tolist() == [0, 0, 1]
+        assert tab.dst.tolist() == [1, 2, 2]
+        assert tab.rate.tolist() == [0.5, 0.25, 0.125]
 
 
 def chain_generator(tab):
@@ -346,6 +352,19 @@ class TestEntropy:
     def test_constant_function_has_zero_entropy(self):
         mu = np.full(4, 0.25)
         assert core.entropy_functional(mu, np.full(4, 3.0)) == pytest.approx(0.0, abs=1e-15)
+
+    def test_ratio_scan_discards_missing_and_flat_functions(self):
+        mu = np.full(4, 0.25)
+        F = np.array([1.0, 2.0, 3.0, 4.0])
+        scan = core.entropy_ratio_scan(mu, [None, F, np.ones(4), None, 2.0 * F],
+                                       lambda G: float(mu @ G))
+        assert (scan.samples, scan.discarded) == (2, 3)
+        assert scan.min_ratio == pytest.approx(2.5 / core.entropy_functional(mu, F))
+        assert scan.gap is None
+
+    def test_ratio_scan_without_usable_functions_fails(self):
+        with pytest.raises(FitError, match="no usable"):
+            core.entropy_ratio_scan(np.full(2, 0.5), [None, np.ones(2)], lambda G: 1.0)
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -193,15 +193,40 @@ class TestRates:
                             moves += 1
         assert moves == 2 * du.du_transitions(meas).src.size
 
+    @pytest.mark.filterwarnings("error")
+    def test_strong_fields_give_finite_rates(self):
+        # log-weights reach +-800, past the range of exp; every rate is
+        # taken relative to its ball-removal group's largest log-weight
+        meas = du.du_measure(du.single_block_instance(8, 0, None, [0.0] * 4 + [200.0] * 4))
+        tab = du.du_transitions(meas)
+        assert tab.src.size == 560
+        assert np.all(np.isfinite(tab.rate))
+        assert np.all((tab.rate > 0.0) & (tab.rate <= 1.0))
+        # Every move into a member of a group has the member's conditional
+        # probability as its rate, which is also the chance to stay there;
+        # so in each group, staying plus the moves sums to 1.
+        codes, logw = meas.codes.tolist(), meas.logw
+        into = {}
+        for s, d, r in zip(tab.src.tolist(), tab.dst.tolist(), tab.rate.tolist()):
+            back = r * math.exp(logw[s] - logw[d])  # q(d -> s), by detailed balance
+            group = into.setdefault(codes[s] & codes[d], {})
+            group.setdefault(d, []).append(r)
+            group.setdefault(s, []).append(back)
+        assert len(into) == math.comb(8, 3)
+        for group in into.values():
+            assert len(group) == 5
+            for rates in group.values():
+                assert max(rates) == pytest.approx(min(rates), rel=1e-9)
+            assert sum(rates[0] for rates in group.values()) == pytest.approx(1.0, abs=1e-12)
+
     def test_walk_connects_the_slice(self):
         meas = du.du_measure(du.single_block_instance(4, 0))
-        assert du.is_irreducible(meas)
         assert du.spectral_gap(meas) > 0.5
 
     def test_frozen_slice_has_no_moves(self):
         meas = du.du_measure(du.single_block_instance(2, 2))
         assert meas.codes.size == 1
-        assert du.is_irreducible(meas)
+        assert du.du_transitions(meas).src.size == 0
         assert du.spectral_gap(meas) == 0.0
 
 
@@ -232,9 +257,11 @@ class TestSlowMode:
 
 class TestScan:
     def test_free_single_block(self):
-        rep = du.du_mlsi_scan(du.du_measure(du.single_block_instance(4, 0)), 60, make_rng(71, 3))
-        assert rep.constant == 1.0
-        assert rep.constant_applicable
+        inst = du.single_block_instance(4, 0)
+        rep = du.du_mlsi_scan(du.du_measure(inst), 60, make_rng(71, 3))
+        single, _, applicable = du.du_constants(inst)
+        assert single == 1.0
+        assert applicable
         assert rep.min_ratio >= 1.0 - 1e-9
         # the slow-mode probes pin the minimum near twice the gap
         assert rep.gap is not None
@@ -245,20 +272,24 @@ class TestScan:
         v /= np.linalg.norm(v)
         inst = du.single_block_instance(4, 0, rank_one(4, 0.3, v))
         rep = du.du_mlsi_scan(du.du_measure(inst), 60, make_rng(72, 0))
-        assert rep.constant == pytest.approx(0.4)
-        assert rep.min_ratio >= rep.constant
+        single, _, _ = du.du_constants(inst)
+        assert single == pytest.approx(0.4)
+        assert rep.min_ratio >= single
         assert rep.min_ratio <= 2.0 * rep.gap + 1e-4
 
     def test_rank_one_interaction_two_blocks(self):
         inst = du.DuInstance(6, rank_one(6, 0.3), np.zeros(6), ((0, 1, 2), (3, 4, 5)), (1, 1))
         rep = du.du_mlsi_scan(du.du_measure(inst), 60, make_rng(71, 2))
-        assert rep.constant == pytest.approx(0.16)
-        assert rep.min_ratio >= rep.constant
+        _, multi, _ = du.du_constants(inst)
+        assert multi == pytest.approx(0.16)
+        assert rep.min_ratio >= multi
 
     def test_hot_interaction_flagged(self):
         inst = du.single_block_instance(4, 0, rank_one(4, 0.6))
         rep = du.du_mlsi_scan(du.du_measure(inst), 30, make_rng(71, 4))
-        assert not rep.constant_applicable
+        _, _, applicable = du.du_constants(inst)
+        assert not applicable
+        assert rep.samples + rep.discarded == 32
 
 
 class TestFactorization:
@@ -276,8 +307,9 @@ class TestFactorization:
     def test_interacting_blocks_keep_half(self):
         inst = du.DuInstance(6, rank_one(6, 0.25), np.zeros(6), ((0, 1, 2), (3, 4, 5)), (1, 1))
         rep = du.factorization_check(du.du_measure(inst), 40, make_rng(71, 6))
-        assert rep.constant == pytest.approx(0.5)
-        assert rep.min_ratio >= rep.constant
+        single, _, _ = du.du_constants(inst)
+        assert single == pytest.approx(0.5)
+        assert rep.min_ratio >= single
 
 
 class TestBallCoordinates:
@@ -360,27 +392,6 @@ class TestCovariance:
         meas = du.du_measure(du.single_block_instance(4, 0, rank_one(4, 0.1)))
         with pytest.raises(ValueError, match="zero interaction"):
             du.negcorr_max_offdiag(meas)
-
-
-class TestEigenCondition:
-    def test_constant_top_vector_relaxes(self):
-        rep = du.eigenvalue_condition_report(du.single_block_instance(4, 0, np.full((4, 4), 0.15)))
-        assert rep.top == pytest.approx(0.6)
-        assert rep.top_vector_constant
-        assert not rep.stated_ok
-        assert rep.relaxed_ok
-
-    def test_nonconstant_top_vector_does_not(self):
-        v = np.array([0.9, 0.3, 0.3, 0.1])
-        v /= np.linalg.norm(v)
-        rep = du.eigenvalue_condition_report(du.single_block_instance(4, 0, rank_one(4, 0.6, v)))
-        assert not rep.top_vector_constant
-        assert not rep.stated_ok
-        assert not rep.relaxed_ok
-
-    def test_cool_interaction_passes_both(self):
-        rep = du.eigenvalue_condition_report(du.single_block_instance(4, 0, rank_one(4, 0.3)))
-        assert rep.stated_ok and rep.relaxed_ok
 
 
 class TestBridge:

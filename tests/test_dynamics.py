@@ -7,7 +7,7 @@ import pytest
 
 from spinkac import collision, core, dynamics
 from spinkac.collision import CollisionContext
-from spinkac.errors import DegenerateProfileError, FitError
+from spinkac.errors import ConvergenceError, DegenerateProfileError, FitError
 
 
 def make_ctx(J, kind="mean-field", blocks=None):
@@ -201,7 +201,28 @@ class TestScan:
         ctx = make_ctx(J, "blocks", blocks=((0, 1), (2,)))
         h = core.solve_field(J, ctx.blocks, np.array([0.1, -0.2]))
         rep = dynamics.nonlinear_mlsi_scan(ctx, h, 120, np.random.default_rng(49))
-        assert rep.bound.applicable
-        assert rep.min_ratio >= rep.bound.value
+        bound = dynamics.alpha_bound(J, 3)
+        assert bound.applicable
+        assert rep.min_ratio >= bound.value
         assert rep.samples + rep.discarded == 120
         assert rep.median_ratio >= rep.min_ratio
+
+    def test_failed_projections_are_discarded(self, monkeypatch):
+        J = np.full((2, 2), 0.08)
+        ctx = make_ctx(J)
+        h = core.solve_field(J, ctx.blocks, np.array([0.1]))
+        solve = core.match_block_means
+        calls = []
+
+        def every_other_fails(logw, blocks, target):
+            calls.append(None)
+            if len(calls) % 2 == 0:
+                raise ConvergenceError("injected failure", residual=1.0)
+            return solve(logw, blocks, target)
+
+        monkeypatch.setattr(dynamics, "match_block_means", every_other_fails)
+        rep = dynamics.nonlinear_mlsi_scan(ctx, h, 40, np.random.default_rng(50))
+        assert len(calls) == 40
+        assert rep.discarded >= 20
+        assert rep.samples + rep.discarded == 40
+        assert rep.min_ratio > 0.0

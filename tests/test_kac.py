@@ -52,18 +52,18 @@ def directed_dirichlet(m, L, F, G):
 class TestShells:
     def test_canonical_density_balanced(self):
         nu = np.full(2, 0.5)
-        assert kac.canonical_density(nu, ((0,),), 4) == (Fraction(1, 2),)
+        assert kac.canonical_counts(nu, ((0,),), 4) == (2,)
 
     def test_canonical_density_saturated(self):
         nu = np.array([0.0, 0.0, 0.0, 1.0])
-        assert kac.canonical_density(nu, ((0, 1),), 3) == (Fraction(1),)
+        assert kac.canonical_counts(nu, ((0, 1),), 3) == (6,)
 
     def test_canonical_density_rounds_down(self):
-        # block mean 0.3 on two sites over five copies: floor(6.5)/10
+        # block mean 0.3 on two sites over five copies: floor(6.5) plus spins
         p_plus = (1.0 + 0.3) / 2.0
         nu = np.array([(1 - p_plus) ** 2, p_plus * (1 - p_plus),
                        (1 - p_plus) * p_plus, p_plus ** 2])
-        assert kac.canonical_density(nu, ((0, 1),), 5) == (Fraction(3, 5),)
+        assert kac.canonical_counts(nu, ((0, 1),), 5) == (6,)
 
     def test_density_to_counts_roundtrip(self):
         assert kac.density_to_counts((Fraction(3, 5),), 5, ((0, 1),)) == (6,)
@@ -366,12 +366,12 @@ class TestFisher:
         h = np.array([0.1, 0.1])
         f = np.array([2.0, 0.5, 0.5, 0.8])  # changes the conserved profile
         with pytest.raises(ValueError, match="off the shell"):
-            kac.fisher_chaos_gap(ctx, h, f, 4)
+            kac.fisher_chaos_check(ctx, h, f, [4])
 
     def test_exact_route_is_gated(self):
         ctx = mean_field_ctx(np.zeros((2, 2)))
         with pytest.raises(CapacityError):
-            kac.fisher_chaos_gap(ctx, np.zeros(2), np.ones(4), 12)
+            kac.fisher_chaos_check(ctx, np.zeros(2), np.ones(4), [12])
 
 
 class TestSimulation:
