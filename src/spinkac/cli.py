@@ -133,7 +133,8 @@ def cmd_mpp(args):
     p0 /= p0.sum()
     print("representation check (max deviation in sigmas):")
     for depth in range(1, args.u + 1):
-        _, _, sig = wildtree.mpp_representation_check(ctx, p0, depth, args.runs, rng)
+        est = wildtree.mpp_expectation(ctx.K, p0, depth, args.runs, rng)
+        sig = est.sigmas(wildtree.discrete_iterate(ctx, p0, depth), 1e-12)
         print(f"  depth {depth}: {sig:.2f}")
     n = model.n
     times = wildtree.fragmentation_times(ctx.K, args.runs, rng)
@@ -395,7 +396,7 @@ def build_parser():
     p.set_defaults(seed=verify.DEFAULT_SEED)
     p.add_argument("--quick", action="store_true")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: SPINKAC_THREADS or cpu count, max 8)")
+                   help="worker processes (default: cpu count, max 8)")
     p.add_argument("--out", help="write the per-criterion result table here")
 
     return parser

@@ -18,7 +18,8 @@ Conventions used across the package:
 * A reversible jump chain (`ReversibleChain`) keeps one entry per
   undirected edge: ``src < dst`` and ``rate = q(src -> dst)``. The
   reverse rate follows from reversibility,
-  ``q(dst -> src) = probs[src] * rate / probs[dst]``.
+  ``q(dst -> src) = rate * exp(logw[src] - logw[dst])``, taken from the
+  log-weights so that it stays finite where the probabilities underflow.
 
 Dense enumeration is gated at ``n <= 24`` sites.
 """
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapacityError, ConvergenceError, DegenerateProfileError, FitError
 
@@ -116,6 +116,19 @@ def log_gibbs_weights(J, h=None):
         sj = s @ J
         out[start : start + len(masks)] = 0.5 * np.einsum("ij,ij->i", sj, s) + s @ h
     return out
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) of a 1-D array: SciPy's `logsumexp` arithmetic
+    (the maximal terms held out of the shifted sum) without its per-call
+    overhead."""
+    top = a.max()
+    at_top = a == top
+    k = float(np.count_nonzero(at_top))
+    e = np.exp(a - top)
+    e[at_top] = 0.0
+    s = e.sum()
+    return np.log1p(s / k) + np.log(k) + top
 
 
 def gibbs(J, h=None):
@@ -279,22 +292,24 @@ def swap_moves(codes, a, b):
 class ReversibleChain:
     """A continuous-time jump chain reversible for `probs`, one entry per
     undirected edge: src[e] < dst[e], and the chain jumps src -> dst at
-    rate[e] and dst -> src at probs[src] * rate[e] / probs[dst]. Identity
-    moves are left out."""
+    rate[e] and dst -> src at rate[e] * exp(logw[src] - logw[dst]).
+    `logw` holds the log-weights of `probs` up to one additive constant.
+    Identity moves are left out."""
 
     src: np.ndarray
     dst: np.ndarray
     rate: np.ndarray
     probs: np.ndarray
+    logw: np.ndarray
 
     @classmethod
-    def from_moves(cls, srcs, dsts, rates, probs):
+    def from_moves(cls, srcs, dsts, rates, probs, logw):
         """The chain of per-move lists of (src, dst, rate) edge arrays,
         each with src < dst, concatenated."""
         if not srcs:
             none = np.zeros(0, dtype=np.intp)
-            return cls(none, none, np.zeros(0), probs)
-        return cls(np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), probs)
+            return cls(none, none, np.zeros(0), probs, logw)
+        return cls(np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), probs, logw)
 
     def dirichlet(self, F, G):
         """sum over edges of probs(src) rate dF dG."""
@@ -305,13 +320,14 @@ class ReversibleChain:
     def symmetric(self):
         """The generator symmetrized by sqrt(probs), as SciPy CSR: the
         edge entry rate * sqrt(probs[src] / probs[dst]) at (src, dst) and
-        (dst, src), minus each state's exit rate on the diagonal."""
+        (dst, src), minus each state's exit rate on the diagonal. Both
+        probability ratios come from the log-weights."""
         from scipy.sparse import csr_array  # imported on use: only spectra need it
 
         size = self.probs.size
-        sq = np.sqrt(self.probs)
-        off = self.rate * sq[self.src] / sq[self.dst]
-        back = self.rate * self.probs[self.src] / self.probs[self.dst]
+        log_ratio = self.logw[self.src] - self.logw[self.dst]
+        off = self.rate * np.exp(0.5 * log_ratio)
+        back = self.rate * np.exp(log_ratio)
         exit_rate = np.bincount(self.src, self.rate, size) + np.bincount(self.dst, back, size)
         diag = np.arange(size)
         rows = np.concatenate([self.src, self.dst, diag])
@@ -395,19 +411,6 @@ def entropy_ratio_scan(mu, functions, numerator):
     return RatioScan(float(ratios.min()), float(np.median(ratios)), len(ratios), discarded)
 
 
-def _logsumexp(a):
-    """log(sum(exp(a))) of a 1-D array: SciPy's `logsumexp` arithmetic
-    (the maximal terms held out of the shifted sum) without its per-call
-    overhead."""
-    top = a.max()
-    at_top = a == top
-    k = float(np.count_nonzero(at_top))
-    e = np.exp(a - top)
-    e[at_top] = 0.0
-    s = e.sum()
-    return np.log1p(s / k) + np.log(k) + top
-
-
 def match_block_means(logw, blocks, target):
     """Find per-block constant fields c so the tilted measure hits target means.
 
@@ -438,7 +441,7 @@ def match_block_means(logw, blocks, target):
 
     def state(cvec):
         lp = logw + M @ cvec
-        lp -= _logsumexp(lp)
+        lp -= logsumexp(lp)
         p = np.exp(lp)
         m = (p @ M) / sizes
         return p, m, float(np.max(np.abs(m - target)))

@@ -193,7 +193,7 @@ def du_transitions(meas):
             srcs.append(src)
             dsts.append(dst)
             rates.append(np.exp(logw[dst] - top[g]) / mass[g])
-    return ReversibleChain.from_moves(srcs, dsts, rates, meas.probs)
+    return ReversibleChain.from_moves(srcs, dsts, rates, meas.probs, meas.logw)
 
 
 def spectral_gap(meas):

@@ -26,6 +26,7 @@ from .core import (
     magnetization_profile,
     match_block_means,
     relative_entropy,
+    sample_test_function,
     solve_field,
     tv_distance,
 )
@@ -225,31 +226,16 @@ def decay_report(traj, J):
     return DecayReport(traj.times, H, tv, tv_curve, -slope, bound, int(np.sum(keep)))
 
 
-def _sample_density(rng, size, kind):
-    if kind == 0:
-        s = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
-        return np.exp(s * rng.standard_normal(size))
-    if kind == 1:
-        center = int(rng.integers(size))
-        radius = int(rng.integers(1, max(2, size.bit_length() - 1)))
-        masks = np.arange(size)
-        ball = np.bitwise_count((masks ^ center).astype(np.uint64)) <= radius
-        return 1e-3 + ball.astype(float)
-    center = int(rng.integers(size))
-    f = np.full(size, 1e-3)
-    f[center] = 1.0
-    return f
-
-
 def nonlinear_mlsi_scan(ctx, h, trials, rng):
     """Minimum of dissipation / entropy over random densities constrained
     to the equilibrium's conserved profile, as a `RatioScan`.
 
-    Candidate densities (exponentials of Gaussian fields, Hamming-ball
-    plateaus, near-point masses) are projected onto the constraint set
-    by an exponential block tilt solved with the same damped Newton as
-    the field solver, then normalized. Projection failures and the
-    trivial density are discarded and counted.
+    Candidate densities are mu times the test functions of
+    `sample_test_function` (log-normal fields, near point masses, bounded
+    perturbations of 1), projected onto the constraint set by an
+    exponential block tilt solved with the same damped Newton as the
+    field solver, then normalized. Projection failures and the trivial
+    density are discarded and counted.
     """
     mu = gibbs(ctx.J, h)
     log_mu = log_gibbs_weights(ctx.J, h)
@@ -257,8 +243,7 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng):
     size = 1 << ctx.n
 
     def projected(trial):
-        with np.errstate(divide="ignore"):
-            logf = np.log(_sample_density(rng, size, trial % 3))
+        logf = np.log(sample_test_function(size, trial, rng))
         try:
             _, nu = match_block_means(log_mu + logf, ctx.blocks, target)
         except (ConvergenceError, ValueError):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .core import (
     RatioScan,
@@ -35,6 +35,7 @@ from .core import (
     interaction_condition,
     interaction_row_norm,
     log_gibbs_weights,
+    logsumexp,
     relative_entropy,
     sample_test_function,
     site_mask,
@@ -118,9 +119,6 @@ class ParticleMeasure:
     codes: np.ndarray    # sorted combined codes, slot i at bits [i*n, (i+1)*n)
     probs: np.ndarray
     logw: np.ndarray     # unnormalized product log-weights on the shell
-
-    def index_of(self, codes):
-        return code_index(self.codes, codes)
 
 
 def restricted_product_measure(single_log_weights, N, blocks, T):
@@ -208,7 +206,7 @@ def transition_table(measure, kernel):
         srcs.append(src)
         dsts.append(dst)
         rates.append(w * r / (measure.N * measure.n))
-    return ReversibleChain.from_moves(srcs, dsts, rates, measure.probs)
+    return ReversibleChain.from_moves(srcs, dsts, rates, measure.probs, measure.logw)
 
 
 def particle_entropy_decay(measure, kernel, nu0, t_grid):
@@ -384,7 +382,7 @@ def occupation_tv(measure, run):
         raise ValueError("run was not recorded with occupation")
     total = sum(run.occupation.values())
     emp = np.zeros(measure.codes.size)
-    idx = measure.index_of(np.array(sorted(run.occupation), dtype=np.int64))
+    idx = code_index(measure.codes, np.array(sorted(run.occupation), dtype=np.int64))
     for pos, c in zip(idx, sorted(run.occupation)):
         emp[pos] = run.occupation[c] / total
     return 0.5 * float(np.abs(emp - measure.probs).sum())

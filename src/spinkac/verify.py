@@ -73,9 +73,6 @@ class CriterionResult:
 
 
 def default_workers():
-    env = os.environ.get("SPINKAC_THREADS")
-    if env:
-        return max(1, int(env))
     return min(8, os.cpu_count() or 1)
 
 
@@ -141,8 +138,8 @@ def _block_constant_field(rng, n, blocks, scale=0.8):
     return h
 
 
-def _interior_density(rng, size, spread=1.0):
-    p = np.exp(spread * rng.standard_normal(size))
+def _interior_density(rng, size):
+    p = np.exp(rng.standard_normal(size))
     return p / p.sum()
 
 

@@ -6,10 +6,10 @@ alive at t, of the leafwise collision product of the initial density
 (the Wild sum). A tree is a nested tuple: a leaf is ``()`` and a split
 node is ``(child0, child1)``, collapsed as ``child0 o child1``, so the
 leaves read left to right. Every leaf carries the same initial density.
-Trees collapse through one evaluator that keeps, for the length of one
-call, the value of every subtree it has met, keyed by the nested tuple;
-small subtrees recur across the trees of a Monte Carlo sum, so each
-distinct one is multiplied out once.
+Trees collapse through one evaluator, `tree_evaluator`, that keeps, for
+the length of one call, the value of every subtree it has met, keyed by
+the nested tuple; small subtrees recur across the trees of a Monte Carlo
+sum, so each distinct one is multiplied out once.
 
 The zero-coupling flow additionally admits a dual description by a
 marked partition process: a fragment ``(A, mark)`` carries a site set A
@@ -66,7 +66,7 @@ def _leaves(tree):
     return _leaves(tree[0]) + _leaves(tree[1]) if tree else 1
 
 
-def _collapser(ctx, p):
+def tree_evaluator(ctx, p):
     """The tree evaluator: a function that collapses a tree bottom-up
     with the collision product, with the density p at every leaf.
 
@@ -91,12 +91,6 @@ def _collapser(ctx, p):
         return val
 
     return value
-
-
-def eval_tree(ctx, tree, p):
-    """Collapse a tree bottom-up with the collision product, with the
-    density p at every leaf."""
-    return _collapser(ctx, p)(tree)
 
 
 def discrete_iterate(ctx, p, k):
@@ -155,7 +149,7 @@ def mc_solution(ctx, p0, t, samples, rng):
     mean = np.zeros(1 << ctx.n)
     m2 = np.zeros(1 << ctx.n)
     leaves = 0
-    value = _collapser(ctx, p0)
+    value = tree_evaluator(ctx, p0)
     for i in range(1, samples + 1):
         tree = sample_tree(t, rng)
         val = value(tree)
@@ -297,16 +291,6 @@ def mpp_expectation(K, p, depth, runs, rng):
     dev = est - est[0]
     shift = dev.mean(axis=0)
     return Moments(est[0] + shift, np.square(dev - shift).sum(axis=0), runs)
-
-
-def mpp_representation_check(ctx, p, depth, runs, rng):
-    """Compare the partition-process estimate with the exact iterated
-    product of p. Zero coupling only. Returns (estimate, exact, max_sigmas)."""
-    if np.any(ctx.J != 0.0):
-        raise ValueError("the partition representation requires zero coupling")
-    est = mpp_expectation(ctx.K, p, depth, runs, rng)
-    exact = discrete_iterate(ctx, p, depth)
-    return est, exact, est.sigmas(exact, 1e-15)
 
 
 def fragmentation_times(K, runs, rng):

@@ -229,6 +229,14 @@ class TestRates:
         assert du.du_transitions(meas).src.size == 0
         assert du.spectral_gap(meas) == 0.0
 
+    def test_gap_survives_underflowing_probabilities(self):
+        # at field 200 the slice law puts mass below 1e-300 on most
+        # states; the chain's probability ratios come from log-weights
+        def gap(f):
+            return du.spectral_gap(du.du_measure(du.single_block_instance(8, 0, None, [0] * 4 + [f] * 4)))
+
+        assert gap(200) == pytest.approx(gap(80), abs=1e-9)
+
 
 class TestSlowMode:
     @pytest.mark.parametrize("L", [10, 12])

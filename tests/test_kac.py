@@ -108,7 +108,7 @@ class TestMulticanonical:
         J = np.array([[0.1, 0.2], [0.2, 0.1]])
         m = kac.multicanonical_measure(J, np.array([0.3, 0.3]), 2, ((0, 1),), (2,))
         swapped = ((m.codes & 0b11) << 2) | (m.codes >> 2)
-        idx = m.index_of(np.sort(swapped))
+        idx = core.code_index(m.codes, np.sort(swapped))
         assert np.abs(m.probs[np.argsort(swapped)] - m.probs[idx]).max() == 0.0
 
     def test_matches_conditioned_gibbs_product(self):

@@ -27,7 +27,6 @@ NO_CALLER = {
     "ball_factorization_value": "a localization step for the comparison criterion (ROADMAP item 10)",
     "ball_dirichlet_value": "a localization step for the comparison criterion (ROADMAP item 10)",
     "jensen_residual": "a localization step for the comparison criterion (ROADMAP item 10)",
-    "eval_tree": "perfbench/layers.py times it by its qualified name, a string",
 }
 
 

@@ -69,18 +69,18 @@ class TestEvalTree:
     def test_single_node_returns_input(self):
         ctx = free_ctx(2)
         p = random_density(make_rng(52, 0), 2)
-        assert np.array_equal(wildtree.eval_tree(ctx, (), p), p)
+        assert np.array_equal(wildtree.tree_evaluator(ctx, p)(()), p)
 
     def test_depth_one_is_the_product(self):
         ctx = free_ctx(2)
         p = random_density(make_rng(52, 1), 2)
-        assert np.array_equal(wildtree.eval_tree(ctx, ((), ()), p), ctx.product(p, p))
+        assert np.array_equal(wildtree.tree_evaluator(ctx, p)(((), ())), ctx.product(p, p))
 
     def test_comb_tree_associates_leftward(self):
         # three splits down the left spine evaluate as ((p o p) o p) o p
         ctx = free_ctx(2)
         p = random_density(make_rng(52, 2), 2)
-        got = wildtree.eval_tree(ctx, ((((), ()), ()), ()), p)
+        got = wildtree.tree_evaluator(ctx, p)(((((), ()), ()), ()))
         want = ctx.product(ctx.product(ctx.product(p, p), p), p)
         assert np.array_equal(got, want)
 
@@ -89,7 +89,7 @@ class TestEvalTree:
         rng = make_rng(52, 4)
         p = random_density(rng, 2)
         assert np.array_equal(wildtree.discrete_iterate(ctx, p, 0), p)
-        via_tree = wildtree.eval_tree(ctx, (((), ()), ((), ())), p)
+        via_tree = wildtree.tree_evaluator(ctx, p)((((), ()), ((), ())))
         assert np.abs(wildtree.discrete_iterate(ctx, p, 2) - via_tree).max() < 1e-14
         from spinkac.core import magnetization_profile
         m0 = magnetization_profile(p, ctx.blocks)
@@ -322,11 +322,19 @@ class TestFragmentation:
         assert np.array_equal(tail, np.array([(arr >= uu).mean() for uu in u]))
 
 
+def representation_check(ctx, p, depth, runs, rng):
+    """(estimate, exact, max sigmas) of the partition-process estimate
+    against the exact depth-fold square iteration of p."""
+    est = wildtree.mpp_expectation(ctx.K, p, depth, runs, rng)
+    exact = wildtree.discrete_iterate(ctx, p, depth)
+    return est, exact, est.sigmas(exact, 1e-12)
+
+
 class TestRepresentation:
     def test_depth_zero_is_exact(self):
         ctx = free_ctx(2)
         p = random_density(make_rng(56, 0), 2)
-        est, exact, sig = wildtree.mpp_representation_check(ctx, p, 0, 20, make_rng(56, 1))
+        est, exact, sig = representation_check(ctx, p, 0, 20, make_rng(56, 1))
         assert np.abs(est.mean - p).max() < 1e-15
         assert np.array_equal(exact, p)
         assert sig <= 3.0
@@ -334,16 +342,35 @@ class TestRepresentation:
     def test_depth_one_single_site(self):
         ctx = free_ctx(2, "single-site")
         p = random_density(make_rng(56, 2), 2)
-        est, exact, sig = wildtree.mpp_representation_check(ctx, p, 1, 20000, make_rng(56, 3))
+        est, exact, sig = representation_check(ctx, p, 1, 20000, make_rng(56, 3))
         assert np.abs(exact - ctx.product(p, p)).max() < 1e-14
         assert sig <= 3.0
 
     def test_depth_three_mean_field(self):
         ctx = free_ctx(3)
         p = random_density(make_rng(56, 4), 3)
-        est, exact, sig = wildtree.mpp_representation_check(ctx, p, 3, 15000, make_rng(56, 5))
+        est, exact, sig = representation_check(ctx, p, 3, 15000, make_rng(56, 5))
         assert sig <= 3.0
         assert est.samples == 15000
+
+    def test_runs_span_several_blocks(self, monkeypatch):
+        # 2**7 fragments per block hold 16 runs at depth 3, so 100 runs
+        # take 7 blocks, and the estimate pools all of them
+        monkeypatch.setattr(wildtree, "BATCH_FRAGMENTS", 1 << 7)
+        blocks = []
+        run_block = wildtree._run_estimates
+
+        def recorded(proc, p, depth, runs, rng):
+            blocks.append(runs)
+            return run_block(proc, p, depth, runs, rng)
+
+        monkeypatch.setattr(wildtree, "_run_estimates", recorded)
+        ctx = free_ctx(2)
+        p = random_density(make_rng(56, 8), 2)
+        est, _, sig = representation_check(ctx, p, 3, 100, make_rng(56, 9))
+        assert blocks == [16] * 6 + [4]
+        assert est.samples == 100
+        assert sig <= 3.0
 
     def test_marks_moved_by_k_are_detected(self, monkeypatch):
         # away from mean field the marks' law moves the estimate: marks
@@ -353,17 +380,11 @@ class TestRepresentation:
         K = np.array([[0.9, 0.1], [0.1, 0.9]])
         ctx = CollisionContext(np.zeros((2, 2)), collision.build_transport_kernel("matrix", 2, matrix=K))
         p = random_density(make_rng(57, 2), 2)
-        _, _, sig = wildtree.mpp_representation_check(ctx, p, 3, 20000, make_rng(57, 10))
+        _, _, sig = representation_check(ctx, p, 3, 20000, make_rng(57, 10))
         assert sig <= 3.0
         monkeypatch.setattr(wildtree, "lazy_kernel", lambda K: K)
-        _, _, sig = wildtree.mpp_representation_check(ctx, p, 3, 20000, make_rng(57, 10))
+        _, _, sig = representation_check(ctx, p, 3, 20000, make_rng(57, 10))
         assert sig > 3.0
-
-    def test_coupling_must_vanish(self):
-        ctx = CollisionContext(np.full((2, 2), 0.1), collision.mean_field_kernel(2))
-        p = np.full(4, 0.25)
-        with pytest.raises(ValueError, match="zero coupling"):
-            wildtree.mpp_representation_check(ctx, p, 1, 10, make_rng(56, 6))
 
     def test_needs_a_run(self):
         p = np.full(4, 0.25)
