@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import downup, kac, verify, wildtree
-from .core import gibbs, relative_entropy, tv_distance
+from .core import gibbs, relative_entropy, spins_of, tv_distance
 from .dynamics import alpha_bound, dissipation_at, evolve, nonlinear_mlsi_scan
 from .errors import ConvergenceError, FitError
 from .modelio import load_matrix, load_vector, parse_model
@@ -28,14 +28,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
-
-
-def _spins_of_code(code, n, N):
-    out = np.empty((N, n))
-    for i in range(N):
-        for l in range(n):
-            out[i, l] = 2.0 * ((code[i] >> l) & 1) - 1.0
-    return out
 
 
 def _parse_density(arg, size):
@@ -193,7 +185,7 @@ def cmd_kac(args):
         state = run.final_state
         events += run.events
         row = [i * step, events]
-        spins = _spins_of_code(state, n, N)
+        spins = spins_of(state, n)
         for b in blocks:
             row.append(float(np.mean(spins[:, list(b)])))
         if exact:
@@ -267,18 +259,14 @@ def _parse_downup_instance(args):
         for part in args.blocks_spec.split(","):
             size_txt, m_txt = part.split(":")
             sizes_m.append((int(size_txt), int(m_txt)))
-        L = sum(s for s, _ in sizes_m)
-        blocks = []
-        start = 0
-        for s, _ in sizes_m:
-            blocks.append(tuple(range(start, start + s)))
-            start += s
+        sizes = [s for s, _ in sizes_m]
+        L = sum(sizes)
         M = tuple(m for _, m in sizes_m)
         if lam is None:
             lam = np.zeros((L, L))
         if w is None:
             w = np.zeros(L)
-        return downup.DuInstance(L, lam, w, tuple(blocks), M)
+        return downup.DuInstance(L, lam, w, downup.contiguous_blocks(sizes), M)
     if args.L is None or args.M is None:
         raise ValueError("need either --blocks-spec or both --L and --M")
     return downup.single_block_instance(args.L, args.M, lam, w)

@@ -35,6 +35,8 @@ from .core import (
     check_sites,
     gibbs,
     block_constant,
+    log_gibbs_weights,
+    spins_of,
 )
 from .errors import CapacityError
 
@@ -94,27 +96,16 @@ def build_transport_kernel(kind, n, blocks=None, matrix=None):
 
 
 def kernel_components(K):
-    """Irreducible blocks of the site-transport kernel (union-find on support)."""
+    """Irreducible blocks of the site-transport kernel, as a sorted tuple
+    of sorted site tuples. The reachability relation of supp K comes from
+    n.bit_length() squarings of (K > 0) | I, which covers paths of up to
+    2**bit_length >= n steps."""
     K = check_transport_kernel(K)
     n = K.shape[0]
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for l in range(n):
-        for k in range(l + 1, n):
-            if K[l, k] > 0:
-                rl, rk = find(l), find(k)
-                if rl != rk:
-                    parent[rl] = rk
-    groups = {}
-    for l in range(n):
-        groups.setdefault(find(l), []).append(l)
-    return tuple(sorted(tuple(g) for g in groups.values()))
+    reach = (K > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):
+        reach = (reach.astype(np.int64) @ reach) > 0
+    return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
 
 
 def _halves(x, bit):
@@ -151,20 +142,18 @@ class CollisionContext:
         self.n = check_sites(self.J.shape[0])
         self.K = check_transport_kernel(K, self.n)
         self.blocks = kernel_components(self.K)
-        masks = np.arange(1 << self.n, dtype=np.int64)
-        self.masks = masks
-        s = ((masks[:, None] >> np.arange(self.n)) & 1).astype(np.float64) * 2.0 - 1.0
+        self.masks = np.arange(1 << self.n, dtype=np.int64)
+        s = spins_of(self.masks, self.n)
         self.spins = s
         # cavity field at site l: sum_{j != l} J[l, j] * s_j
         self.fields = s @ self.J - s * np.diag(self.J)
-        self.logw = 0.5 * np.einsum("ij,ij->i", s @ self.J, s)
+        self.logw = log_gibbs_weights(self.J)
         self.pairs = [
             (l, k, self.K[l, k] / self.n)
             for l in range(self.n)
             for k in range(self.n)
             if self.K[l, k] > 0
         ]
-        self._bit = [((masks >> l) & 1).astype(bool) for l in range(self.n)]
         self._tensor = None
 
     # -- acceptance -------------------------------------------------------
@@ -225,8 +214,8 @@ class CollisionContext:
         masks = self.masks
         for l, k, w in self.pairs:
             ml, mk = 1 << l, 1 << k
-            tau = np.where(self._bit[k][None, :], (masks | ml)[:, None], (masks & ~ml)[:, None])
-            tau_p = np.where(self._bit[l][:, None], (masks | mk)[None, :], (masks & ~mk)[None, :])
+            tau = np.where(self.spins[None, :, k] > 0, (masks | ml)[:, None], (masks & ~ml)[:, None])
+            tau_p = np.where(self.spins[:, l, None] > 0, (masks | mk)[None, :], (masks & ~mk)[None, :])
             yield w, self.acceptance_matrix(l, k), tau, tau_p
 
     def _tensor_matrix(self):

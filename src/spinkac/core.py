@@ -52,11 +52,11 @@ def check_sites(n):
     return int(n)
 
 
-def spins_matrix(n):
-    """Return the (2**n, n) matrix of spin values, int8, S[mask, l] in {-1, +1}."""
-    n = check_sites(n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(np.int8) * 2 - 1
+def spins_of(codes, width):
+    """Spin values of bitmask codes as float64, S[..., l] = 2 * bit l - 1:
+    shape (len(codes), width) for an array of codes, (width,) for one."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return ((codes[..., None] >> np.arange(width)) & 1).astype(np.float64) * 2.0 - 1.0
 
 
 def check_interaction(J, n=None):
@@ -109,10 +109,9 @@ def log_gibbs_weights(J, h=None):
         raise ValueError(f"field vector must have length {n}, got shape {h.shape}")
     total = 1 << n
     out = np.empty(total)
-    shifts = np.arange(n)
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        s = ((masks[:, None] >> shifts) & 1).astype(np.float64) * 2.0 - 1.0
+        s = spins_of(masks, n)
         sj = s @ J
         out[start : start + len(masks)] = 0.5 * np.einsum("ij,ij->i", sj, s) + s @ h
     return out
@@ -189,10 +188,11 @@ def site_means(p, n=None):
     return out
 
 
-def block_sum_matrix(n, blocks):
-    """M[mask, b] = sum of spin values of block b's sites, float64."""
-    s = spins_matrix(n).astype(np.float64)
-    return np.stack([s[:, list(b)].sum(axis=1) for b in blocks], axis=1)
+def block_count_table(n, blocks):
+    """Per-mask +1 counts in each block, int64, shape (2**n, nblocks)."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    counts = [np.bitwise_count(masks & site_mask(b)) for b in blocks]
+    return np.stack(counts, axis=1).astype(np.int64)
 
 
 def magnetization_profile(p, blocks, n=None):
@@ -342,13 +342,14 @@ class ReversibleChain:
 
     def slow_mode(self):
         """(gap, g): the gap is minus the second-largest eigenvalue of the
-        generator (0 for a reducible chain), g its eigenfunction, signed
-        so that its largest-magnitude entry is positive. Dense eigh up to
-        LANCZOS_STATES states, ARPACK's Lanczos above."""
+        generator (0 for a reducible chain), g its eigenfunction, scaled
+        so that its largest-magnitude entry is +1. The scale comes from
+        the log-weights, so g stays finite where the probabilities
+        underflow. Dense eigh up to LANCZOS_STATES states, ARPACK's
+        Lanczos above."""
         size = self.probs.size
         if size < 2:
             raise ValueError("a one-state chain has no slow mode")
-        sq = np.sqrt(self.probs)
         if size <= LANCZOS_STATES:
             evals, vecs, _ = self.spectrum()
             lam, v = evals[-2], vecs[:, -2]
@@ -362,9 +363,11 @@ class ReversibleChain:
             evals, vecs = eigsh(self.symmetric(), k=2, which="LA", v0=v0)
             second = int(np.argmin(evals))
             lam, v = evals[second], vecs[:, second]
-        g = v / sq
-        if g[np.argmax(np.abs(g))] < 0.0:
-            g = -g
+        # g = v / sqrt(probs), taken as log|v| - logw / 2 shifted by its maximum
+        with np.errstate(divide="ignore"):
+            log_g = np.log(np.abs(v)) - 0.5 * self.logw
+        top = int(np.argmax(log_g))
+        g = np.copysign(np.exp(log_g - log_g[top]), v if v[top] > 0.0 else -v)
         return max(0.0, -float(lam)), g
 
 
@@ -436,7 +439,7 @@ def match_block_means(logw, blocks, target):
                 "is on the boundary"
             )
     sizes = np.array([len(b) for b in blocks], dtype=float)
-    M = block_sum_matrix(n, blocks)
+    M = 2.0 * block_count_table(n, blocks) - sizes
     c = np.arctanh(target)
 
     def state(cvec):

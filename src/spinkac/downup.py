@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     ReversibleChain,
+    check_interaction,
     check_partition,
     eigen_bounds,
     entropy_functional,
@@ -38,6 +39,7 @@ from .core import (
     sample_test_function,
     site_mask,
     slice_codes,
+    spins_of,
     swap_moves,
 )
 from .errors import CapacityError
@@ -45,15 +47,6 @@ from .kac import dirichlet_form
 
 ENUMERATION_GATE = 20
 SPECTRAL_GATE = 16
-
-
-def _check_sym(a, name):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
-    return (a + a.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -68,9 +61,7 @@ class DuInstance:
     M: tuple
 
     def __post_init__(self):
-        lam = _check_sym(self.lam_matrix, "interaction matrix")
-        if lam.shape[0] != self.L:
-            raise ValueError("interaction matrix size must match the site count")
+        lam = check_interaction(self.lam_matrix, self.L)
         w = np.asarray(self.w, dtype=float)
         if w.shape != (self.L,):
             raise ValueError("field vector size must match the site count")
@@ -95,6 +86,13 @@ class DuInstance:
     def balls(self):
         """number of plus spins per block"""
         return tuple((len(b) + m) // 2 for b, m in zip(self.blocks, self.M))
+
+
+def contiguous_blocks(sizes):
+    """The partition of range(sum(sizes)) into runs of consecutive sites
+    of the given sizes, in order."""
+    ends = itertools.accumulate(sizes)
+    return tuple(tuple(range(end - size, end)) for size, end in zip(sizes, ends))
 
 
 def single_block_instance(L, M, lam_matrix=None, w=None):
@@ -131,7 +129,7 @@ def du_measure(inst):
     if L > ENUMERATION_GATE:
         raise CapacityError(f"slice enumeration gated at L <= {ENUMERATION_GATE}")
     codes = slice_codes(L, [site_mask(b) for b in inst.blocks], inst.balls)
-    spins = 2.0 * ((codes[:, None] >> np.arange(L)) & 1).astype(float) - 1.0
+    spins = spins_of(codes, L)
     logw = 0.5 * np.einsum("si,ij,sj->s", spins, inst.lam_matrix, spins) + spins @ inst.w
     return _normalized(inst, codes, logw, spins)
 
@@ -143,7 +141,7 @@ def tilt(meas, v):
 
 
 def _log_weight_of(inst, code):
-    s = 2.0 * ((code >> np.arange(inst.L)) & 1) - 1.0
+    s = spins_of(code, inst.L)
     return 0.5 * float(s @ inst.lam_matrix @ s) + float(s @ inst.w)
 
 
@@ -166,7 +164,7 @@ def du_rate(meas, code, i, j):
 def _ball_removals(meas):
     """(rows, keys), one entry per (state, ball) pair: the state's position
     and its code with that ball removed."""
-    rows, sites = np.nonzero((meas.codes[:, None] >> np.arange(meas.inst.L)) & 1)
+    rows, sites = np.nonzero(meas.spins > 0)
     return rows, meas.codes[rows] & ~(1 << sites)
 
 
@@ -232,7 +230,6 @@ def du_mlsi_scan(meas, trials, rng):
         # (random sampling alone only produces upper bounds on the true
         # constant, so it can land anywhere above it).
         gap, g = tab.slow_mode()
-        g = g / np.abs(g).max()
         probes = [1.0 + eps * g for eps in (1e-2, 1e-3)]
     functions = itertools.chain(
         (sample_test_function(size, trial, rng) for trial in range(trials)), probes
@@ -327,7 +324,6 @@ class CovReport:
     bound: float
     regularized: bool
     samples: int
-    worst_tilt: np.ndarray
 
 
 def cov_bound_check(inst, tilt_samples, rng):
@@ -356,14 +352,8 @@ def cov_bound_check(inst, tilt_samples, rng):
             v = np.zeros(inst.L)
             v[i] = s
             tilts.append(v)
-    worst = -math.inf
-    worst_v = tilts[0]
-    for v in tilts:
-        _, top = eigen_bounds(tilt(meas, v).covariance())
-        if top > worst:
-            worst = top
-            worst_v = v
-    return CovReport(worst, bound, regularized, len(tilts), np.asarray(worst_v))
+    worst = max(eigen_bounds(tilt(meas, v).covariance())[1] for v in tilts)
+    return CovReport(worst, bound, regularized, len(tilts))
 
 
 def negcorr_max_offdiag(meas):

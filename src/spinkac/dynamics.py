@@ -165,7 +165,6 @@ class AlphaBound:
     applicable: bool
     reason: str
     lam: float
-    row_norm: float
 
 
 def alpha_bound(J, n=None):
@@ -176,11 +175,10 @@ def alpha_bound(J, n=None):
     if n is None:
         n = J.shape[0]
     _, lam, reason = interaction_condition(J)
-    jb = interaction_row_norm(J)
     if reason:
-        return AlphaBound(None, False, reason, lam, jb)
-    value = (1.0 - 2.0 * lam) ** 2 * math.exp(-16.0 * jb) / (4.0 * n)
-    return AlphaBound(value, True, "", lam, jb)
+        return AlphaBound(None, False, reason, lam)
+    value = (1.0 - 2.0 * lam) ** 2 * math.exp(-16.0 * interaction_row_norm(J)) / (4.0 * n)
+    return AlphaBound(value, True, "", lam)
 
 
 @dataclass

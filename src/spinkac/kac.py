@@ -17,6 +17,7 @@ of enumeration.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +28,7 @@ from scipy.special import expit
 from .core import (
     RatioScan,
     ReversibleChain,
+    block_count_table,
     check_interaction,
     check_partition,
     check_probvec,
@@ -39,6 +41,7 @@ from .core import (
     relative_entropy,
     sample_test_function,
     site_mask,
+    sites_of,
     slice_codes,
     swap_moves,
 )
@@ -55,28 +58,21 @@ def mean_field_alpha_bound(J, h=None):
     (1/4) (1 - 2 lam) exp(-8 (Jbar + hbar))."""
     J = check_interaction(J)
     _, lam, reason = interaction_condition(J)
+    if reason:
+        return AlphaBound(None, False, reason, lam)
     jb = interaction_row_norm(J)
     hb = 0.0 if h is None else float(np.max(np.abs(h)))
-    if reason:
-        return AlphaBound(None, False, reason, lam, jb)
-    return AlphaBound(0.25 * (1.0 - 2.0 * lam) * math.exp(-8.0 * (jb + hb)), True, "", lam, jb)
+    return AlphaBound(0.25 * (1.0 - 2.0 * lam) * math.exp(-8.0 * (jb + hb)), True, "", lam)
 
 
 # -- count shells -------------------------------------------------------
-
-
-def block_count_table(n, blocks):
-    """per-mask vector of +1 counts in each block, shape (2**n, nblocks)."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    counts = [np.bitwise_count(masks & site_mask(b)) for b in blocks]
-    return np.stack(counts, axis=1).astype(np.int64)
 
 
 def canonical_counts(nu, blocks, N):
     """Shell counts T_b = floor(N |b| (1 + m_b) / 2) for the product of N
     copies of nu (the canonical shell of that density)."""
     nu = np.asarray(nu, dtype=float)
-    n = int(nu.size).bit_length() - 1
+    n = sites_of(nu)
     blocks = check_partition(blocks, n)
     counts = block_count_table(n, blocks)
     T = []
@@ -89,11 +85,7 @@ def canonical_counts(nu, blocks, N):
 
 def admissible_counts(N, blocks):
     """All shell count tuples with a nonempty shell."""
-    ranges = [range(N * len(b) + 1) for b in blocks]
-    out = [()]
-    for r in ranges:
-        out = [t + (x,) for t in out for x in r]
-    return out
+    return list(itertools.product(*(range(N * len(b) + 1) for b in blocks)))
 
 
 def density_to_counts(rho, N, blocks):
@@ -125,7 +117,7 @@ def restricted_product_measure(single_log_weights, N, blocks, T):
     """Enumerate the count shell of the product of N copies of one
     single-slot weight table and normalize."""
     table = np.asarray(single_log_weights, dtype=float)
-    n = int(table.size).bit_length() - 1
+    n = sites_of(table)
     if N * n > ENUMERATION_GATE:
         raise CapacityError(f"shell enumeration gated at N*n <= {ENUMERATION_GATE}")
     blocks = check_partition(blocks, n)
@@ -394,7 +386,7 @@ def occupation_tv(measure, run):
 def single_count_logdist(nu, blocks):
     """log distribution of the block-count vector of one copy of nu."""
     nu = np.asarray(nu, dtype=float)
-    n = int(nu.size).bit_length() - 1
+    n = sites_of(nu)
     counts = block_count_table(n, blocks)
     dims = tuple(len(b) + 1 for b in blocks)
     out = np.full(dims, -np.inf)
@@ -411,7 +403,7 @@ def shell_log_mass(nu, blocks, N, T=None):
     With T None, returns the full lattice table for N copies.
     """
     nu = np.asarray(nu, dtype=float)
-    n = int(nu.size).bit_length() - 1
+    n = sites_of(nu)
     blocks = check_partition(blocks, n)
     logq = single_count_logdist(nu, blocks)
     dims = tuple(N * len(b) + 1 for b in blocks)
@@ -440,7 +432,7 @@ def canonical_marginal(nu, blocks, N, T, k):
     """Law of the first k slots under the conditioned product, as a dense
     array over (2**n)**k joint masks."""
     nu = np.asarray(nu, dtype=float)
-    n = int(nu.size).bit_length() - 1
+    n = sites_of(nu)
     blocks = check_partition(blocks, n)
     counts = block_count_table(n, blocks)
     log_rest = shell_log_mass(nu, blocks, N - k)
@@ -472,7 +464,7 @@ def local_clt_value(nu, blocks, N, T):
     """Gaussian point-mass prediction for the shell probability,
     including the spacing-2 lattice factor per block."""
     nu = np.asarray(nu, dtype=float)
-    n = int(nu.size).bit_length() - 1
+    n = sites_of(nu)
     blocks = check_partition(blocks, n)
     counts = block_count_table(n, blocks)
     # spin-sum coordinates: M_b = 2 * count_b - |b|
@@ -491,7 +483,7 @@ def check_irreducible(nu, blocks):
     """Every block count must be able to step by +1 somewhere in the
     support of the joint count distribution."""
     nu = np.asarray(nu, dtype=float)
-    n = int(nu.size).bit_length() - 1
+    n = sites_of(nu)
     blocks = check_partition(blocks, n)
     logq = single_count_logdist(nu, blocks)
     support = {tuple(c) for c in np.argwhere(np.isfinite(logq))}

@@ -35,7 +35,6 @@ from .core import (
     match_block_means,
     relative_entropy,
     solve_field,
-    spins_matrix,
     tv_distance,
 )
 from .dynamics import (
@@ -200,7 +199,7 @@ def c02_conservation(seed=DEFAULT_SEED, quick=False, par=None):
     count = 0
     for ctx, p0 in _conservation_instances(rng, quick):
         traj = evolve(ctx, p0, t_end=20.0, dt=0.01)
-        means = traj.states @ spins_matrix(ctx.n)
+        means = traj.states @ ctx.spins
         for b in ctx.blocks:
             m = means[:, list(b)].mean(axis=1)
             worst = max(worst, float(np.max(np.abs(m - m[0]))))
@@ -541,13 +540,9 @@ def c12_ball_walks(seed=DEFAULT_SEED, quick=False, par=None):
 
     sizes = (3, 2, 2) if quick else (5, 4, 3)
     L2 = sum(sizes)
-    blocks2 = []
-    start = 0
-    for s in sizes:
-        blocks2.append(tuple(range(start, start + s)))
-        start += s
     M2 = tuple((s % 2) for s in sizes)
-    inst2 = downup.DuInstance(L2, psd(L2, 0.15), rng.normal(0.0, 0.4, L2), tuple(blocks2), M2)
+    inst2 = downup.DuInstance(L2, psd(L2, 0.15), rng.normal(0.0, 0.4, L2),
+                              downup.contiguous_blocks(sizes), M2)
     meas2 = downup.du_measure(inst2)
     single2, multi2, _ = downup.du_constants(inst2)
     scan2 = downup.du_mlsi_scan(meas2, scan_trials, rng)

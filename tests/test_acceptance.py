@@ -14,6 +14,8 @@ from pathlib import Path
 from spinkac import verify
 
 REPO = Path(__file__).resolve().parents[1]
+QUICK_TABLE = REPO / "tests" / "data" / "verify-all-quick.csv"
+QUICK_STDOUT = REPO / "tests" / "data" / "verify-all-quick.txt"
 
 
 def report(capfd, res):
@@ -73,7 +75,9 @@ def test_criterion_12_ball_walks(capfd):
 def test_criterion_13_reproducibility(tmp_path, capfd, spinkac_cli):
     # the CLI entry module (python -m spinkac.cli), run twice under this
     # interpreter and package: same verdict lines, same table, byte for
-    # byte, inside the time budget
+    # byte, inside the time budget, and both equal to the committed golden
+    # files (criterion 13's own line names the worker count, so the golden
+    # stdout leaves it out)
     stdouts, tables, times = [], [], []
     for i in range(2):
         out = tmp_path / f"run{i}.csv"
@@ -94,6 +98,10 @@ def test_criterion_13_reproducibility(tmp_path, capfd, spinkac_cli):
               f"({times[0]:.1f} s and {times[1]:.1f} s)")
     assert identical
     assert max(times) < 600.0
+    assert tables[0] == QUICK_TABLE.read_bytes()
+    verdicts = b"".join(line for line in stdouts[0].splitlines(keepends=True)
+                        if b"criterion 13 " not in line)
+    assert verdicts == QUICK_STDOUT.read_bytes()
 
 
 def test_repro_payload_is_worker_count_invariant():

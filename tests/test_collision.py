@@ -38,6 +38,22 @@ class TestKernels:
         assert np.array_equal(K, want)
         assert collision.kernel_components(K) == ((0, 1), (2,))
 
+    def test_components_joined_by_long_paths(self):
+        # a 24-site path is one block, and two interleaved paths over the
+        # even and the odd sites are two; each site reaches the far end
+        # only through a chain of neighbours
+        def path_kernel(n, step):
+            K = np.zeros((n, n))
+            for l in range(n - step):
+                K[l, l + step] = K[l + step, l] = 0.5
+            K[np.diag_indices(n)] = 1.0 - K.sum(axis=1)
+            return collision.build_transport_kernel("matrix", n, matrix=K)
+
+        assert collision.kernel_components(path_kernel(24, 1)) == (tuple(range(24)),)
+        two = collision.kernel_components(path_kernel(24, 2))
+        assert two == (tuple(range(0, 24, 2)), tuple(range(1, 24, 2)))
+        assert all(type(l) is int for block in two for l in block)
+
     def test_rows_are_stochastic(self):
         for K in (collision.single_site_kernel(5), collision.mean_field_kernel(5),
                   collision.blocks_kernel(5, ((0, 2, 4), (1, 3)))):

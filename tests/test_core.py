@@ -17,9 +17,11 @@ def random_density(rng, n):
 
 
 class TestMasks:
-    def test_spins_matrix_values(self):
-        s = core.spins_matrix(2)
+    def test_spins_of_values(self):
+        s = core.spins_of(np.arange(4), 2)
+        assert s.dtype == np.float64
         assert s.tolist() == [[-1, -1], [1, -1], [-1, 1], [1, 1]]
+        assert core.spins_of(6, 3).tolist() == [-1, 1, 1]
 
     def test_site_gate(self):
         with pytest.raises(CapacityError):

@@ -10,7 +10,7 @@ from scipy.special import expit
 from spinkac import downup as du
 from spinkac import core, kac
 from spinkac.core import entropy_functional, sample_test_function
-from spinkac.errors import CapacityError
+from spinkac.errors import CapacityError, FitError
 from spinkac.rng import make_rng
 
 
@@ -60,6 +60,16 @@ class TestInstances:
     def test_enumeration_gate(self):
         with pytest.raises(CapacityError):
             du.du_measure(du.single_block_instance(22, 0))
+
+    def test_asymmetric_interaction_names_the_entry(self):
+        # a relative asymmetry of 1e-8 is no rounding; it is not averaged away
+        lam = np.full((4, 4), 0.1)
+        lam[1, 2] *= 1.0 + 1e-8
+        with pytest.raises(ValueError, match=r"not symmetric at \(2, 3\)"):
+            du.single_block_instance(4, 0, lam)
+
+    def test_contiguous_blocks(self):
+        assert du.contiguous_blocks((3, 1, 2)) == ((0, 1, 2), (3,), (4, 5))
 
 
 class TestMeasure:
@@ -237,6 +247,20 @@ class TestRates:
 
         assert gap(200) == pytest.approx(gap(80), abs=1e-9)
 
+    @pytest.mark.parametrize("f", [150, 200])
+    def test_slow_mode_survives_underflowing_probabilities(self, f):
+        # g = v / sqrt(probs) is scaled in the log domain, so no entry is
+        # inf or nan where probs underflows, and the scan's probes are usable
+        meas = du.du_measure(du.single_block_instance(8, 0, None, [0] * 4 + [f] * 4))
+        _, g = du.du_transitions(meas).slow_mode()
+        assert np.all(np.isfinite(g))
+        assert np.abs(g).max() == g.max() == 1.0
+        try:
+            min_ratio = du.du_mlsi_scan(meas, 20, make_rng(74, f)).min_ratio
+        except FitError:  # no test function keeps Ent above the discard floor
+            min_ratio = 0.0
+        assert math.isfinite(min_ratio)
+
 
 class TestSlowMode:
     @pytest.mark.parametrize("L", [10, 12])
@@ -253,7 +277,7 @@ class TestSlowMode:
         gap, g = tab.slow_mode()
         evals, vecs, sq = tab.spectrum()
         want = vecs[:, -2] / sq
-        want *= np.sign(want[np.argmax(np.abs(want))])
+        want /= want[np.argmax(np.abs(want))]
         assert gap == pytest.approx(-evals[-2], rel=1e-10)
         assert np.abs(g - want).max() <= 1e-8 * np.abs(want).max()
 

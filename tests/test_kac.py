@@ -247,7 +247,7 @@ class TestMasses:
     def test_single_copy_is_direct(self):
         nu = np.array([0.1, 0.2, 0.3, 0.4])
         blocks = ((0, 1),)
-        counts = kac.block_count_table(2, blocks)[:, 0]
+        counts = core.block_count_table(2, blocks)[:, 0]
         for t in (0, 1, 2):
             want = float(nu[counts == t].sum())
             assert kac.restricted_mass(nu, blocks, 1, (t,)) == pytest.approx(want, abs=1e-15)
@@ -263,7 +263,7 @@ class TestMasses:
         rng = make_rng(63, 0)
         nu = rng.dirichlet(np.full(4, 2.0))
         blocks = ((0,), (1,))
-        counts = kac.block_count_table(2, blocks)
+        counts = core.block_count_table(2, blocks)
         N = 3
         for T in ((1, 2), (0, 0), (3, 1)):
             brute = 0.0
@@ -386,7 +386,7 @@ class TestSimulation:
         ctx = CollisionContext(J, collision.blocks_kernel(2, ((0, 1),)))
         T = (7,)
         run = kac.simulate_particles(ctx, 6, T, 100000 / 6.0, make_rng(64, 1))
-        counts = kac.block_count_table(2, ctx.blocks)[run.final_state].sum(axis=0)
+        counts = core.block_count_table(2, ctx.blocks)[run.final_state].sum(axis=0)
         assert tuple(counts) == T
         assert run.events >= 90000
         assert 0 < run.accepted <= run.events
@@ -440,7 +440,7 @@ class TestSimulation:
             warnings.simplefilter("error")
             run = kac.simulate_particles(ctx, 4, (6,), 2000.0, make_rng(64, 5))
         assert run.events > 0
-        assert kac.block_count_table(3, ctx.blocks)[run.final_state].sum() == 6
+        assert core.block_count_table(3, ctx.blocks)[run.final_state].sum() == 6
 
     def test_same_seed_same_run(self):
         ctx = mean_field_ctx(np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.3], [0.1, 0.3, 0.0]]))
@@ -472,7 +472,7 @@ class TestSimulation:
             with pytest.raises(ValueError, match=match):
                 kac.simulate_particles(ctx, 3, (3,), 1.0, rng, init=np.array(init))
         run = kac.simulate_particles(ctx, 3, (3,), 1.0, rng, init=[3, 1, 0])
-        assert kac.block_count_table(2, ctx.blocks)[run.final_state].sum() == 3
+        assert core.block_count_table(2, ctx.blocks)[run.final_state].sum() == 3
 
 
 class TestRateBounds:
