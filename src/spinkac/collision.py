@@ -15,9 +15,12 @@ The product has two routes, chosen by n alone:
 
 * ``tensor`` — the full bilinear operator as one (2^n, 4^n) matrix,
                built once per context; used for n <= 7.
-* ``stream`` — one 2^(n-1) x 2^(n-1) acceptance block and one matrix
-               product (with four columns) per site pair, no big tensor;
-               used for n = 8..12 at O(4^(n-1)) memory.
+* ``stream`` — one 2^(n-1) x 2^(n-1) acceptance block per unordered
+               site pair {l, k}, written in exp form into one reused
+               buffer; the pair (l, k) multiplies it into four columns
+               and the reversed pair its transpose, since the block of
+               (k, l) is 1 - (block of (l, k))^T. No big tensor; used
+               for n = 8..12 at O(4^(n-1)) memory.
 
 ``product_reference`` evaluates the defining sum with plain loops; it
 is kept dumb on purpose, for tests to compare the two routes against.
@@ -188,9 +191,12 @@ class CollisionContext:
         """Symmetrized collision product of two densities.
 
         The tensor route serves n <= TENSOR_N_MAX. The stream route
-        serves n <= PRODUCT_N_MAX: per site pair it evaluates one
-        2^(n-1) x 2^(n-1) acceptance block and one matrix product, in
-        O(4^(n-1)) memory. Larger n raises CapacityError. check=False
+        serves n <= PRODUCT_N_MAX: per unordered site pair {l, k} it
+        evaluates one 2^(n-1) x 2^(n-1) acceptance block, as
+        1 / (1 + exp(.)) in one buffer reused across pairs, and one
+        matrix product per direction with a nonzero weight (the
+        reversed pair through 1 - block^T), in O(4^(n-1)) memory.
+        Larger n raises CapacityError. check=False
         skips the probability validation so integrator stage vectors
         (mass 1, possibly with roundoff-negative entries) can pass
         through.
@@ -240,27 +246,50 @@ class CollisionContext:
         # Where sigma[l] == sigma'[k] the move keeps (sigma, sigma') with
         # acceptance 1/2, so only the two disagreeing quarter blocks move
         # mass, from sigma to sigma ^ (1 << l). The cavity field f_l does
-        # not depend on sigma[l], so the acceptance is E = expit(2 (f_l - f_k))
-        # on the block (sigma[l], sigma'[k]) = (0, 1) and 1 - E on (1, 0),
-        # both indexed by the other bits. W = (pq' + qp') / 2 has rank 2,
-        # so twice the accepted mass leaving sigma (a0, a1) comes from one
-        # product of E with four columns.
+        # not depend on sigma[l], so the acceptance is
+        # E_lk = expit(2 f_l - 2 f_k) = 1 / (1 + exp(2 f_k - 2 f_l)) on the
+        # block (sigma[l], sigma'[k]) = (0, 1) and 1 - E_lk on (1, 0), both
+        # indexed by the other bits. W = (pq' + qp') / 2 has rank 2, so
+        # twice the accepted mass leaving sigma (a0, a1) comes from one
+        # product of E_lk with four columns. The reversed pair needs no
+        # block of its own: E_kl = 1 - E_lk^T, so its product is
+        # colsum - E_lk^T @ columns. One buffer holds E_lk for every
+        # unordered pair {l, k} in turn; where exp overflows to inf the
+        # reciprocal gives 0, expit's limit.
+        n = self.n
+        h = 1 << (n - 1)
+        f2 = [2.0 * _halves(self.fields[:, l], l)[0] for l in range(n)]
+        cols = [np.column_stack(_halves(p, l) + _halves(q, l)) for l in range(n)]
+        sums = [c.sum(axis=0) for c in cols]
         total_w = sum(w for _, _, w in self.pairs)
         out = (0.5 * total_w) * (p * q.sum() + q * p.sum())
-        for l, k, w in self.pairs:
-            f_l, _ = _halves(self.fields[:, l], l)
-            f_k, _ = _halves(self.fields[:, k], k)
-            E = np.subtract.outer(2.0 * f_l, 2.0 * f_k)
-            expit(E, out=E)
-            (p0, p1), (q0, q1) = _halves(p, l), _halves(q, l)
-            (pc0, pc1), (qc0, qc1) = _halves(p, k), _halves(q, k)
-            M = E @ np.column_stack((pc0, qc0, pc1, qc1))
-            a0 = p0 * M[:, 3] + q0 * M[:, 2]
-            a1 = p1 * (qc0.sum() - M[:, 1]) + q1 * (pc0.sum() - M[:, 0])
+
+        def shift(l, k, w, M):
+            # M = E_lk @ cols[k]: move the accepted mass of the ordered
+            # pair (l, k) across bit l
+            p0, p1, q0, q1 = cols[l].T
+            a0 = p0 * M[:, 3] + q0 * M[:, 1]
+            a1 = p1 * (sums[k][2] - M[:, 2]) + q1 * (sums[k][0] - M[:, 0])
             d = (0.5 * w) * (a1 - a0).reshape(-1, 1 << l)
             out_l = out.reshape(-1, 2, 1 << l)
             out_l[:, 0] += d
             out_l[:, 1] -= d
+
+        E = np.empty((h, h))
+        with np.errstate(over="ignore"):
+            for l in range(n):
+                for k in range(l, n):
+                    w_lk, w_kl = self.K[l, k] / n, self.K[k, l] / n
+                    if w_lk == 0.0 and w_kl == 0.0:
+                        continue
+                    np.subtract.outer(f2[k], f2[l], out=E.T)
+                    np.exp(E, out=E)
+                    E += 1.0
+                    np.reciprocal(E, out=E)
+                    if w_lk > 0.0:
+                        shift(l, k, w_lk, E @ cols[k])
+                    if w_kl > 0.0 and k != l:
+                        shift(k, l, w_kl, sums[l] - E.T @ cols[l])
         return out
 
     def product_reference(self, p, q):

@@ -138,6 +138,16 @@ class TestAcceptance:
         assert h_ctx.diagonal_acceptance(0, 1, 0b01) == pytest.approx(want)
 
 
+def moves_product(ctx, p, q):
+    """The defining sum over whole (sigma, sigma') grids, one move at a time."""
+    W = 0.5 * (np.multiply.outer(p, q) + np.multiply.outer(q, p))
+    out = np.zeros_like(p)
+    for w, P, tau, _ in ctx.moves():
+        out += w * (W * (1.0 - P)).sum(axis=1)
+        out += w * np.bincount(tau.ravel(), (W * P).ravel(), minlength=p.size)
+    return out
+
+
 class TestProduct:
     def test_routes_match_reference(self):
         rng = np.random.default_rng(24)
@@ -159,28 +169,53 @@ class TestProduct:
     def test_stream_matches_moves_past_reference_gate(self):
         # product_reference stops at n = 5; past it, sum the defining
         # moves over whole (sigma, sigma') grids instead
-        def moves_product(ctx, p, q):
-            W = 0.5 * (np.multiply.outer(p, q) + np.multiply.outer(q, p))
-            out = np.zeros_like(p)
-            for w, P, tau, _ in ctx.moves():
-                out += w * (W * (1.0 - P)).sum(axis=1)
-                out += w * np.bincount(tau.ravel(), (W * P).ravel(), minlength=p.size)
-            return out
+        def graph_kernel(rng, n):
+            # K = I - eps L for the Laplacian L of a random weighted graph
+            A = np.triu(rng.uniform(0.1, 1.0, (n, n)), 1)
+            A += A.T
+            L = np.diag(A.sum(axis=1)) - A
+            K = np.eye(n) - L / L.diagonal().max()
+            return collision.build_transport_kernel("matrix", n, matrix=K)
+
+        def one_sided_kernel(n):
+            K = collision.mean_field_kernel(n)
+            K[0, 1], K[1, 0] = 0.0, 5e-13
+            K[np.diag_indices(n)] += 1.0 - K.sum(axis=1)
+            return collision.build_transport_kernel("matrix", n, matrix=K)
 
         rng = np.random.default_rng(29)
         for n in (6, 7, 8):
             blocks = (tuple(range(n - 1)), (n - 1,))
-            kernels = (
+            kernels = [
                 collision.single_site_kernel(n),
                 collision.mean_field_kernel(n),
                 0.3 * np.eye(n) + 0.7 * collision.blocks_kernel(n, blocks),
-            )
+            ]
+            if n == 8:
+                # every site pair with its own weight, then one pair with
+                # one-sided support (within the kernel's 1e-12 symmetry slack)
+                kernels += [graph_kernel(np.random.default_rng(31), n), one_sided_kernel(n)]
             for K in kernels:
                 ctx = CollisionContext(random_symmetric(rng, n, 0.2), K)
                 p, q = random_density(rng, n), random_density(rng, n)
                 ref = moves_product(ctx, p, q)
                 assert np.abs(ctx._product_stream(p, q) - ref).max() < 1e-14
         assert np.array_equal(ctx.product(p, q), ctx.product(q, p))
+
+    @pytest.mark.filterwarnings("error")
+    def test_stream_survives_exp_overflow(self):
+        # max |2 f| is about 1,200 here, so exp(2 f_k - 2 f_l) overflows to
+        # inf in the stream route; the acceptance must still come out as
+        # expit's limit 0, without a warning
+        rng = np.random.default_rng(32)
+        ctx = CollisionContext(random_symmetric(rng, 8, 60.0), collision.mean_field_kernel(8))
+        assert np.abs(2.0 * ctx.fields).max() > 750.0
+        p, q = random_density(rng, 8), random_density(rng, 8)
+        out = ctx.product(p, q)
+        assert np.isfinite(out).all()
+        assert np.abs(out - moves_product(ctx, p, q)).max() < 1e-14
+        assert abs(out.sum() - 1.0) < 1e-15
+        assert np.array_equal(out, ctx.product(q, p))
 
     def test_commutative(self):
         rng = np.random.default_rng(25)
