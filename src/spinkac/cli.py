@@ -21,7 +21,6 @@ from .errors import ConvergenceError, FitError
 from .modelio import load_matrix, load_vector, parse_model
 from .report import ResultTable
 from .rng import make_rng
-from .collision import kernel_components
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,7 +78,7 @@ def cmd_mlsi_nl(args):
     ctx = model.context()
     rng = make_rng(args.seed)
     scan = nonlinear_mlsi_scan(ctx, model.h, args.trials, rng)
-    bound = alpha_bound(ctx.J, ctx.n)
+    bound = alpha_bound(ctx.J)
     bound_txt = f"{bound.value:.17g}" if bound.applicable else f"n/a ({bound.reason})"
     print(f"min ratio    = {scan.min_ratio:.17g}")
     print(f"median ratio = {scan.median_ratio:.17g}")
@@ -126,7 +125,7 @@ def cmd_mpp(args):
     print("representation check (max deviation in sigmas):")
     for depth in range(1, args.u + 1):
         est = wildtree.mpp_expectation(ctx.K, p0, depth, args.runs, rng)
-        sig = est.sigmas(wildtree.discrete_iterate(ctx, p0, depth), 1e-12)
+        sig = est.sigmas(wildtree.discrete_iterate(ctx, p0, depth))
         print(f"  depth {depth}: {sig:.2f}")
     n = model.n
     times = wildtree.fragmentation_times(ctx.K, args.runs, rng)
@@ -162,6 +161,7 @@ def cmd_kac(args):
     model = parse_model(args.model)
     ctx = model.context()
     n, N = model.n, args.N
+    kac.check_run(N, args.t_end)
     blocks = ctx.blocks
     T = _parse_rho(args.rho, model, N, blocks)
     rng = make_rng(args.seed)
@@ -202,10 +202,9 @@ def cmd_kac(args):
 
 def cmd_chaos(args):
     model = parse_model(args.model)
-    blocks = kernel_components(model.K)
     nu = gibbs(model.J, model.h)
     grid = [int(x) for x in args.n_grid.split(",")]
-    rep = kac.chaos_scan(nu, blocks, args.k, grid)
+    rep = kac.chaos_scan(nu, model.blocks, args.k, grid)
     table = ResultTable("marginal-chaos", args.seed, ("N", "tv"))
     table.add_meta("model", args.model)
     table.add_meta("k", str(args.k))
@@ -222,7 +221,7 @@ def cmd_kac_mlsi(args):
     ctx = model.context()
     blocks = ctx.blocks
     rng = make_rng(args.seed)
-    bound = alpha_bound(model.J, model.n)
+    bound = alpha_bound(model.J)
     rows = []
     overall = math.inf
     for N in (int(x) for x in args.N.split(",")):

@@ -24,9 +24,15 @@ The product has two routes, chosen by n alone:
 
 ``product_reference`` evaluates the defining sum with plain loops; it
 is kept dumb on purpose, for tests to compare the two routes against.
+
+The exchange acceptance lives here alone: `CollisionContext.acceptance`
+(one pair, or the full grid of `moves`), `diagonal_acceptance` (one
+configuration) and `walk_acceptance` (both, for `kac.simulate_particles`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -127,6 +133,28 @@ def exchange(sigma, sigma_p, l, k):
     return tau, tau_p
 
 
+def walk_acceptance(fields, logw, l, k, si, sj, same_slot):
+    """Heat-bath acceptance of one event of the N-slot walk
+    (`kac.simulate_particles`), read from the plain lists
+    `ctx.fields.tolist()` and `ctx.logw.tolist()`.
+
+    Equals `ctx.diagonal_acceptance(l, k, si)` for an event that pairs a
+    slot with itself and `ctx.acceptance(l, k, si, sj)` otherwise. A
+    logit below -709 takes the exp(logit) tail, so no coupling size can
+    overflow `math.exp`.
+    """
+    if same_slot:
+        if not ((si >> l) ^ (si >> k)) & 1:
+            return 0.5
+        x = logw[si ^ ((1 << l) | (1 << k))] - logw[si]
+    else:
+        bk = (sj >> k) & 1
+        if bk == (si >> l) & 1:
+            return 0.5
+        x = (fields[si][l] - fields[sj][k]) * (2.0 if bk else -2.0)
+    return 1.0 / (1.0 + math.exp(-x)) if x > -709.0 else math.exp(x)
+
+
 class CollisionContext:
     """Precomputed tables for one (J, K) pair.
 
@@ -163,19 +191,11 @@ class CollisionContext:
 
     def acceptance(self, l, k, sigma, sigma_p):
         """Heat-bath acceptance for exchanging site l of sigma with site k
-        of sigma'. Equals 1/2 whenever the two spins already agree."""
+        of sigma'. Equals 1/2 whenever the two spins already agree. The
+        masks broadcast, so a column and a row of them give the full grid."""
         a = ((sigma_p >> k) & 1) * 2 - 1
         b = ((sigma >> l) & 1) * 2 - 1
         logit = (a - b) * (self.fields[sigma, l] - self.fields[sigma_p, k])
-        return float(expit(logit))
-
-    def acceptance_matrix(self, l, k):
-        """P[sigma, sigma'] over the full pair grid, computed in log space."""
-        sl = self.spins[:, l]
-        sk = self.spins[:, k]
-        logit = (sk[None, :] - sl[:, None]) * (
-            self.fields[:, l][:, None] - self.fields[:, k][None, :]
-        )
         return expit(logit)
 
     def diagonal_acceptance(self, l, k, sigma):
@@ -217,12 +237,10 @@ class CollisionContext:
         """Yield (w, P, tau, tau_p) for every site pair (l, k, w) in
         `pairs`: P[sigma, sigma'] is the acceptance and (tau, tau_p)
         the exchanged configurations, each indexed by (sigma, sigma')."""
-        masks = self.masks
+        sigma, sigma_p = self.masks[:, None], self.masks[None, :]
         for l, k, w in self.pairs:
-            ml, mk = 1 << l, 1 << k
-            tau = np.where(self.spins[None, :, k] > 0, (masks | ml)[:, None], (masks & ~ml)[:, None])
-            tau_p = np.where(self.spins[:, l, None] > 0, (masks | mk)[None, :], (masks & ~mk)[None, :])
-            yield w, self.acceptance_matrix(l, k), tau, tau_p
+            tau, tau_p = exchange(sigma, sigma_p, l, k)
+            yield w, self.acceptance(l, k, sigma, sigma_p), tau, tau_p
 
     def _tensor_matrix(self):
         if self._tensor is None:

@@ -175,11 +175,10 @@ def check_partition(blocks, n):
     return tuple(norm)
 
 
-def site_means(p, n=None):
+def site_means(p):
     """E_p[s_l] for every site, as a length-n vector."""
     p = np.asarray(p, dtype=float)
-    if n is None:
-        n = sites_of(p)
+    n = sites_of(p)
     masks = np.arange(p.size, dtype=np.int64)
     out = np.empty(n)
     for l in range(n):
@@ -195,22 +194,18 @@ def block_count_table(n, blocks):
     return np.stack(counts, axis=1).astype(np.int64)
 
 
-def magnetization_profile(p, blocks, n=None):
+def magnetization_profile(p, blocks):
     """Per-block averaged site means, in block order."""
     p = np.asarray(p, dtype=float)
-    if n is None:
-        n = sites_of(p)
-    blocks = check_partition(blocks, n)
-    means = site_means(p, n)
+    blocks = check_partition(blocks, sites_of(p))
+    means = site_means(p)
     return np.array([means[list(b)].mean() for b in blocks])
 
 
-def check_regular(p, blocks, n=None):
+def check_regular(p, blocks):
     """Raise DegenerateProfileError if any block magnetization sits at +-1."""
-    if n is None:
-        n = sites_of(np.asarray(p))
-    blocks = check_partition(blocks, n)
-    m = magnetization_profile(p, blocks, n)
+    blocks = check_partition(blocks, sites_of(p))
+    m = magnetization_profile(p, blocks)
     for b, mb in zip(blocks, m):
         if abs(mb) >= 1.0:
             raise DegenerateProfileError(
@@ -218,6 +213,19 @@ def check_regular(p, blocks, n=None):
                 "the flow is only defined strictly inside (-1, 1)"
             )
     return m
+
+
+def covariance(p, X):
+    """Covariance matrix of the columns of X under the density p on its rows."""
+    centered = X - p @ X
+    return (centered * p[:, None]).T @ centered
+
+
+def cumulative_rows(P):
+    """Inverse-CDF table of a stochastic matrix: cumulative rows, last column exactly 1."""
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = 1.0
+    return cum
 
 
 def relative_entropy(p, q):
@@ -453,8 +461,7 @@ def match_block_means(logw, blocks, target):
     for _ in range(FIELD_MAX_ITER):
         if res <= FIELD_TOL:
             return c, p
-        centered = M - (p @ M)
-        hess = (centered * p[:, None]).T @ centered
+        hess = covariance(p, M)
         grad = sizes * (m - target)
         try:
             step = np.linalg.solve(hess, grad)

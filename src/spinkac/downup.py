@@ -31,6 +31,7 @@ from .core import (
     ReversibleChain,
     check_interaction,
     check_partition,
+    covariance,
     eigen_bounds,
     entropy_functional,
     entropy_ratio_scan,
@@ -108,14 +109,6 @@ class DuMeasure:
     probs: np.ndarray
     logw: np.ndarray
     spins: np.ndarray  # (states, L) floats, +-1
-
-    def mean(self):
-        return self.probs @ self.spins
-
-    def covariance(self):
-        m = self.mean()
-        centered = self.spins - m
-        return (centered * self.probs[:, None]).T @ centered
 
 
 def _normalized(inst, codes, logw, spins):
@@ -328,13 +321,11 @@ class CovReport:
 
 def cov_bound_check(inst, tilt_samples, rng):
     """max eigenvalue of the covariance over random and extreme tilts,
-    against 2/(1 - 2 lam). Semidefinite interactions are nudged to
-    positive definite by +1e-9 on the diagonal."""
-    lo, lam = eigen_bounds(inst.lam_matrix)
-    if lam >= 0.5:
-        raise ValueError(f"top eigenvalue {lam} >= 1/2, no covariance bound")
-    if lo < -1e-10:
-        raise ValueError("interaction matrix must be nonnegative definite")
+    against 2/(1 - 2 lam) under `interaction_condition`. Semidefinite
+    interactions are nudged to positive definite by +1e-9 on the diagonal."""
+    lo, lam, reason = interaction_condition(inst.lam_matrix)
+    if reason:
+        raise ValueError(f"no covariance bound: {reason}")
     regularized = lo < 1e-12
     if regularized:
         inst = DuInstance(
@@ -352,7 +343,8 @@ def cov_bound_check(inst, tilt_samples, rng):
             v = np.zeros(inst.L)
             v[i] = s
             tilts.append(v)
-    worst = max(eigen_bounds(tilt(meas, v).covariance())[1] for v in tilts)
+    tilted = (tilt(meas, v) for v in tilts)
+    worst = max(eigen_bounds(covariance(q.probs, q.spins))[1] for q in tilted)
     return CovReport(worst, bound, regularized, len(tilts))
 
 
@@ -361,7 +353,7 @@ def negcorr_max_offdiag(meas):
     law is a conditioned product, which is negatively correlated."""
     if np.any(meas.inst.lam_matrix != 0.0):
         raise ValueError("negative correlation is claimed for zero interaction only")
-    cov = meas.covariance()
+    cov = covariance(meas.probs, meas.spins)
     return float(cov[~np.eye(meas.inst.L, dtype=bool)].max())
 
 

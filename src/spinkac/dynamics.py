@@ -101,7 +101,7 @@ def evolve(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None):
     p0 = check_probvec(p0, ctx.n)
     if t_end < 0 or dt <= 0:
         raise ValueError("need t_end >= 0 and dt > 0")
-    m0 = check_regular(p0, ctx.blocks, ctx.n)
+    m0 = check_regular(p0, ctx.blocks)
     h_eq = solve_field(ctx.J, ctx.blocks, m0)
     mu_eq = gibbs(ctx.J, h_eq)
     nsteps = int(round(t_end / dt))
@@ -167,17 +167,15 @@ class AlphaBound:
     lam: float
 
 
-def alpha_bound(J, n=None):
+def alpha_bound(J):
     """Closed-form exponential-rate lower bound for the block-uniform
-    transport kernel: (1/4n) (1 - 2 lam)^2 exp(-16 Jbar). Tagged
-    inapplicable when J has a negative eigenvalue or lam >= 1/2."""
+    transport kernel: (1/4n) (1 - 2 lam)^2 exp(-16 Jbar), n = J.shape[0].
+    Tagged inapplicable when J has a negative eigenvalue or lam >= 1/2."""
     J = np.asarray(J, dtype=float)
-    if n is None:
-        n = J.shape[0]
     _, lam, reason = interaction_condition(J)
     if reason:
         return AlphaBound(None, False, reason, lam)
-    value = (1.0 - 2.0 * lam) ** 2 * math.exp(-16.0 * interaction_row_norm(J)) / (4.0 * n)
+    value = (1.0 - 2.0 * lam) ** 2 * math.exp(-16.0 * interaction_row_norm(J)) / (4.0 * J.shape[0])
     return AlphaBound(value, True, "", lam)
 
 
@@ -206,7 +204,7 @@ def decay_report(traj, J):
     H = traj.entropies()
     tv = traj.tv_to_equilibrium()
     n = int(math.log2(traj.states.shape[1]))
-    bound = alpha_bound(J, n)
+    bound = alpha_bound(J)
     tv_curve = None
     if bound.applicable:
         hbar = float(np.max(np.abs(traj.h_eq)))
@@ -237,7 +235,7 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng):
     """
     mu = gibbs(ctx.J, h)
     log_mu = log_gibbs_weights(ctx.J, h)
-    target = magnetization_profile(mu, ctx.blocks, ctx.n)
+    target = magnetization_profile(mu, ctx.blocks)
     size = 1 << ctx.n
 
     def projected(trial):

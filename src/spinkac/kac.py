@@ -3,10 +3,10 @@
 Each ordered pair of configuration slots (including a slot with itself)
 carries an exponential clock of rate 1/N; on a ring, a site pair (l, k)
 is drawn as l uniform and k from the transport row K(l, .), and the
-heat-bath exchange of the two spins is attempted. The process preserves
-the total spin of every irreducible block of K summed across all slots,
-so it lives on a count shell. The stationary law on a shell is the
-conditioned product of single-configuration Gibbs weights.
+heat-bath exchange of the two spins is attempted (`collision.walk_acceptance`).
+The process preserves the total spin of every irreducible block of K summed
+across all slots, so it lives on a count shell, where its stationary law is
+the conditioned product of single-configuration Gibbs weights.
 
 Exact routes are gated by total bit count: dense spectra and the
 exponentials they give at N*n <= 12, shell enumeration and
@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import expit
 
+from .collision import walk_acceptance
 from .core import (
     RatioScan,
     ReversibleChain,
@@ -33,6 +34,8 @@ from .core import (
     check_partition,
     check_probvec,
     code_index,
+    covariance,
+    cumulative_rows,
     entropy_ratio_scan,
     interaction_condition,
     interaction_row_norm,
@@ -254,27 +257,6 @@ class ParticleRun:
     occupation: dict | None  # combined code -> occupied time
 
 
-def walk_acceptance(fields, logw, l, k, si, sj, same_slot):
-    """Heat-bath acceptance of one walk event, read from the plain lists
-    `ctx.fields.tolist()` and `ctx.logw.tolist()`.
-
-    Equals `ctx.diagonal_acceptance(l, k, si)` for an event that pairs a
-    slot with itself and `ctx.acceptance(l, k, si, sj)` otherwise. A
-    logit below -709 takes the exp(logit) tail, so no coupling size can
-    overflow `math.exp`.
-    """
-    if same_slot:
-        if not ((si >> l) ^ (si >> k)) & 1:
-            return 0.5
-        x = logw[si ^ ((1 << l) | (1 << k))] - logw[si]
-    else:
-        bk = (sj >> k) & 1
-        if bk == (si >> l) & 1:
-            return 0.5
-        x = (fields[si][l] - fields[sj][k]) * (2.0 if bk else -2.0)
-    return 1.0 / (1.0 + math.exp(-x)) if x > -709.0 else math.exp(x)
-
-
 def _check_init(init, n, blocks, N, T):
     state = np.array(init, dtype=np.int64)
     if state.shape != (N,):
@@ -287,24 +269,32 @@ def _check_init(init, n, blocks, N, T):
     return state
 
 
+def check_run(N, t_end):
+    """ValueError unless a particle run has N >= 1 slots and t_end >= 0."""
+    if N < 1 or t_end < 0:
+        raise ValueError(f"need N >= 1 and t_end >= 0, got N = {N} and t_end = {t_end}")
+
+
 def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False):
     """Event-driven exchange among N slots carrying ctx's (J, K).
 
     Every ordered slot pair has rate 1/N, so events arrive at rate N
     total; each event draws slots (i, j) uniformly, site l uniformly,
     site k from K(l, .), and accepts the spin exchange with the
-    heat-bath probability `walk_acceptance`. Events are drawn WALK_BLOCK
-    at a time with one generator call per quantity: the exponential
-    waits (their running sum gives the event times), i, j, l, the
-    uniform that picks k by inverse CDF on the rows of K, and the
+    heat-bath probability `collision.walk_acceptance`. Events are drawn
+    WALK_BLOCK at a time with one generator call per quantity: the
+    exponential waits (their running sum gives the event times), i, j,
+    l, the uniform that picks k by inverse CDF on the rows of K, and the
     acceptance uniform. The state then changes event by event, and
     events past t_end are dropped.
 
     Site pairs must stay inside one irreducible block of K, which
     conserves the shell counts; a K that links two of ctx.blocks raises
     RuntimeError before any event. A given `init` must hold N
-    configurations with block counts T, else ValueError.
+    configurations with block counts T, else ValueError, as N < 1 and
+    t_end < 0 are (`check_run`).
     """
+    check_run(N, t_end)
     n = ctx.n
     block_of = np.empty(n, dtype=int)
     for bi, b in enumerate(ctx.blocks):
@@ -320,8 +310,7 @@ def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False
         state = _check_init(init, n, ctx.blocks, N, T)
     if record_occupation and N * n > ENUMERATION_GATE:
         raise CapacityError("occupation recording needs N*n within the enumeration gate")
-    cum_rows = np.cumsum(ctx.K, axis=1)
-    cum_rows[:, -1] = 1.0
+    cum_rows = cumulative_rows(ctx.K)
     fields = ctx.fields.tolist()
     logw = ctx.logw.tolist()
     state = state.tolist()
@@ -470,8 +459,7 @@ def local_clt_value(nu, blocks, N, T):
     # spin-sum coordinates: M_b = 2 * count_b - |b|
     M = 2.0 * counts - np.array([len(b) for b in blocks])
     mean = nu @ M
-    centered = M - mean
-    V = (centered * nu[:, None]).T @ centered
+    V = covariance(nu, M)
     S = 2.0 * np.array(T, dtype=float) - N * np.array([len(b) for b in blocks])
     z = np.linalg.solve(np.linalg.cholesky(V), (S - N * mean) / math.sqrt(N))
     b = len(blocks)

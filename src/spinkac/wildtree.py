@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import cumulative_rows
 from .errors import CapacityError
 
 MAX_LEAVES = 1 << 20
@@ -135,10 +136,10 @@ class Moments:
     def mean_leaves(self):
         return self.leaves / self.samples
 
-    def sigmas(self, exact, floor):
+    def sigmas(self, exact):
         """Largest componentwise |mean - exact| in standard errors, each
-        error floored at `floor`."""
-        return float(np.max(np.abs(self.mean - exact) / np.maximum(self.stderr, floor)))
+        error floored at 1e-12."""
+        return float(np.max(np.abs(self.mean - exact) / np.maximum(self.stderr, 1e-12)))
 
 
 def mc_solution(ctx, p0, t, samples, rng):
@@ -167,12 +168,6 @@ def lazy_kernel(K):
     """One-step site chain slowed to rate 1/n: (1/n) K + (1 - 1/n) I."""
     n = K.shape[0]
     return K / n + (1.0 - 1.0 / n) * np.eye(n)
-
-
-def _cumulative(P):
-    cum = np.cumsum(P, axis=1)
-    cum[:, -1] = 1.0
-    return cum
 
 
 def split_fragment(A, mark, u, b, r, cum_K, cum_lazy):
@@ -213,8 +208,8 @@ class PartitionProcess:
     def __init__(self, K):
         self.K = np.asarray(K, dtype=float)
         self.n = self.K.shape[0]
-        self._cum_K = _cumulative(self.K)
-        self._cum_lazy = _cumulative(lazy_kernel(self.K))
+        self._cum_K = cumulative_rows(self.K)
+        self._cum_lazy = cumulative_rows(lazy_kernel(self.K))
 
     def initial(self, runs):
         """`runs` copies of the unmarked full site set, as (A, mark)."""

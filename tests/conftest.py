@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,17 +12,26 @@ import spinkac
 
 # the directory holding the spinkac package this test process imported
 PACKAGE_ROOT = str(Path(spinkac.__file__).resolve().parents[1])
+REPO = Path(__file__).resolve().parents[1]
+
+# Calls spinkac.cli.main on its arguments, then prints on the last line of
+# stderr whether scipy.sparse.linalg was loaded, and exits with main's code.
+CLI_MAIN_CHILD = (
+    "import sys\n"
+    "from spinkac import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print('scipy.sparse.linalg' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
 
 
-@pytest.fixture
-def spinkac_cli():
-    """Run the CLI entry module, ``python -m spinkac.cli``, in a child process.
+@pytest.fixture(scope="session")
+def package_python():
+    """Run this interpreter in a child process, ``python ARGS``.
 
-    The child uses this interpreter and puts the package under test first on
-    its ``PYTHONPATH``, so it checks the same code as the rest of the suite
-    and needs no console script on ``PATH``. ``build_parser`` fixes
-    ``prog="spinkac"``, so output and error prefixes match the installed
-    command.
+    The child puts the package under test first on its ``PYTHONPATH``, so
+    it checks the same code as the rest of the suite and needs no console
+    script on ``PATH``.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -29,8 +39,47 @@ def spinkac_cli():
     )
 
     def run(args, **kwargs):
-        return subprocess.run(
-            [sys.executable, "-m", "spinkac.cli", *args], env=env, **kwargs
-        )
+        return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
     return run
+
+
+@pytest.fixture
+def spinkac_cli(package_python):
+    """Run the CLI entry module, ``python -m spinkac.cli``, in a child
+    process. ``build_parser`` fixes ``prog="spinkac"``, so output and error
+    prefixes match the installed command."""
+
+    def run(args, **kwargs):
+        return package_python(["-m", "spinkac.cli", *args], **kwargs)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def quick_suite_runs(package_python, tmp_path_factory):
+    """``verify-all --quick --out`` run twice per test session, once
+    through the CLI entry module on the default worker count and once
+    through ``spinkac.cli.main`` in a fresh interpreter
+    (``CLI_MAIN_CHILD``) with ``--workers 1``, so that every criterion of
+    the second run runs in the interpreter whose modules it reports.
+
+    Returns one dict per run with the keys ``stdout``, ``stderr`` (bytes),
+    ``table`` (the ``--out`` bytes) and ``seconds``. Every test that reads
+    the quick suite's output shares these two runs.
+    """
+    tmp = tmp_path_factory.mktemp("quick-suite")
+    runs = []
+    launches = ((["-m", "spinkac.cli"], []), (["-c", CLI_MAIN_CHILD], ["--workers", "1"]))
+    for i, (launch, workers) in enumerate(launches):
+        out = tmp / f"run{i}.csv"
+        t0 = time.perf_counter()
+        res = package_python(
+            [*launch, "verify-all", "--quick", *workers, "--out", str(out)],
+            cwd=REPO, capture_output=True,
+        )
+        seconds = time.perf_counter() - t0
+        assert res.returncode == 0, res.stderr.decode()
+        runs.append({"stdout": res.stdout, "stderr": res.stderr,
+                     "table": out.read_bytes(), "seconds": seconds})
+    return runs

@@ -4,11 +4,11 @@ Each test prints its criterion's pass/fail line past pytest's capture so
 the run log always shows the thirteen verdicts in order. Criterion
 defaults (master seed, full problem sizes) are the acceptance
 configuration; quick mode is only for the reproducibility double run,
-which exercises the CLI end to end: the entry module, ``python -m
-spinkac.cli``, under the test's own interpreter and package.
+which exercises the CLI end to end under the test's own interpreter and
+package: once through the entry module, ``python -m spinkac.cli``, and
+once through ``spinkac.cli.main`` in a fresh interpreter.
 """
 
-import time
 from pathlib import Path
 
 from spinkac import verify
@@ -72,36 +72,31 @@ def test_criterion_12_ball_walks(capfd):
     report(capfd, verify.c12_ball_walks())
 
 
-def test_criterion_13_reproducibility(tmp_path, capfd, spinkac_cli):
-    # the CLI entry module (python -m spinkac.cli), run twice under this
-    # interpreter and package: same verdict lines, same table, byte for
-    # byte, inside the time budget, and both equal to the committed golden
-    # files (criterion 13's own line names the worker count, so the golden
-    # stdout leaves it out)
-    stdouts, tables, times = [], [], []
-    for i in range(2):
-        out = tmp_path / f"run{i}.csv"
-        t0 = time.perf_counter()
-        res = spinkac_cli(
-            ["verify-all", "--quick", "--out", str(out)],
-            cwd=REPO, capture_output=True,
-        )
-        times.append(time.perf_counter() - t0)
-        assert res.returncode == 0, res.stderr.decode()
-        stdouts.append(res.stdout)
-        tables.append(out.read_bytes())
-    identical = stdouts[0] == stdouts[1] and tables[0] == tables[1]
+def verdicts(stdout):
+    # criterion 13's own line names the worker count, so the golden stdout
+    # leaves it out
+    return b"".join(line for line in stdout.splitlines(keepends=True)
+                    if b"criterion 13 " not in line)
+
+
+def test_criterion_13_reproducibility(capfd, quick_suite_runs):
+    # the quick suite run twice under this interpreter and package, once
+    # through the CLI entry module (python -m spinkac.cli) on the default
+    # worker count and once through spinkac.cli.main in a fresh interpreter
+    # on one worker: same verdict lines, same table, byte for byte, inside
+    # the time budget, and both equal to the committed golden files
+    first, second = quick_suite_runs
+    identical = (verdicts(first["stdout"]) == verdicts(second["stdout"])
+                 and first["table"] == second["table"])
     tag = "PASS" if identical else "FAIL"
     with capfd.disabled():
         print(f"{tag} criterion 13 reproducibility: verify-all --quick run twice, "
               f"stdout and result table byte-identical = {identical} "
-              f"({times[0]:.1f} s and {times[1]:.1f} s)")
+              f"({first['seconds']:.1f} s and {second['seconds']:.1f} s)")
     assert identical
-    assert max(times) < 600.0
-    assert tables[0] == QUICK_TABLE.read_bytes()
-    verdicts = b"".join(line for line in stdouts[0].splitlines(keepends=True)
-                        if b"criterion 13 " not in line)
-    assert verdicts == QUICK_STDOUT.read_bytes()
+    assert max(first["seconds"], second["seconds"]) < 600.0
+    assert first["table"] == QUICK_TABLE.read_bytes()
+    assert verdicts(first["stdout"]) == QUICK_STDOUT.read_bytes()
 
 
 def test_repro_payload_is_worker_count_invariant():

@@ -51,6 +51,19 @@ class TestExitCodes:
         assert code == 1
         assert "spinkac: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, said", [
+        (["--N", "0"], "N = 0"),
+        (["--N", "3", "--t-end", "-1"], "t_end = -1.0"),
+    ])
+    def test_kac_needs_slots_and_a_horizon(self, tmp_path, capsys, flags, said):
+        out = tmp_path / "k.csv"
+        code = cli.main(["kac", "--model", str(REPO / DEMO), *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinkac: error:")
+        assert said in err
+        assert not out.exists()
+
     def test_bad_initial_state(self, tmp_path, capsys):
         code = cli.main(["evolve", "--model", str(REPO / DEMO), "--p0", "delta:9",
                          "--out", str(tmp_path / "o.csv")])

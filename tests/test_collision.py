@@ -1,5 +1,6 @@
 """Exchange moves, acceptance probabilities and the collision product."""
 
+import itertools
 import math
 
 import numpy as np
@@ -119,9 +120,26 @@ class TestAcceptance:
         lo = 1.0 / (1.0 + math.exp(4.0 * jb))
         for l in range(3):
             for k in range(3):
-                P = ctx.acceptance_matrix(l, k)
+                P = ctx.acceptance(l, k, ctx.masks[:, None], ctx.masks[None, :])
                 assert P.min() >= lo - 1e-12
                 assert P.max() <= 1.0 - lo + 1e-12
+
+    @pytest.mark.parametrize("scale", [0.3, 1000.0])  # 1000: logits past 2000
+    def test_moves_match_scalar_calls(self, scale):
+        # moves() reads its grid from the broadcast acceptance and its
+        # exchanged pair from the broadcast exchange; both equal the
+        # scalar calls entry by entry, bit for bit
+        A = np.random.default_rng(24).standard_normal((3, 3))
+        ctx = CollisionContext(scale * (A + A.T) / 2.0, collision.mean_field_kernel(3))
+        moves = list(ctx.moves())
+        assert len(moves) == len(ctx.pairs) == 9
+        for (l, k, w), (w_m, P, tau, tau_p) in zip(ctx.pairs, moves):
+            assert w_m == w
+            assert P.shape == tau.shape == tau_p.shape == (8, 8)
+            for sigma, sigma_p in itertools.product(range(8), repeat=2):
+                assert P[sigma, sigma_p] == ctx.acceptance(l, k, sigma, sigma_p)
+                pair = (tau[sigma, sigma_p], tau_p[sigma, sigma_p])
+                assert pair == collision.exchange(sigma, sigma_p, l, k)
 
     def test_diagonal_acceptance(self):
         ctx0 = CollisionContext(np.zeros((2, 2)), collision.mean_field_kernel(2))

@@ -385,7 +385,8 @@ class TestBallCoordinates:
 class TestCovariance:
     def test_two_site_slice_exactly(self):
         meas = du.du_measure(du.single_block_instance(2, 0))
-        assert np.array_equal(meas.covariance(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert np.array_equal(core.covariance(meas.probs, meas.spins),
+                              np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_two_site_slice_tilted(self):
         # one ball on two sites: covariance is 4p(1-p) times the fixed
@@ -394,8 +395,9 @@ class TestCovariance:
         tilted = du.tilt(meas, np.array([0.7, 0.0]))
         p = expit(1.4)
         q = 4.0 * p * (1.0 - p)
-        assert np.abs(tilted.covariance() - q * np.array([[1.0, -1.0], [-1.0, 1.0]])).max() < 1e-12
-        assert np.linalg.eigvalsh(tilted.covariance())[-1] == pytest.approx(2.0 * q)
+        cov = core.covariance(tilted.probs, tilted.spins)
+        assert np.abs(cov - q * np.array([[1.0, -1.0], [-1.0, 1.0]])).max() < 1e-12
+        assert np.linalg.eigvalsh(cov)[-1] == pytest.approx(2.0 * q)
 
     def test_free_bound(self):
         rep = du.cov_bound_check(du.single_block_instance(4, 0), 25, make_rng(71, 7))

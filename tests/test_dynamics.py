@@ -201,7 +201,7 @@ class TestScan:
         ctx = make_ctx(J, "blocks", blocks=((0, 1), (2,)))
         h = core.solve_field(J, ctx.blocks, np.array([0.1, -0.2]))
         rep = dynamics.nonlinear_mlsi_scan(ctx, h, 120, np.random.default_rng(49))
-        bound = dynamics.alpha_bound(J, 3)
+        bound = dynamics.alpha_bound(J)
         assert bound.applicable
         assert rep.min_ratio >= bound.value
         assert rep.samples + rep.discarded == 120

@@ -207,7 +207,7 @@ class TestScan:
         J = np.full((2, 2), 0.05)
         m = kac.multicanonical_measure(J, None, 3, ((0, 1),), (2,))
         scan = kac.particle_mlsi_scan(m, collision.mean_field_kernel(2), 150, make_rng(62, 0))
-        bound = dynamics.alpha_bound(J, 2)
+        bound = dynamics.alpha_bound(J)
         assert bound.applicable
         assert scan.min_ratio >= bound.value
         assert scan.median_ratio >= scan.min_ratio
@@ -239,7 +239,7 @@ class TestDecay:
         assert np.all(np.diff(H) <= 1e-12)
         keep = H > 1e-12
         slope = -np.polyfit(t_grid[keep], np.log(H[keep]), 1)[0]
-        bound = dynamics.alpha_bound(J, 2)
+        bound = dynamics.alpha_bound(J)
         assert slope >= bound.value
 
 
@@ -399,6 +399,12 @@ class TestSimulation:
                                      record_occupation=True)
         assert kac.occupation_tv(m, run) <= 0.02
 
+    @pytest.mark.parametrize("N, t_end", [(0, 1.0), (3, -1.0)])
+    def test_no_slots_or_negative_horizon_rejected(self, N, t_end):
+        ctx = mean_field_ctx(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="need N >= 1 and t_end >= 0"):
+            kac.simulate_particles(ctx, N, (N,), t_end, make_rng(64, 5))
+
     def test_kernel_leaving_its_block_raises(self):
         # a context whose blocks split the two sites that K always joins
         ctx = SimpleNamespace(n=2, blocks=((0,), (1,)), K=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -424,10 +430,10 @@ class TestSimulation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for l, k, s, sp in itertools.product(range(3), range(3), range(8), range(8)):
-                got = kac.walk_acceptance(fields, logw, l, k, s, sp, False)
+                got = collision.walk_acceptance(fields, logw, l, k, s, sp, False)
                 want = ctx.acceptance(l, k, s, sp)
                 assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
-                got = kac.walk_acceptance(fields, logw, l, k, s, s, True)
+                got = collision.walk_acceptance(fields, logw, l, k, s, s, True)
                 want = ctx.diagonal_acceptance(l, k, s)
                 assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
 

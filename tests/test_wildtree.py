@@ -327,7 +327,7 @@ def representation_check(ctx, p, depth, runs, rng):
     against the exact depth-fold square iteration of p."""
     est = wildtree.mpp_expectation(ctx.K, p, depth, runs, rng)
     exact = wildtree.discrete_iterate(ctx, p, depth)
-    return est, exact, est.sigmas(exact, 1e-12)
+    return est, exact, est.sigmas(exact)
 
 
 class TestRepresentation:
