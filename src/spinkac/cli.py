@@ -279,11 +279,10 @@ def cmd_downup(args):
     if args.mode == "cov":
         rep = downup.cov_bound_check(inst, args.trials, rng)
         print(f"max covariance eigenvalue over {rep.samples} tilts = {rep.max_eigenvalue:.6g}")
-        print(f"bound 2/(1-2 lam) = {rep.bound:.6g} (regularized: {rep.regularized})")
+        print(f"bound 2/(1-2 lam) = {rep.bound:.6g}")
         if args.out:
-            table = ResultTable("tilted-covariance", args.seed,
-                                ("max_eigenvalue", "bound", "samples", "regularized"))
-            table.append(rep.max_eigenvalue, rep.bound, rep.samples, rep.regularized)
+            table = ResultTable("tilted-covariance", args.seed, ("max_eigenvalue", "bound", "samples"))
+            table.append(rep.max_eigenvalue, rep.bound, rep.samples)
             table.write(args.out)
         return 0
     meas = downup.du_measure(inst)

@@ -12,7 +12,8 @@ conditioned Ising measure on the slice, and so is the walk, whose
 generator is their sum over balls. Its entropy-production constants, the
 entropy factorization across blocks, the tilted covariance bound, and
 the negative-correlation property of the zero-interaction case are all
-checkable exactly at small L.
+checkable exactly at small L, and so is its comparison with the
+exchange walk of `kac`, edge by edge (`bridge_check`).
 
 Enumeration is gated at L <= 20 and spectral gaps and slow modes at
 L <= 16 (12,870 states on a one-block slice), where the Lanczos slow
@@ -44,7 +45,7 @@ from .core import (
     swap_moves,
 )
 from .errors import CapacityError
-from .kac import dirichlet_form
+from .kac import transition_table
 
 ENUMERATION_GATE = 20
 SPECTRAL_GATE = 16
@@ -315,37 +316,25 @@ def jensen_residual(meas, F):
 class CovReport:
     max_eigenvalue: float
     bound: float
-    regularized: bool
     samples: int
 
 
 def cov_bound_check(inst, tilt_samples, rng):
     """max eigenvalue of the covariance over random and extreme tilts,
-    against 2/(1 - 2 lam) under `interaction_condition`. Semidefinite
-    interactions are nudged to positive definite by +1e-9 on the diagonal."""
-    lo, lam, reason = interaction_condition(inst.lam_matrix)
+    against 2/(1 - 2 lam) under `interaction_condition`."""
+    _, lam, reason = interaction_condition(inst.lam_matrix)
     if reason:
         raise ValueError(f"no covariance bound: {reason}")
-    regularized = lo < 1e-12
-    if regularized:
-        inst = DuInstance(
-            inst.L, inst.lam_matrix + 1e-9 * np.eye(inst.L), inst.w, inst.blocks, inst.M
-        )
-        _, lam = eigen_bounds(inst.lam_matrix)
     meas = du_measure(inst)
     bound = 2.0 / (1.0 - 2.0 * lam)
     tilts = [np.zeros(inst.L)]
     for _ in range(tilt_samples):
         scale = float(rng.choice([0.3, 1.0, 3.0]))
         tilts.append(scale * rng.standard_normal(inst.L))
-    for i in range(inst.L):
-        for s in (30.0, -30.0):
-            v = np.zeros(inst.L)
-            v[i] = s
-            tilts.append(v)
+    tilts += [s * e for e in np.eye(inst.L) for s in (30.0, -30.0)]  # one site pinned each
     tilted = (tilt(meas, v) for v in tilts)
     worst = max(eigen_bounds(covariance(q.probs, q.spins))[1] for q in tilted)
-    return CovReport(worst, bound, regularized, len(tilts))
+    return CovReport(worst, bound, len(tilts))
 
 
 def negcorr_max_offdiag(meas):
@@ -375,33 +364,35 @@ def particle_shaped_instance(J, h, N, T):
 
 @dataclass
 class BridgeReport:
-    min_margin: float
+    min_ratio: float
     constant: float
-    samples: int
+    edges: int
 
 
-def bridge_check(particle_measure, du_meas, trials, rng):
-    """The all-pairs exchange form dominates c = (1/4) e^{-8(Jbar+hbar)}
-    times the ball-walk form, sampled over positive F.
+def bridge_check(particle_measure, du_meas):
+    """min over ball-walk edges of the all-pairs exchange rate over the
+    ball-walk rate, against c = (1/4) e^{-8(Jbar+hbar)}. Both Dirichlet
+    forms sum pi(x) q(x, y) (F(y) - F(x)) (log F(y) - log F(x)) over
+    edges, each term nonnegative, so min_ratio >= c proves the exchange
+    form >= c times the ball-walk form for every positive F (Diaconis and
+    Saloff-Coste, Ann. Appl. Probab. 3, 1993).
 
-    Both measures must enumerate the same slice (identical codes); the
-    exchange system's slot layout puts slot i at bits [i*n, (i+1)*n),
-    matching the flat site layout of the slice.
+    Both measures must carry the same law on the same codes (slot i of
+    the exchange system at bits [i*n, (i+1)*n), the slice's flat site
+    layout). Each table holds an edge once, src < dst, so matching them
+    is one sort of unique keys; every ball move must be an exchange.
     """
-    if not np.array_equal(particle_measure.codes, du_meas.codes):
-        raise ValueError("slice and slot-system state spaces differ")
-    n = particle_measure.n
-    J = du_meas.inst.lam_matrix[:n, :n]
-    jb = interaction_row_norm(J)
-    hb = float(np.max(np.abs(du_meas.inst.w))) if du_meas.inst.w.size else 0.0
-    const = 0.25 * math.exp(-8.0 * (jb + hb))
-    tab = du_transitions(du_meas)
+    if not (np.array_equal(particle_measure.codes, du_meas.codes)
+            and np.allclose(particle_measure.probs, du_meas.probs, rtol=1e-9, atol=0.0)):
+        raise ValueError("slice and slot-system state spaces differ or carry different laws")
+    kac_tab = transition_table(particle_measure, None)
+    ball = du_transitions(du_meas)
     size = du_meas.codes.size
-    worst = math.inf
-    for trial in range(trials):
-        F = sample_test_function(size, trial, rng)
-        logF = np.log(F)
-        lhs = dirichlet_form(particle_measure, F, logF, kernel=None)
-        rhs = const * tab.dirichlet(F, logF)
-        worst = min(worst, lhs - rhs)
-    return BridgeReport(worst, const, trials)
+    _, at, of = np.intersect1d(kac_tab.src * size + kac_tab.dst, ball.src * size + ball.dst,
+                               assume_unique=True, return_indices=True)
+    if of.size < ball.src.size:
+        raise ValueError("a ball move is not an exchange of the slot system")
+    ratio = kac_tab.rate[at] / ball.rate[of]
+    jb = interaction_row_norm(du_meas.inst.lam_matrix)
+    hb = float(np.max(np.abs(du_meas.inst.w), initial=0.0))
+    return BridgeReport(float(ratio.min(initial=math.inf)), 0.25 * math.exp(-8.0 * (jb + hb)), ratio.size)

@@ -87,7 +87,9 @@ def canonical_counts(nu, blocks, N):
 
 
 def admissible_counts(N, blocks):
-    """All shell count tuples with a nonempty shell."""
+    """All shell count tuples with a nonempty shell; N >= 1."""
+    if N < 1:
+        raise ValueError(f"need N >= 1 slots, got N = {N}")
     return list(itertools.product(*(range(N * len(b) + 1) for b in blocks)))
 
 
@@ -119,6 +121,8 @@ class ParticleMeasure:
 def restricted_product_measure(single_log_weights, N, blocks, T):
     """Enumerate the count shell of the product of N copies of one
     single-slot weight table and normalize."""
+    if N < 1:
+        raise ValueError(f"need N >= 1 slots, got N = {N}")
     table = np.asarray(single_log_weights, dtype=float)
     n = sites_of(table)
     if N * n > ENUMERATION_GATE:
@@ -145,7 +149,7 @@ def restricted_product_measure(single_log_weights, N, blocks, T):
 def multicanonical_measure(J, h, N, blocks, T):
     """Conditioned product of Gibbs measures: h is None or one field
     vector shared by all slots."""
-    return restricted_product_measure(log_gibbs_weights(check_interaction(J), h), N, blocks, T)
+    return restricted_product_measure(log_gibbs_weights(J, h), N, blocks, T)
 
 
 # -- exchange moves on a shell -----------------------------------------
@@ -176,12 +180,12 @@ def _pair_moves(measure, kernel):
                 yield src, dst, expit(measure.logw[dst] - measure.logw[src]), w
 
 
-def dirichlet_form(measure, F, G, kernel=None):
+def dirichlet_form(measure, F, G, kernel):
     """(1/2Nn) sum over slot pairs and site pairs of mu[K r dF dG]
     (kernel given) or mu[r dF dG] (kernel None, the all-pairs variant).
 
     The same sum as `transition_table(measure, kernel).dirichlet(F, G)`,
-    but streamed edge by edge, so the table is never held in memory."""
+    streamed per bit pair, so criterion 11 never holds the table in memory."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
     total = 0.0
@@ -419,7 +423,9 @@ def restricted_mass(nu, blocks, N, T):
 
 def canonical_marginal(nu, blocks, N, T, k):
     """Law of the first k slots under the conditioned product, as a dense
-    array over (2**n)**k joint masks."""
+    array over (2**n)**k joint masks; 1 <= k <= N."""
+    if not 1 <= k <= N:
+        raise ValueError(f"need 1 <= k <= N slots, got k = {k} and N = {N}")
     nu = np.asarray(nu, dtype=float)
     n = sites_of(nu)
     blocks = check_partition(blocks, n)
@@ -497,7 +503,9 @@ class ChaosReport:
 
 def chaos_scan(nu, blocks, k, N_grid):
     """Marginal chaos: TV of the k-slot marginal against the plain
-    product along a grid of N, with the fitted log-log slope."""
+    product along a grid of at least two distinct N, with the log-log slope."""
+    if len(set(N_grid)) < 2:
+        raise ValueError(f"a slope needs at least two distinct N, got N grid {list(N_grid)}")
     check_irreducible(nu, blocks)
     tvs = []
     for N in N_grid:
@@ -508,6 +516,14 @@ def chaos_scan(nu, blocks, k, N_grid):
     return ChaosReport(np.asarray(N_grid), tvs, slope)
 
 
+def shared_shell(nu1, nu2, blocks, N):
+    """The canonical counts at N, which nu1 and nu2 must share."""
+    T1, T2 = (canonical_counts(nu, blocks, N) for nu in (nu1, nu2))
+    if T1 != T2:
+        raise ValueError(f"canonical counts differ at N = {N}: {T1} vs {T2}, one density is off the shell")
+    return T1
+
+
 def entropic_chaos_gap(nu1, nu2, blocks, N):
     """| (1/N) H(shell product of nu1 | shell product of nu2) - H(nu1|nu2) |.
 
@@ -516,17 +532,14 @@ def entropic_chaos_gap(nu1, nu2, blocks, N):
     """
     nu1 = check_probvec(np.asarray(nu1, dtype=float))
     nu2 = check_probvec(np.asarray(nu2, dtype=float))
-    T1 = canonical_counts(nu1, blocks, N)
-    T2 = canonical_counts(nu2, blocks, N)
-    if T1 != T2:
-        raise ValueError(f"canonical counts differ at N = {N}: {T1} vs {T2}")
+    T = shared_shell(nu1, nu2, blocks, N)
     if np.any((nu1 > 0) & (nu2 == 0)):
         return math.inf
-    marg1 = canonical_marginal(nu1, blocks, N, T1, 1)
+    marg1 = canonical_marginal(nu1, blocks, N, T, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(nu1 > 0, np.log(np.where(nu1 > 0, nu1, 1.0) / np.where(nu2 > 0, nu2, 1.0)), 0.0)
     cross = float(marg1 @ ratio)
-    mass_term = (shell_log_mass(nu1, blocks, N, T1) - shell_log_mass(nu2, blocks, N, T2)) / N
+    mass_term = (shell_log_mass(nu1, blocks, N, T) - shell_log_mass(nu2, blocks, N, T)) / N
     h_per_slot = cross - mass_term
     return abs(h_per_slot - relative_entropy(nu1, nu2))
 
@@ -534,12 +547,7 @@ def entropic_chaos_gap(nu1, nu2, blocks, N):
 def _fisher_per_slot(ctx, mu, nu, N):
     """(1/N) Dirichlet(F_N, log F_N) for the shell likelihood ratio
     F_N between the conditioned products of nu and mu."""
-    if N * ctx.n > ENUMERATION_GATE:
-        raise CapacityError(f"exact route gated at N*n <= {ENUMERATION_GATE}")
-    T = canonical_counts(nu, ctx.blocks, N)
-    T_mu = canonical_counts(mu, ctx.blocks, N)
-    if T != T_mu:
-        raise ValueError(f"canonical counts differ at N = {N}: tilt is off the shell")
+    T = shared_shell(nu, mu, ctx.blocks, N)
     with np.errstate(divide="ignore"):
         gamma_mu = restricted_product_measure(np.log(mu), N, ctx.blocks, T)
         gamma_nu = restricted_product_measure(np.log(nu), N, ctx.blocks, T)

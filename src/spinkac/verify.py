@@ -34,7 +34,6 @@ from .core import (
     magnetization_profile,
     match_block_means,
     relative_entropy,
-    solve_field,
     tv_distance,
 )
 from .dynamics import (
@@ -268,7 +267,6 @@ def c04_convergence(seed=DEFAULT_SEED, quick=False, par=None):
         target = np.array([rng.uniform(-0.4, 0.4) for _ in ctx.blocks])
         logw = np.log(_interior_density(rng, 1 << n))
         _, p0 = match_block_means(logw, ctx.blocks, target)
-        solve_field(J, ctx.blocks, target)  # the instance must be solvable
         jobs.append((J, K, p0))
     par = par or Parallel()
     results = par.map(_c04_one, jobs)

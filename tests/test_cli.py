@@ -64,6 +64,22 @@ class TestExitCodes:
         assert said in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, said", [
+        (["chaos", "--k", "0"], "got k = 0 and N = 8"),
+        (["chaos", "--k", "3", "--N-grid", "2,4"], "got k = 3 and N = 2"),
+        (["chaos", "--N-grid", "8"], "two distinct N"),
+        (["kac-mlsi", "--N", "0"], "got N = 0"),
+        (["kac-mlsi", "--N", "-1"], "got N = -1"),
+    ])
+    def test_chaos_and_kac_mlsi_need_a_shell(self, tmp_path, capsys, args, said):
+        out = tmp_path / "c.csv"
+        code = cli.main([*args, "--model", str(REPO / DEMO), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinkac: error:")
+        assert said in err
+        assert not out.exists()
+
     def test_bad_initial_state(self, tmp_path, capsys):
         code = cli.main(["evolve", "--model", str(REPO / DEMO), "--p0", "delta:9",
                          "--out", str(tmp_path / "o.csv")])
@@ -170,7 +186,7 @@ class TestSubcommands:
                          "--trials", "10", "--out", str(out)])
         assert code == 0
         _, cols, data = read_table(out)
-        assert cols == ("max_eigenvalue", "bound", "samples", "regularized")
+        assert cols == ("max_eigenvalue", "bound", "samples")
         assert data[0, 0] <= data[0, 1]
 
     def test_downup_needs_a_geometry(self, capsys):

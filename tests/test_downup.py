@@ -401,9 +401,15 @@ class TestCovariance:
 
     def test_free_bound(self):
         rep = du.cov_bound_check(du.single_block_instance(4, 0), 25, make_rng(71, 7))
-        assert rep.regularized
-        assert rep.bound == pytest.approx(2.0, abs=1e-6)
+        assert rep.bound == 2.0
         assert rep.max_eigenvalue <= rep.bound
+
+    def test_diagonal_shift_leaves_the_covariance(self):
+        # s_i^2 = 1, so J + eps I adds one constant to every log-weight
+        free = du.cov_bound_check(du.single_block_instance(4, 0), 25, make_rng(71, 7))
+        shifted = du.cov_bound_check(du.single_block_instance(4, 0, 1e-9 * np.eye(4)), 25,
+                                     make_rng(71, 7))
+        assert abs(free.max_eigenvalue - shifted.max_eigenvalue) <= 1e-15
 
     def test_warm_bound(self):
         rep = du.cov_bound_check(du.single_block_instance(4, 0, rank_one(4, 0.4)), 25, make_rng(71, 8))
@@ -428,19 +434,62 @@ class TestCovariance:
             du.negcorr_max_offdiag(meas)
 
 
+def one_site_bridge():
+    """(slot-system measure, slice measure, bridge report) at n = 1,
+    N = 4, two plus spins: six states, twelve edges."""
+    J = np.array([[0.2]])
+    h = np.array([0.1])
+    inst = du.particle_shaped_instance(J, h, 4, 2)
+    assert inst.L == 4 and inst.M == (0,)
+    pm = kac.multicanonical_measure(J, h, 4, ((0,),), (2,))
+    meas = du.du_measure(inst)
+    return pm, meas, du.bridge_check(pm, meas)
+
+
 class TestBridge:
     def test_slot_system_dominates_ball_walk(self):
+        _, _, rep = one_site_bridge()
+        assert rep.edges == 12
+        assert rep.min_ratio == pytest.approx(0.75, rel=1e-12)
+        assert rep.constant == pytest.approx(0.25 * math.exp(-2.4), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dominates_on_admissible_instances(self, n):
+        inst = random_psd_instance(n, n % 2, n)  # its couplings and fields
+        J, h = inst.lam_matrix, inst.w
+        pm = kac.multicanonical_measure(J, h, 4, (tuple(range(n)),), (2 * n,))
+        rep = du.bridge_check(pm, du.du_measure(du.particle_shaped_instance(J, h, 4, 2 * n)))
+        assert rep.edges > 0
+        assert rep.min_ratio >= rep.constant
+
+    def test_sampled_forms_keep_the_comparison(self):
+        pm, meas, rep = one_site_bridge()
+        ball = du.du_transitions(meas)
+        rng = make_rng(73, 0)
+        for trial in range(40):
+            F = sample_test_function(meas.codes.size, trial, rng)
+            logF = np.log(F)
+            gap = kac.dirichlet_form(pm, F, logF, None) - rep.constant * ball.dirichlet(F, logF)
+            assert gap >= -1e-12
+
+    def test_constants_compose_to_the_rate_bound(self):
+        # ball-walk constant (1 - 2 lam) times the comparison constant
         J = np.array([[0.2]])
         h = np.array([0.1])
-        inst = du.particle_shaped_instance(J, h, 4, 2)
-        assert inst.L == 4 and inst.M == (0,)
-        pm = kac.multicanonical_measure(J, h, 4, ((0,),), (2,))
-        rep = du.bridge_check(pm, du.du_measure(inst), 40, make_rng(73, 0))
-        assert rep.constant == pytest.approx(0.25 * math.exp(-8.0 * 0.3))
-        assert rep.min_margin >= -1e-12
+        _, meas, rep = one_site_bridge()
+        single, _, _ = du.du_constants(meas.inst)
+        assert kac.mean_field_alpha_bound(J, h).value == pytest.approx(single * rep.constant, rel=1e-14)
 
     def test_mismatched_slices_rejected(self):
         pm = kac.multicanonical_measure(np.array([[0.2]]), None, 4, ((0,),), (2,))
         other = du.du_measure(du.single_block_instance(4, 2))
         with pytest.raises(ValueError, match="state spaces differ"):
-            du.bridge_check(pm, other, 5, make_rng(73, 1))
+            du.bridge_check(pm, other)
+
+    def test_mismatched_laws_rejected(self):
+        # same codes, but the slot system couples the two sites of a slot
+        J = np.array([[0.0, 0.2], [0.2, 0.0]])
+        pm = kac.multicanonical_measure(J, None, 2, ((0, 1),), (2,))
+        other = du.du_measure(du.single_block_instance(4, 0))
+        with pytest.raises(ValueError, match="different laws"):
+            du.bridge_check(pm, other)

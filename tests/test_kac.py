@@ -75,11 +75,20 @@ class TestShells:
         assert len(got) == 3 * 5
         assert (0, 0) in got and (2, 4) in got
 
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_admissible_counts_need_a_slot(self, N):
+        with pytest.raises(ValueError, match=f"N = {N}"):
+            kac.admissible_counts(N, ((0,),))
+
 
 class TestMulticanonical:
     def test_free_shell_is_uniform(self):
         m = kac.multicanonical_measure(np.zeros((2, 2)), None, 2, ((0, 1),), (2,))
         assert np.abs(m.probs - 1.0 / m.codes.size).max() < 1e-14
+
+    def test_shell_needs_a_slot(self):
+        with pytest.raises(ValueError, match="need N >= 1 slots, got N = 0"):
+            kac.restricted_product_measure(np.zeros(2), 0, ((0,),), (0,))
 
     def test_two_slot_single_site_shell(self):
         m = kac.multicanonical_measure(np.zeros((1, 1)), None, 2, ((0,),), (1,))
@@ -128,14 +137,14 @@ class TestDirichlet:
     def test_constant_function_vanishes(self):
         m = kac.multicanonical_measure(np.array([[0.0, 0.2], [0.2, 0.0]]), None, 2, ((0, 1),), (2,))
         F = np.full(m.codes.size, 2.5)
-        assert kac.dirichlet_form(m, F, F) == 0.0
+        assert kac.dirichlet_form(m, F, F, None) == 0.0
 
     def test_nonnegative_quadratic(self):
         rng = make_rng(61, 0)
         m = kac.multicanonical_measure(np.array([[0.1, 0.15], [0.15, 0.1]]), None, 3, ((0, 1),), (3,))
         for _ in range(10):
             F = np.exp(rng.standard_normal(m.codes.size))
-            assert kac.dirichlet_form(m, F, F) >= 0.0
+            assert kac.dirichlet_form(m, F, F, None) >= 0.0
 
     def test_matches_generator_pairing(self):
         rng = make_rng(61, 1)
@@ -297,6 +306,19 @@ class TestChaos:
         rep = kac.chaos_scan(np.array([0.25, 0.75]), ((0,),), 2, [8, 16, 32, 64])
         assert abs(rep.slope + 1.0) <= 0.1
         assert np.all(np.diff(rep.tv) < 0)
+
+    def test_marginal_needs_a_slot(self):
+        with pytest.raises(ValueError, match="got k = 0 and N = 4"):
+            kac.canonical_marginal(np.array([0.25, 0.75]), ((0,),), 4, (2,), 0)
+
+    def test_marginal_needs_k_at_most_N(self):
+        with pytest.raises(ValueError, match="got k = 3 and N = 2"):
+            kac.canonical_marginal(np.array([0.25, 0.75]), ((0,),), 2, (1,), 3)
+
+    @pytest.mark.parametrize("grid", [[8], [8, 8]])
+    def test_slope_needs_two_distinct_N(self, grid):
+        with pytest.raises(ValueError, match="two distinct N"):
+            kac.chaos_scan(np.array([0.25, 0.75]), ((0,),), 2, grid)
 
     def test_irreducibility_guard(self):
         frozen = np.array([0.0, 0.5, 0.5, 0.0])  # block count pinned at one
