@@ -37,7 +37,6 @@ from .core import (
     entropy_functional,
     entropy_ratio_scan,
     interaction_condition,
-    interaction_row_norm,
     sample_test_function,
     site_mask,
     slice_codes,
@@ -45,7 +44,7 @@ from .core import (
     swap_moves,
 )
 from .errors import CapacityError
-from .kac import transition_table
+from .kac import comparison_constant, transition_table
 
 ENUMERATION_GATE = 20
 SPECTRAL_GATE = 16
@@ -371,7 +370,7 @@ class BridgeReport:
 
 def bridge_check(particle_measure, du_meas):
     """min over ball-walk edges of the all-pairs exchange rate over the
-    ball-walk rate, against c = (1/4) e^{-8(Jbar+hbar)}. Both Dirichlet
+    ball-walk rate, against c = kac.comparison_constant. Both Dirichlet
     forms sum pi(x) q(x, y) (F(y) - F(x)) (log F(y) - log F(x)) over
     edges, each term nonnegative, so min_ratio >= c proves the exchange
     form >= c times the ball-walk form for every positive F (Diaconis and
@@ -393,6 +392,6 @@ def bridge_check(particle_measure, du_meas):
     if of.size < ball.src.size:
         raise ValueError("a ball move is not an exchange of the slot system")
     ratio = kac_tab.rate[at] / ball.rate[of]
-    jb = interaction_row_norm(du_meas.inst.lam_matrix)
-    hb = float(np.max(np.abs(du_meas.inst.w), initial=0.0))
-    return BridgeReport(float(ratio.min(initial=math.inf)), 0.25 * math.exp(-8.0 * (jb + hb)), ratio.size)
+    inst = du_meas.inst
+    return BridgeReport(float(ratio.min(initial=math.inf)),
+                        comparison_constant(inst.lam_matrix, inst.w), ratio.size)

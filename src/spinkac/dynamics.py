@@ -27,6 +27,7 @@ from .core import (
     match_block_means,
     relative_entropy,
     sample_test_function,
+    sites_of,
     solve_field,
     tv_distance,
 )
@@ -203,7 +204,7 @@ def decay_report(traj, J):
     """
     H = traj.entropies()
     tv = traj.tv_to_equilibrium()
-    n = int(math.log2(traj.states.shape[1]))
+    n = sites_of(traj.mu_eq)
     bound = alpha_bound(J)
     tv_curve = None
     if bound.applicable:

@@ -56,16 +56,22 @@ ENUMERATION_GATE = 22
 WALK_BLOCK = 4096  # walk events drawn per generator call
 
 
+def comparison_constant(J, h):
+    """c = (1/4) exp(-8 (Jbar + hbar)), the least rate of an all-pairs
+    exchange over the rate of the same move as a ball relocation; h may
+    be None (no field)."""
+    hb = 0.0 if h is None else float(np.max(np.abs(h), initial=0.0))
+    return 0.25 * math.exp(-8.0 * (interaction_row_norm(J) + hb))
+
+
 def mean_field_alpha_bound(J, h=None):
     """Rate bound for the all-pairs (uniform transport) walk with fields:
-    (1/4) (1 - 2 lam) exp(-8 (Jbar + hbar))."""
+    (1 - 2 lam) times the comparison constant."""
     J = check_interaction(J)
     _, lam, reason = interaction_condition(J)
     if reason:
         return AlphaBound(None, False, reason, lam)
-    jb = interaction_row_norm(J)
-    hb = 0.0 if h is None else float(np.max(np.abs(h)))
-    return AlphaBound(0.25 * (1.0 - 2.0 * lam) * math.exp(-8.0 * (jb + hb)), True, "", lam)
+    return AlphaBound((1.0 - 2.0 * lam) * comparison_constant(J, h), True, "", lam)
 
 
 # -- count shells -------------------------------------------------------

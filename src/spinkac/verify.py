@@ -7,20 +7,21 @@ and reports wall time on stderr only, so the table and stdout are
 byte-stable at a fixed seed.
 
 Checks that average Monte Carlo batches run each batch on its own
-seeded stream through a Parallel context and add the partial results
-(`wildtree.Moments`, or lists of fragmentation times) in stream order,
-so the sums are the same bytes whatever the worker count.
+seeded stream and add the partial results (`wildtree.Moments`, or lists
+of fragmentation times) in stream order. Every check is a function of
+(seed, quick) alone, so `run_all` may spread whole checks over worker
+processes and still print the same bytes whatever the worker count.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import math
 import operator
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,38 +68,12 @@ class CriterionResult:
         return f"{tag} criterion {self.index:2d} {self.name}: {self.detail}"
 
 
-# -- worker pool --------------------------------------------------------
-
-
-def default_workers():
-    return min(8, os.cpu_count() or 1)
-
-
-class Parallel:
-    """Worker pool handed to the checks. `map` preserves item order."""
-
-    def __init__(self, workers=1):
-        self.workers = max(1, int(workers))
-
-    def map(self, fn, items):
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1:
-            return [fn(x) for x in items]
-        with ProcessPoolExecutor(max_workers=min(self.workers, len(items))) as ex:
-            return list(ex.map(fn, items))
-
-
-def _run_seeded(job):
-    fn, args, seed, stream = job
-    return fn(*args, make_rng(seed, stream))
-
-
-def _seeded_sum(par, fn, args, seed, first_stream, batches):
+def _seeded_sum(fn, args, seed, first_stream, batches):
     """Run fn(*args, rng) once per stream first_stream, first_stream + 1,
     ..., each on that stream's own generator, and add the results in
     stream order."""
-    jobs = [(fn, args, seed, first_stream + b) for b in range(batches)]
-    return functools.reduce(operator.add, par.map(_run_seeded, jobs))
+    parts = (fn(*args, make_rng(seed, first_stream + b)) for b in range(batches))
+    return functools.reduce(operator.add, parts)
 
 
 # -- shared instance samplers ------------------------------------------
@@ -156,7 +131,7 @@ def _random_kernel(rng, n, family):
 # -- criterion 1: stationarity -----------------------------------------
 
 
-def c01_stationarity(seed=DEFAULT_SEED, quick=False, par=None):
+def c01_stationarity(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 1)
     models = 8 if quick else 20
     worst = 0.0
@@ -192,7 +167,7 @@ def _conservation_instances(rng, quick):
     return out
 
 
-def c02_conservation(seed=DEFAULT_SEED, quick=False, par=None):
+def c02_conservation(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 2)
     worst = 0.0
     count = 0
@@ -214,7 +189,7 @@ def c02_conservation(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 3: entropy budget ---------------------------------------
 
 
-def c03_entropy_budget(seed=DEFAULT_SEED, quick=False, par=None):
+def c03_entropy_budget(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 3)
     worst = 0.0
     trajectories = 1 if quick else 2
@@ -238,26 +213,12 @@ def c03_entropy_budget(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 4: convergence at T = 200 / alpha -----------------------
 
 
-def _c04_one(args):
-    J, K, p0 = args
-    ctx = CollisionContext(J, K)
-    bound = alpha_bound(J)
-    T = 200.0 / bound.value
-    dt = 0.05
-    nsteps = int(math.ceil(T / dt))
-    traj = evolve(ctx, p0, nsteps * dt, dt, store_every=20, stop_below_entropy=1e-13)
-    if traj.stopped_early:
-        # entropy is monotone, so Pinsker bounds tv at every later time
-        cert = math.sqrt(max(relative_entropy(traj.final, traj.mu_eq), 0.0) / 2.0)
-    else:
-        cert = tv_distance(traj.final, traj.mu_eq)
-    return cert, bound.value, traj.stopped_early
-
-
-def c04_convergence(seed=DEFAULT_SEED, quick=False, par=None):
+def c04_convergence(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 4)
     count = 3 if quick else 10
-    jobs = []
+    dt = 0.05
+    worst = 0.0
+    stopped = 0
     for i in range(count):
         n = 2 + i % 2
         family = "mean-field" if i % 2 == 0 else "blocks"
@@ -267,11 +228,15 @@ def c04_convergence(seed=DEFAULT_SEED, quick=False, par=None):
         target = np.array([rng.uniform(-0.4, 0.4) for _ in ctx.blocks])
         logw = np.log(_interior_density(rng, 1 << n))
         _, p0 = match_block_means(logw, ctx.blocks, target)
-        jobs.append((J, K, p0))
-    par = par or Parallel()
-    results = par.map(_c04_one, jobs)
-    worst = max(r[0] for r in results)
-    stopped = sum(1 for r in results if r[2])
+        nsteps = int(math.ceil(200.0 / alpha_bound(J).value / dt))
+        traj = evolve(ctx, p0, nsteps * dt, dt, store_every=20, stop_below_entropy=1e-13)
+        if traj.stopped_early:
+            # entropy is monotone, so Pinsker bounds tv at every later time
+            cert = math.sqrt(max(relative_entropy(traj.final, traj.mu_eq), 0.0) / 2.0)
+            stopped += 1
+        else:
+            cert = tv_distance(traj.final, traj.mu_eq)
+        worst = max(worst, cert)
     passed = worst <= 1e-6
     return CriterionResult(
         4, "convergence", passed, worst, 1e-6,
@@ -283,7 +248,7 @@ def c04_convergence(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 5: fitted decay rate vs the closed-form bound -----------
 
 
-def c05_decay_rate(seed=DEFAULT_SEED, quick=False, par=None):
+def c05_decay_rate(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 5)
     count = 4 if quick else 10
     min_margin = math.inf
@@ -316,7 +281,7 @@ def c05_decay_rate(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 6: nonlinear ratio scan ---------------------------------
 
 
-def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False, par=None):
+def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 6)
     count = 2 if quick else 5
     trials = 150 if quick else 1000
@@ -343,9 +308,8 @@ def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 7: branching-tree Monte Carlo ---------------------------
 
 
-def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
+def c07_tree_solution(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 7)
-    par = par or Parallel()
     samples = 20_000 if quick else 100_000
     sizes = [2] if quick else [2, 3]
     worst = 0.0
@@ -357,7 +321,7 @@ def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
         t = 1.0
         exact = evolve(ctx, p0, t, dt=0.001).final
         batches = 16
-        est = _seeded_sum(par, wildtree.mc_solution, (ctx, p0, t, samples // batches),
+        est = _seeded_sum(wildtree.mc_solution, (ctx, p0, t, samples // batches),
                           seed, 700 + n * 100, batches)
         worst = max(worst, est.sigmas(exact))
     passed = worst <= 3.0
@@ -370,9 +334,8 @@ def c07_tree_solution(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 8: partition-process representation and tail ------------
 
 
-def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
+def c08_partition_process(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 8)
-    par = par or Parallel()
     runs = 8_000 if quick else 40_000
     n = 2
     K = build_transport_kernel("mean-field", n)
@@ -382,7 +345,7 @@ def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
     batches = 8
     for depth in (1, 2, 3, 4):
         exact = wildtree.discrete_iterate(ctx, p0, depth)
-        est = _seeded_sum(par, wildtree.mpp_expectation, (K, p0, depth, runs // batches),
+        est = _seeded_sum(wildtree.mpp_expectation, (K, p0, depth, runs // batches),
                           seed, 800 + depth * 10, batches)
         worst_sig = max(worst_sig, est.sigmas(exact))
     tail_runs = 5_000 if quick else 20_000
@@ -390,7 +353,7 @@ def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
     worst_excess = -math.inf
     for m in tail_sizes:
         Km = build_transport_kernel("mean-field", m)
-        times = _seeded_sum(par, wildtree.fragmentation_times, (Km, tail_runs // batches),
+        times = _seeded_sum(wildtree.fragmentation_times, (Km, tail_runs // batches),
                             seed, 880 + m * 10, batches)
         u, tail, stderr = wildtree.fragmentation_tail(times, m)
         excess = tail - (m * np.exp(-u / (2.0 * m)) + 3.0 * stderr)
@@ -407,7 +370,7 @@ def c08_partition_process(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 9: N-configuration decay and ratio scan -----------------
 
 
-def c09_particle_system(seed=DEFAULT_SEED, quick=False, par=None):
+def c09_particle_system(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 9)
     decay_cases = [(1, 6, 0.2), (2, 4, 0.12)] if quick else [(1, 8, 0.2), (2, 5, 0.12), (2, 4, 0.2)]
     worst_ratio = 0.0
@@ -450,7 +413,7 @@ def c09_particle_system(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 10: shell masses, marginal chaos, entropic chaos --------
 
 
-def c10_chaos(seed=DEFAULT_SEED, quick=False, par=None):
+def c10_chaos(seed=DEFAULT_SEED, quick=False):
     J = np.array([[0.0, 0.25], [0.25, 0.0]])
     h = np.array([0.15, 0.15])
     mu = gibbs(J, h)
@@ -482,7 +445,7 @@ def c10_chaos(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 11: Dirichlet-form chaos --------------------------------
 
 
-def c11_fisher_chaos(seed=DEFAULT_SEED, quick=False, par=None):
+def c11_fisher_chaos(seed=DEFAULT_SEED, quick=False):
     grid = [2, 4, 6, 8]
     worst_step = -math.inf
     details = []
@@ -514,7 +477,7 @@ def c11_fisher_chaos(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 12: ball-relocation walks -------------------------------
 
 
-def c12_ball_walks(seed=DEFAULT_SEED, quick=False, par=None):
+def c12_ball_walks(seed=DEFAULT_SEED, quick=False):
     rng = make_rng(seed, 12)
     margins = []
 
@@ -570,10 +533,9 @@ def c12_ball_walks(seed=DEFAULT_SEED, quick=False, par=None):
 # -- criterion 13: reproducibility -------------------------------------
 
 
-def _repro_payload(seed, workers):
+def _repro_payload(seed):
     """A fixed slice of the suite rendered to bytes: seeded model draws,
-    a pooled Monte Carlo sum, and a ratio scan."""
-    par = Parallel(workers)
+    a Monte Carlo sum over seeded batches, and a ratio scan."""
     rng = make_rng(seed, 13)
     table = ResultTable("repro-probe", seed, ("name", "value"))
     K = _random_kernel(rng, 3, "blocks")
@@ -582,7 +544,7 @@ def _repro_payload(seed, workers):
     h = _block_constant_field(rng, 3, ctx.blocks)
     table.append("stationarity", stationarity_residual(ctx, gibbs(J, h)))
     p0 = _interior_density(rng, 8)
-    est = _seeded_sum(par, wildtree.mc_solution, (ctx, p0, 0.8, 500), seed, 1300, 8)
+    est = _seeded_sum(wildtree.mc_solution, (ctx, p0, 0.8, 500), seed, 1300, 8)
     for i, v in enumerate(est.mean):
         table.append(f"tree-mean-{i}", v)
     Jk = _admissible_coupling(rng, 2, 0.08, 0.15)
@@ -594,14 +556,12 @@ def _repro_payload(seed, workers):
     return table.render().encode()
 
 
-def c13_reproducibility(seed=DEFAULT_SEED, quick=False, par=None):
-    par = par or Parallel()
-    same = _repro_payload(seed, par.workers) == _repro_payload(seed, par.workers)
+def c13_reproducibility(seed=DEFAULT_SEED, quick=False):
+    same = _repro_payload(seed) == _repro_payload(seed)
     note = "byte-identical" if same else "not byte-identical"
     return CriterionResult(
         13, "reproducibility", same, 0.0 if same else 1.0, 0.0,
-        f"double-run of the seeded probe is {note} "
-        f"(deterministic reduction, {par.workers} workers)",
+        f"double-run of the seeded probe is {note} (deterministic reduction)",
     )
 
 
@@ -622,23 +582,43 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(seed=DEFAULT_SEED, quick=False, workers=None, out=None, stream=None, err=None):
-    """Run every criterion in order; returns (results, all_passed).
+def default_workers():
+    return min(8, os.cpu_count() or 1)
 
-    Pass/fail lines go to `stream` (default stdout); wall times go to
-    `err` (default stderr) so recorded output stays byte-stable.
+
+def _timed(job):
+    fn, seed, quick = job
+    t0 = time.perf_counter()
+    res = fn(seed, quick)
+    return res, time.perf_counter() - t0
+
+
+def run_all(seed=DEFAULT_SEED, quick=False, workers=None, out=None, stream=None, err=None):
+    """Run every criterion; returns (results, all_passed).
+
+    One worker runs the criteria in this process, one after another;
+    more spread whole criteria over one process pool. Either way the
+    pass/fail lines go to `stream` (default stdout) in criterion order,
+    and each criterion's wall time, measured where it ran, goes to
+    `err` (default stderr), so recorded output stays byte-stable.
     """
     stream = stream or sys.stdout
     err = err or sys.stderr
-    par = Parallel(default_workers() if workers is None else workers)
+    workers = max(1, int(default_workers() if workers is None else workers))
+    jobs = [(fn, seed, quick) for fn in ALL_CRITERIA]
     results = []
-    for fn in ALL_CRITERIA:
-        t0 = time.perf_counter()
-        res = fn(seed=seed, quick=quick, par=par)
-        elapsed = time.perf_counter() - t0
-        results.append(res)
-        print(res.line(), file=stream)
-        print(f"  criterion {res.index:2d} took {elapsed:.1f} s", file=err)
+
+    def report(timed):
+        for res, elapsed in timed:
+            results.append(res)
+            print(res.line(), file=stream)
+            print(f"  criterion {res.index:2d} took {elapsed:.1f} s", file=err)
+
+    if workers == 1:
+        report(map(_timed, jobs))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
+            report(ex.map(_timed, jobs))
     if out:
         table = ResultTable("acceptance-suite", seed, ("criterion", "passed", "value", "threshold"))
         table.add_meta("quick", "1" if quick else "0")

@@ -59,10 +59,11 @@ def spinkac_cli(package_python):
 @pytest.fixture(scope="session")
 def quick_suite_runs(package_python, tmp_path_factory):
     """``verify-all --quick --out`` run twice per test session, once
-    through the CLI entry module on the default worker count and once
-    through ``spinkac.cli.main`` in a fresh interpreter
-    (``CLI_MAIN_CHILD``) with ``--workers 1``, so that every criterion of
-    the second run runs in the interpreter whose modules it reports.
+    through the CLI entry module with ``--workers 2``, so the criteria
+    run in a process pool on every machine, and once through
+    ``spinkac.cli.main`` in a fresh interpreter (``CLI_MAIN_CHILD``) with
+    ``--workers 1``, so that every criterion of the second run runs in
+    the interpreter whose modules it reports.
 
     Returns one dict per run with the keys ``stdout``, ``stderr`` (bytes),
     ``table`` (the ``--out`` bytes) and ``seconds``. Every test that reads
@@ -70,12 +71,12 @@ def quick_suite_runs(package_python, tmp_path_factory):
     """
     tmp = tmp_path_factory.mktemp("quick-suite")
     runs = []
-    launches = ((["-m", "spinkac.cli"], []), (["-c", CLI_MAIN_CHILD], ["--workers", "1"]))
+    launches = ((["-m", "spinkac.cli"], "2"), (["-c", CLI_MAIN_CHILD], "1"))
     for i, (launch, workers) in enumerate(launches):
         out = tmp / f"run{i}.csv"
         t0 = time.perf_counter()
         res = package_python(
-            [*launch, "verify-all", "--quick", *workers, "--out", str(out)],
+            [*launch, "verify-all", "--quick", "--workers", workers, "--out", str(out)],
             cwd=REPO, capture_output=True,
         )
         seconds = time.perf_counter() - t0
