@@ -11,19 +11,29 @@ block of the site-transport kernel K.
 The site pair is drawn from K(l, k) / n, so the per-configuration jump
 rate stays O(1) as n grows.
 
-The product has two routes, chosen by n alone:
+The product has three routes, chosen by n alone:
 
 * ``tensor`` — the full bilinear operator as one (2^n, 4^n) matrix,
-               built once per context; used for n <= 7.
+               built once per context; used for n <= 4, where it is the
+               fastest route and the one whose bits the goldens pin.
+* ``flux``   — one (n 2^n, 2^n) table G, built once per context, with
+               G_l[sigma, sigma'] the weighted acceptance of the moves
+               that carry sigma to sigma ^ (1 << l); a product is one
+               matvec with G per distinct input and one gather. Used
+               for n = 5..7, where the (2^n, 4^n) operator (16 MB at
+               n = 7) no longer fits in cache and the table (0.9 MB at
+               n = 7) does.
 * ``stream`` — one 2^(n-1) x 2^(n-1) acceptance block per unordered
                site pair {l, k}, written in exp form into one reused
                buffer; the pair (l, k) multiplies it into four columns
                and the reversed pair its transpose, since the block of
-               (k, l) is 1 - (block of (l, k))^T. No big tensor; used
-               for n = 8..12 at O(4^(n-1)) memory.
+               (k, l) is 1 - (block of (l, k))^T. No big table; used
+               for n = 8..12 at O(4^(n-1)) memory, where building the
+               flux table costs more than the few products a caller
+               takes there.
 
 ``product_reference`` evaluates the defining sum with plain loops; it
-is kept dumb on purpose, for tests to compare the two routes against.
+is kept dumb on purpose, for tests to compare the routes against.
 
 The exchange acceptance lives here alone: `CollisionContext.acceptance`
 (one pair, or the full grid of `moves`), `diagonal_acceptance` (one
@@ -50,7 +60,8 @@ from .core import (
 from .errors import CapacityError
 
 PRODUCT_N_MAX = 12
-TENSOR_N_MAX = 7
+TENSOR_N_MAX = 4
+FLUX_N_MAX = 7
 REFERENCE_N_MAX = 5
 
 
@@ -166,6 +177,8 @@ class CollisionContext:
         Irreducible blocks of K; fields must be constant on these for
         the product measure to be reversible.
     pairs : list of (l, k, weight) with weight = K[l, k] / n over supp K.
+    total_weight : float
+        The sum of the pair weights.
     """
 
     def __init__(self, J, K):
@@ -185,7 +198,9 @@ class CollisionContext:
             for k in range(self.n)
             if self.K[l, k] > 0
         ]
+        self.total_weight = sum(w for _, _, w in self.pairs)
         self._tensor = None
+        self._flux = None
 
     # -- acceptance -------------------------------------------------------
 
@@ -210,25 +225,37 @@ class CollisionContext:
     def product(self, p, q, check=True):
         """Symmetrized collision product of two densities.
 
-        The tensor route serves n <= TENSOR_N_MAX. The stream route
-        serves n <= PRODUCT_N_MAX: per unordered site pair {l, k} it
-        evaluates one 2^(n-1) x 2^(n-1) acceptance block, as
+        The route is chosen from n alone. The tensor route serves
+        n <= TENSOR_N_MAX, where one (2^n, 4^n) matvec is the fastest
+        product. The flux route serves n <= FLUX_N_MAX: one matvec
+        with the (n 2^n, 2^n) flux table per distinct input and one
+        gather, where the dense operator would no longer fit in cache
+        (16 MB at n = 7, against 0.9 MB for the table). The stream
+        route serves n <= PRODUCT_N_MAX: per unordered site pair
+        {l, k} it evaluates one 2^(n-1) x 2^(n-1) acceptance block, as
         1 / (1 + exp(.)) in one buffer reused across pairs, and one
         matrix product per direction with a nonzero weight (the
-        reversed pair through 1 - block^T), in O(4^(n-1)) memory.
-        Larger n raises CapacityError. check=False
+        reversed pair through 1 - block^T), in O(4^(n-1)) memory; there
+        building the flux table would cost more than the few products a
+        caller takes. Larger n raises CapacityError.
+
+        The square `product(p, p)` forms its pair mass once, in the
+        tensor and the flux route, with the same bits as
+        `product(p, p.copy())`, since 0.5 * (x + x) == x. check=False
         skips the probability validation so integrator stage vectors
         (mass 1, possibly with roundoff-negative entries) can pass
         through.
         """
-        if check:
-            p = check_probvec(p, self.n)
-            q = check_probvec(q, self.n)
-        else:
-            p = np.asarray(p, dtype=float)
-            q = np.asarray(q, dtype=float)
+        def prepared(x):
+            return check_probvec(x, self.n) if check else np.asarray(x, dtype=float)
+
+        square = p is q
+        p = prepared(p)
+        q = p if square else prepared(q)
         if self.n <= TENSOR_N_MAX:
             return self._product_tensor(p, q)
+        if self.n <= FLUX_N_MAX:
+            return self._product_flux(p, q)
         if self.n > PRODUCT_N_MAX:
             raise CapacityError(f"exact products gated at n <= {PRODUCT_N_MAX}")
         return self._product_stream(p, q)
@@ -257,8 +284,41 @@ class CollisionContext:
         return self._tensor
 
     def _product_tensor(self, p, q):
-        W = 0.5 * (np.multiply.outer(p, q) + np.multiply.outer(q, p))
+        if p is q:
+            W = np.multiply.outer(p, p)
+        else:
+            W = 0.5 * (np.multiply.outer(p, q) + np.multiply.outer(q, p))
         return self._tensor_matrix() @ W.ravel()
+
+    def _flux_table(self):
+        """(G, flip): G[l * 2^n + sigma, sigma'] sums w * A over the pairs
+        (l, k, w) with sigma'[k] != sigma[l], the moves that carry sigma
+        to flip[l, sigma] = sigma ^ (1 << l)."""
+        if self._flux is None:
+            n, size = self.n, 1 << self.n
+            G = np.zeros((n, size, size))
+            sigma = self.masks[:, None]
+            for (l, _, _), (w, P, tau, _) in zip(self.pairs, self.moves()):
+                G[l] += np.where(tau != sigma, w * P, 0.0)
+            flip = self.masks ^ (1 << np.arange(n))[:, None]
+            self._flux = G.reshape(n * size, size), flip
+        return self._flux
+
+    def _product_flux(self, p, q):
+        # Where sigma[l] == sigma'[k] the move keeps (sigma, sigma') with
+        # acceptance 1/2, so every pair keeps its mass at sigma except
+        # the accepted moves that flip bit l. With W = (pq' + qp') / 2
+        # the mass leaving sigma across bit l is
+        # F_l = (p * G_l q + q * G_l p) / 2, and it arrives at
+        # sigma ^ (1 << l).
+        G, flip = self._flux_table()
+        shape = flip.shape
+        if p is q:
+            F = p * (G @ p).reshape(shape)
+        else:
+            F = 0.5 * (p * (G @ q).reshape(shape) + q * (G @ p).reshape(shape))
+        out = (0.5 * self.total_weight) * (p * q.sum() + q * p.sum())
+        return out - F.sum(axis=0) + np.take_along_axis(F, flip, axis=1).sum(axis=0)
 
     def _product_stream(self, p, q):
         # Where sigma[l] == sigma'[k] the move keeps (sigma, sigma') with
@@ -279,8 +339,7 @@ class CollisionContext:
         f2 = [2.0 * _halves(self.fields[:, l], l)[0] for l in range(n)]
         cols = [np.column_stack(_halves(p, l) + _halves(q, l)) for l in range(n)]
         sums = [c.sum(axis=0) for c in cols]
-        total_w = sum(w for _, _, w in self.pairs)
-        out = (0.5 * total_w) * (p * q.sum() + q * p.sum())
+        out = (0.5 * self.total_weight) * (p * q.sum() + q * p.sum())
 
         def shift(l, k, w, M):
             # M = E_lk @ cols[k]: move the accepted mass of the ordered

@@ -604,7 +604,9 @@ def run_all(seed=DEFAULT_SEED, quick=False, workers=None, out=None, stream=None,
     """
     stream = stream or sys.stdout
     err = err or sys.stderr
-    workers = max(1, int(default_workers() if workers is None else workers))
+    workers = default_workers() if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got workers = {workers}")
     jobs = [(fn, seed, quick) for fn in ALL_CRITERIA]
     results = []
 

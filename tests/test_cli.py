@@ -80,6 +80,17 @@ class TestExitCodes:
         assert said in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_verify_all_needs_a_worker(self, tmp_path, capsys, workers):
+        out = tmp_path / "v.csv"
+        code = cli.main(["verify-all", "--quick", "--workers", workers, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("spinkac: error:")
+        assert f"workers = {workers}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_initial_state(self, tmp_path, capsys):
         code = cli.main(["evolve", "--model", str(REPO / DEMO), "--p0", "delta:9",
                          "--out", str(tmp_path / "o.csv")])

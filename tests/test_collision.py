@@ -182,7 +182,11 @@ class TestProduct:
                 p, q = random_density(rng, n), random_density(rng, n)
                 ref = ctx.product_reference(p, q)
                 assert np.abs(ctx._product_tensor(p, q) - ref).max() < 1e-13
+                assert np.abs(ctx._product_flux(p, q) - ref).max() < 1e-13
                 assert np.abs(ctx._product_stream(p, q) - ref).max() < 1e-13
+                # n = 5 takes the flux route
+                assert np.abs(ctx.product(p, q) - ref).max() < 1e-13
+                assert np.array_equal(ctx.product(p, q), ctx.product(q, p))
 
     def test_stream_matches_moves_past_reference_gate(self):
         # product_reference stops at n = 5; past it, sum the defining
@@ -208,32 +212,49 @@ class TestProduct:
                 collision.single_site_kernel(n),
                 collision.mean_field_kernel(n),
                 0.3 * np.eye(n) + 0.7 * collision.blocks_kernel(n, blocks),
-            ]
-            if n == 8:
                 # every site pair with its own weight, then one pair with
                 # one-sided support (within the kernel's 1e-12 symmetry slack)
-                kernels += [graph_kernel(np.random.default_rng(31), n), one_sided_kernel(n)]
+                graph_kernel(np.random.default_rng(31), n),
+                one_sided_kernel(n),
+            ]
             for K in kernels:
                 ctx = CollisionContext(random_symmetric(rng, n, 0.2), K)
                 p, q = random_density(rng, n), random_density(rng, n)
                 ref = moves_product(ctx, p, q)
                 assert np.abs(ctx._product_stream(p, q) - ref).max() < 1e-14
-        assert np.array_equal(ctx.product(p, q), ctx.product(q, p))
+                # n = 6 and 7 take the flux route, n = 8 the stream route
+                assert np.abs(ctx.product(p, q) - ref).max() < 1e-14
+                assert np.array_equal(ctx.product(p, q), ctx.product(q, p))
 
     @pytest.mark.filterwarnings("error")
     def test_stream_survives_exp_overflow(self):
         # max |2 f| is about 1,200 here, so exp(2 f_k - 2 f_l) overflows to
-        # inf in the stream route; the acceptance must still come out as
-        # expit's limit 0, without a warning
+        # inf in the stream route (n = 8); the acceptance must still come
+        # out as expit's limit 0, without a warning. The flux route
+        # (n = 7) reads its acceptances from expit at the same scale.
+        # The product's mass is the sum of the pair weights: exactly 1 at
+        # n = 8 (64 weights 1/64), 1 + 6.7e-16 at n = 7 (49 weights 1/49).
         rng = np.random.default_rng(32)
-        ctx = CollisionContext(random_symmetric(rng, 8, 60.0), collision.mean_field_kernel(8))
-        assert np.abs(2.0 * ctx.fields).max() > 750.0
-        p, q = random_density(rng, 8), random_density(rng, 8)
-        out = ctx.product(p, q)
-        assert np.isfinite(out).all()
-        assert np.abs(out - moves_product(ctx, p, q)).max() < 1e-14
-        assert abs(out.sum() - 1.0) < 1e-15
-        assert np.array_equal(out, ctx.product(q, p))
+        for n in (8, 7):
+            ctx = CollisionContext(random_symmetric(rng, n, 60.0), collision.mean_field_kernel(n))
+            assert np.abs(2.0 * ctx.fields).max() > 750.0
+            p, q = random_density(rng, n), random_density(rng, n)
+            out = ctx.product(p, q)
+            assert np.isfinite(out).all()
+            assert np.abs(out - moves_product(ctx, p, q)).max() < 1e-14
+            assert abs(out.sum() - ctx.total_weight) < 1e-15
+            assert np.array_equal(out, ctx.product(q, p))
+
+    def test_square_is_exact(self):
+        # product(p, p) forms its pair mass once; the bits equal those of
+        # the general path, on every route
+        rng = np.random.default_rng(34)
+        for n in range(1, 9):
+            ctx = CollisionContext(random_symmetric(rng, n, 0.2), collision.mean_field_kernel(n))
+            p = random_density(rng, n)
+            assert np.array_equal(ctx.product(p, p), ctx.product(p, p.copy()))
+            assert np.array_equal(ctx.product(p, p, check=False),
+                                  ctx.product(p, p.copy(), check=False))
 
     def test_commutative(self):
         rng = np.random.default_rng(25)

@@ -76,6 +76,20 @@ class TestEvolve:
         m = np.array([core.magnetization_profile(p, ctx.blocks) for p in traj.states])
         assert np.abs(m - m[0]).max() <= 1e-10
 
+    def test_flux_route_flow(self):
+        # n = 7 takes the flux route; a two-block kernel conserves the
+        # magnetization of each block
+        rng = np.random.default_rng(51)
+        J = np.full((7, 7), 0.1 / 7)
+        ctx = make_ctx(J, "blocks", blocks=((0, 1, 2, 3), (4, 5, 6)))
+        assert len(ctx.blocks) == 2
+        p0 = interior_density(rng, 7)
+        traj = dynamics.evolve(ctx, p0, 0.25, 0.05)
+        assert len(traj.times) == 6
+        assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-12
+        m = np.array([core.magnetization_profile(p, ctx.blocks) for p in traj.states])
+        assert np.abs(m - m[0]).max() <= 1e-12
+
     def test_stream_route_gibbs_is_stationary(self):
         J = np.full((9, 9), 0.04)
         np.fill_diagonal(J, 0.06)
