@@ -14,13 +14,14 @@ rate stays O(1) as n grows.
 The product has three routes, chosen by n alone:
 
 * ``tensor`` — the full bilinear operator as one (2^n, 4^n) matrix,
-               built once per context; used for n <= 4, where it is the
-               fastest route and the one whose bits the goldens pin.
+               built once per context; used for n <= 5, where it is the
+               fastest route and the one whose bits the goldens pin
+               (0.26 MB at n = 5).
 * ``flux``   — one (n 2^n, 2^n) table G, built once per context, with
                G_l[sigma, sigma'] the weighted acceptance of the moves
                that carry sigma to sigma ^ (1 << l); a product is one
                matvec with G per distinct input and one gather. Used
-               for n = 5..7, where the (2^n, 4^n) operator (16 MB at
+               for n = 6, 7, where the (2^n, 4^n) operator (16 MB at
                n = 7) no longer fits in cache and the table (0.9 MB at
                n = 7) does.
 * ``stream`` — one 2^(n-1) x 2^(n-1) acceptance block per unordered
@@ -60,7 +61,7 @@ from .core import (
 from .errors import CapacityError
 
 PRODUCT_N_MAX = 12
-TENSOR_N_MAX = 4
+TENSOR_N_MAX = 5
 FLUX_N_MAX = 7
 REFERENCE_N_MAX = 5
 
@@ -227,17 +228,21 @@ class CollisionContext:
 
         The route is chosen from n alone. The tensor route serves
         n <= TENSOR_N_MAX, where one (2^n, 4^n) matvec is the fastest
-        product. The flux route serves n <= FLUX_N_MAX: one matvec
-        with the (n 2^n, 2^n) flux table per distinct input and one
-        gather, where the dense operator would no longer fit in cache
-        (16 MB at n = 7, against 0.9 MB for the table). The stream
-        route serves n <= PRODUCT_N_MAX: per unordered site pair
-        {l, k} it evaluates one 2^(n-1) x 2^(n-1) acceptance block, as
-        1 / (1 + exp(.)) in one buffer reused across pairs, and one
-        matrix product per direction with a nonzero weight (the
-        reversed pair through 1 - block^T), in O(4^(n-1)) memory; there
-        building the flux table would cost more than the few products a
-        caller takes. Larger n raises CapacityError.
+        product: at n = 5, with one BLAS thread on a 2-CPU x86-64
+        machine, a square product took 11 us through the (32, 1024)
+        operator (0.26 MB) against 26-31 us through the flux table, and
+        a general one 18 us against 34-40 us. The flux route serves
+        n <= FLUX_N_MAX: one matvec with the (n 2^n, 2^n) flux table
+        per distinct input and one gather, where the dense operator
+        would no longer fit in cache (16 MB at n = 7, against 0.9 MB
+        for the table). The stream route serves n <= PRODUCT_N_MAX:
+        per unordered site pair {l, k} it evaluates one
+        2^(n-1) x 2^(n-1) acceptance block, as 1 / (1 + exp(.)) in one
+        buffer reused across pairs, and one matrix product per
+        direction with a nonzero weight (the reversed pair through
+        1 - block^T), in O(4^(n-1)) memory; there building the flux
+        table would cost more than the few products a caller takes.
+        Larger n raises CapacityError.
 
         The square `product(p, p)` forms its pair mass once, in the
         tensor and the flux route, with the same bits as

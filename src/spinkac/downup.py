@@ -17,7 +17,10 @@ exchange walk of `kac`, edge by edge (`bridge_check`).
 
 Enumeration is gated at L <= 20 and spectral gaps and slow modes at
 L <= 16 (12,870 states on a one-block slice), where the Lanczos slow
-mode takes 0.2-0.5 s.
+mode takes 0.2-0.5 s. The block factorization groups each block's
+conditional laws once per call; on a three-block L = 14 slice (600
+states) 100 test functions took 0.018 s against 0.48 s with one
+`entropy_functional` call per group (one BLAS thread, 2-CPU x86-64).
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .core import (
     check_partition,
     covariance,
     eigen_bounds,
-    entropy_functional,
     entropy_ratio_scan,
     interaction_condition,
     sample_test_function,
@@ -133,27 +135,6 @@ def tilt(meas, v):
     return _normalized(meas.inst, meas.codes, logw, meas.spins)
 
 
-def _log_weight_of(inst, code):
-    s = spins_of(code, inst.L)
-    return 0.5 * float(s @ inst.lam_matrix @ s) + float(s @ inst.w)
-
-
-def du_rate(meas, code, i, j):
-    """Jump rate from one configuration to its (i, j) ball move; zero
-    unless site i holds a ball, site j a hole, and both share a block."""
-    inst = meas.inst
-    if not ((code >> i) & 1) or ((code >> j) & 1 and j != i):
-        return 0.0
-    bi = next(b for b in inst.blocks if i in b)
-    if j not in bi:
-        return 0.0
-    avail = [k for k in bi if not ((code >> k) & 1)] + [i]
-    logs = np.array([_log_weight_of(inst, code ^ ((1 << i) | (1 << k)) if k != i else code) for k in avail])
-    target = _log_weight_of(inst, code ^ ((1 << i) | (1 << j)) if j != i else code)
-    shift = logs.max()
-    return float(np.exp(target - shift) / np.exp(logs - shift).sum())
-
-
 def _ball_removals(meas):
     """(rows, keys), one entry per (state, ball) pair: the state's position
     and its code with that ball removed."""
@@ -233,32 +214,66 @@ def du_mlsi_scan(meas, trials, rng):
 
 
 # -- entropy factorization ---------------------------------------------
+#
+# Each conditional law below is one row of a grouping, and every
+# expected conditional entropy is a few vector operations over all rows
+# at once. The bits are those of one `entropy_functional` call per
+# group added with `total += ...`: `np.vecdot` gives each row `q @ F`
+# exactly (an einsum or a row sum of q * F does not), each mean takes
+# `math.log` (not `np.log`), and the weighted terms are added left to
+# right by one cumsum.
 
 
 def _conditionals(probs, keys, rows):
-    """Yield (mass, conditional law, rows) for each group of entries with
-    equal key, in key order; entry e stands for state rows[e], and the
-    rows of a group keep their order. Groups without mass are skipped."""
+    """Group entries with equal key in one sort, as (mass, q, idx): idx
+    is a (groups, k) matrix of state rows, groups in key order and the
+    rows of each group in entry order (entry e stands for state
+    rows[e]); q is the conditional law on each row of idx and mass the
+    group masses. Groups without mass are dropped. Every group must have
+    the same size: the groups of block b have C(|b|, balls_b) members
+    and a ball-removal group L - k + 1."""
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    rows = rows[order]
-    bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        p = probs[rows[a:b]]
-        mass = p.sum()
-        if mass > 0:
-            yield mass, p / mass, rows[a:b]
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    sizes = np.diff(starts, append=keys.size)
+    k = int(sizes[0]) if sizes.size else 0
+    if np.any(sizes != k):
+        raise RuntimeError(f"conditional groups of unequal sizes {sorted(set(sizes.tolist()))}")
+    idx = rows[order].reshape(starts.size, k)
+    p = probs[idx]
+    mass = p.sum(axis=1)
+    keep = mass > 0
+    return mass[keep], p[keep] / mass[keep, None], idx[keep]
 
 
-def block_factorization_value(meas, F):
-    """sum over blocks of nu[Ent of F inside the block given the rest]."""
+def _entropies(q, idx, F):
+    """Ent of F under each conditional law, one per row (0 log 0 = 0)."""
+    if np.min(F) < 0:
+        raise ValueError("entropy functional needs a nonnegative function")
+    Fg = F[idx]
+    mean = np.vecdot(q, Fg)
+    positive = np.where(mean > 0.0, mean, 1.0).tolist()
+    log_mean = np.fromiter(map(math.log, positive), float, len(positive))
+    return (q * Fg * np.log(np.where(Fg > 0.0, Fg, 1.0))).sum(axis=1) - mean * log_mean
+
+
+def _covariances(q, idx, F, G):
+    """Cov(F, G) under each conditional law, one per row."""
+    return np.vecdot(q, (F * G)[idx]) - np.vecdot(q, F[idx]) * np.vecdot(q, G[idx])
+
+
+def _running_sum(terms):
+    """The terms added left to right, as a `total += term` loop does."""
+    return float(np.cumsum(np.r_[0.0, terms])[-1])
+
+
+def block_factorization(meas):
+    """The map F -> sum over blocks of nu[Ent of F inside the block given
+    the rest], with each block's grouping built once."""
     rows = np.arange(meas.codes.size)
-    total = 0.0
-    for b in meas.inst.blocks:
-        keys = meas.codes & ~site_mask(b)
-        for mass, q, idx in _conditionals(meas.probs, keys, rows):
-            total += mass * entropy_functional(q, F[idx])
-    return total
+    groupings = [_conditionals(meas.probs, meas.codes & ~site_mask(b), rows)
+                 for b in meas.inst.blocks]
+    return lambda F: _running_sum(
+        np.concatenate([mass * _entropies(q, idx, F) for mass, q, idx in groupings]))
 
 
 def factorization_check(meas, trials, rng):
@@ -266,7 +281,7 @@ def factorization_check(meas, trials, rng):
     `RatioScan`."""
     size = meas.codes.size
     functions = (sample_test_function(size, trial, rng) for trial in range(trials))
-    return entropy_ratio_scan(meas.probs, functions, lambda F: block_factorization_value(meas, F))
+    return entropy_ratio_scan(meas.probs, functions, block_factorization(meas))
 
 
 def _ball_conditionals(meas):
@@ -282,30 +297,23 @@ def _ball_conditionals(meas):
 def ball_factorization_value(meas, F):
     """sum over ball coordinates of the expected conditional entropy of
     F given the positions of all other balls (single-block slices)."""
-    groups = _ball_conditionals(meas)
-    return sum((mass * entropy_functional(q, F[idx]) for mass, q, idx in groups), 0.0)
-
-
-def _covariance(q, F, G):
-    return float(q @ (F * G)) - float(q @ F) * float(q @ G)
+    mass, q, idx = _ball_conditionals(meas)
+    return _running_sum(mass * _entropies(q, idx, F))
 
 
 def ball_dirichlet_value(meas, F, G):
     """sum over ball coordinates of the expected conditional covariance;
     equals the walk's Dirichlet form on the slice."""
-    groups = _ball_conditionals(meas)
-    return sum((mass * _covariance(q, F[idx], G[idx]) for mass, q, idx in groups), 0.0)
+    mass, q, idx = _ball_conditionals(meas)
+    return _running_sum(mass * _covariances(q, idx, F, G))
 
 
 def jensen_residual(meas, F):
     """max over ball-removal groups of Ent minus Cov(F, log F) under the
     conditional; nonpositive up to rounding."""
-    groups = _ball_conditionals(meas)
-    logF = np.log(F)
-    return max(
-        (entropy_functional(q, F[idx]) - _covariance(q, F[idx], logF[idx]) for _, q, idx in groups),
-        default=-math.inf,
-    )
+    _, q, idx = _ball_conditionals(meas)
+    residual = _entropies(q, idx, F) - _covariances(q, idx, F, np.log(F))
+    return float(residual.max(initial=-math.inf))
 
 
 # -- covariance and correlation checks ---------------------------------

@@ -12,6 +12,7 @@ from spinkac.report import ResultTable, format_value, read_table
 REPO = Path(__file__).resolve().parents[1]
 DEMO = "tests/data/demo-n2.model"
 GOLDEN = REPO / "tests" / "data" / "demo-n2-evolve.csv"
+FACTORIZE_GOLDEN = REPO / "tests" / "data" / "downup-factorize-blocks.csv"
 
 
 def free_model(tmp_path, n=2):
@@ -32,6 +33,19 @@ class TestGolden:
         )
         assert res.returncode == 0, res.stderr
         assert out.read_bytes() == GOLDEN.read_bytes()
+
+    def test_block_factorization_reproduces_golden_bytes(self, tmp_path):
+        # three blocks on L = 14 sites (600 states) under a field: every
+        # block conditional has its own mass, so the table pins the
+        # grouped conditional entropies bit for bit
+        w = tmp_path / "w14.txt"
+        w.write_text("0.3 -0.2 0.5 0.1 -0.4 0.2 0.6 -0.1 0.3 -0.5 0.4 0 -0.3 0.2\n")
+        out = tmp_path / "fb.csv"
+        code = cli.main(["downup", "--blocks-spec", "5:1,5:-1,4:0", "--w", str(w),
+                         "--mode", "factorize", "--trials", "100", "--seed", "3",
+                         "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == FACTORIZE_GOLDEN.read_bytes()
 
 
 class TestExitCodes:

@@ -184,7 +184,8 @@ class TestProduct:
                 assert np.abs(ctx._product_tensor(p, q) - ref).max() < 1e-13
                 assert np.abs(ctx._product_flux(p, q) - ref).max() < 1e-13
                 assert np.abs(ctx._product_stream(p, q) - ref).max() < 1e-13
-                # n = 5 takes the flux route
+                # n <= 5 takes the tensor route; _product_flux is called
+                # directly above so the flux route is checked at n = 1..5 too
                 assert np.abs(ctx.product(p, q) - ref).max() < 1e-13
                 assert np.array_equal(ctx.product(p, q), ctx.product(q, p))
 

@@ -9,7 +9,7 @@ from scipy.special import expit
 
 from spinkac import downup as du
 from spinkac import core, kac
-from spinkac.core import entropy_functional, sample_test_function
+from spinkac.core import entropy_functional, sample_test_function, site_mask, spins_of
 from spinkac.errors import CapacityError, FitError
 from spinkac.rng import make_rng
 
@@ -23,6 +23,28 @@ def random_psd_instance(L, M, seed):
     return du.DuInstance(L, lam, w, (tuple(range(L)),), (M,))
 
 
+def _log_weight_of(inst, code):
+    s = spins_of(code, inst.L)
+    return 0.5 * float(s @ inst.lam_matrix @ s) + float(s @ inst.w)
+
+
+def du_rate(meas, code, i, j):
+    """Jump rate from one configuration to its (i, j) ball move, from
+    scalar weights; zero unless site i holds a ball, site j a hole, and
+    both share a block."""
+    inst = meas.inst
+    if not ((code >> i) & 1) or ((code >> j) & 1 and j != i):
+        return 0.0
+    bi = next(b for b in inst.blocks if i in b)
+    if j not in bi:
+        return 0.0
+    avail = [k for k in bi if not ((code >> k) & 1)] + [i]
+    logs = np.array([_log_weight_of(inst, code ^ ((1 << i) | (1 << k)) if k != i else code) for k in avail])
+    target = _log_weight_of(inst, code ^ ((1 << i) | (1 << j)) if j != i else code)
+    shift = logs.max()
+    return float(np.exp(target - shift) / np.exp(logs - shift).sum())
+
+
 def rate_generator(meas):
     """Dense generator of the walk from the scalar rates `du_rate`, one
     ordered (ball site, hole site) move at a time."""
@@ -33,7 +55,7 @@ def rate_generator(meas):
             for i in b:
                 for j in b:
                     if c >> i & 1 and not c >> j & 1:
-                        G[s, index[c ^ (1 << i | 1 << j)]] = du.du_rate(meas, c, i, j)
+                        G[s, index[c ^ (1 << i | 1 << j)]] = du_rate(meas, c, i, j)
     G[np.diag_indices(len(index))] = -G.sum(axis=1)
     return G
 
@@ -107,21 +129,21 @@ class TestRates:
         # two balls on four free sites: a ball sees two holes plus its
         # own site, all equally weighted
         meas = du.du_measure(du.single_block_instance(4, 0))
-        assert du.du_rate(meas, 0b0011, 0, 2) == pytest.approx(1.0 / 3.0)
-        assert du.du_rate(meas, 0b0011, 0, 0) == pytest.approx(1.0 / 3.0)
+        assert du_rate(meas, 0b0011, 0, 2) == pytest.approx(1.0 / 3.0)
+        assert du_rate(meas, 0b0011, 0, 0) == pytest.approx(1.0 / 3.0)
 
     def test_rate_zero_without_ball_or_hole(self):
         meas = du.du_measure(du.single_block_instance(4, 0))
-        assert du.du_rate(meas, 0b0011, 2, 3) == 0.0
-        assert du.du_rate(meas, 0b0011, 0, 1) == 0.0
+        assert du_rate(meas, 0b0011, 2, 3) == 0.0
+        assert du_rate(meas, 0b0011, 0, 1) == 0.0
 
     def test_field_weights_by_hand(self):
         w = np.array([0.4, -0.1, 0.2])
         meas = du.du_measure(du.single_block_instance(3, -1, w=w))
         # one ball; moving it to site k multiplies the weight by e^{2 w_k}
         z = sum(math.exp(2.0 * x) for x in w)
-        assert du.du_rate(meas, 0b001, 0, 1) == pytest.approx(math.exp(-0.2) / z, rel=1e-12)
-        assert du.du_rate(meas, 0b001, 0, 2) == pytest.approx(math.exp(0.4) / z, rel=1e-12)
+        assert du_rate(meas, 0b001, 0, 1) == pytest.approx(math.exp(-0.2) / z, rel=1e-12)
+        assert du_rate(meas, 0b001, 0, 2) == pytest.approx(math.exp(0.4) / z, rel=1e-12)
 
     def test_two_state_generator(self):
         meas = du.du_measure(du.single_block_instance(2, 0))
@@ -173,9 +195,9 @@ class TestRates:
             i = (codes[s] & moved).bit_length() - 1
             j = (codes[d] & moved).bit_length() - 1
             assert bin(moved).count("1") == 2
-            assert r == pytest.approx(du.du_rate(meas, codes[s], i, j), rel=1e-12)
+            assert r == pytest.approx(du_rate(meas, codes[s], i, j), rel=1e-12)
             back = meas.probs[s] * r / meas.probs[d]
-            assert back == pytest.approx(du.du_rate(meas, codes[d], j, i), rel=1e-12)
+            assert back == pytest.approx(du_rate(meas, codes[d], j, i), rel=1e-12)
             seen.update({(s, i, j), (d, j, i)})
         want = {(s, i, j) for s, c in enumerate(codes) for b in inst.blocks
                 for i in b for j in b if c >> i & 1 and not c >> j & 1}
@@ -197,8 +219,8 @@ class TestRates:
                     for j in b:
                         if c >> i & 1 and not c >> j & 1:
                             e = c ^ (1 << i | 1 << j)
-                            there = meas.probs[s] * du.du_rate(meas, c, i, j)
-                            back = meas.probs[index[e]] * du.du_rate(meas, e, j, i)
+                            there = meas.probs[s] * du_rate(meas, c, i, j)
+                            back = meas.probs[index[e]] * du_rate(meas, e, j, i)
                             assert there == pytest.approx(back, rel=1e-12)
                             moves += 1
         assert moves == 2 * du.du_transitions(meas).src.size
@@ -342,6 +364,151 @@ class TestFactorization:
         single, _, _ = du.du_constants(inst)
         assert single == pytest.approx(0.5)
         assert rep.min_ratio >= single
+
+
+def loop_conditionals(probs, keys, rows):
+    """Yield (mass, conditional law, rows) for each group of entries with
+    equal key, one group at a time: the grouped path's oracle."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    rows = rows[order]
+    bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        p = probs[rows[a:b]]
+        mass = p.sum()
+        if mass > 0:
+            yield mass, p / mass, rows[a:b]
+
+
+def loop_block_factorization(meas, F):
+    rows = np.arange(meas.codes.size)
+    total = 0.0
+    for b in meas.inst.blocks:
+        for mass, q, idx in loop_conditionals(meas.probs, meas.codes & ~site_mask(b), rows):
+            total += mass * entropy_functional(q, F[idx])
+    return total
+
+
+def loop_ball_groups(meas):
+    rows, sites = np.nonzero(meas.spins > 0)
+    return loop_conditionals(meas.probs, meas.codes[rows] & ~(1 << sites), rows)
+
+
+def loop_covariance(q, F, G):
+    return float(q @ (F * G)) - float(q @ F) * float(q @ G)
+
+
+def loop_ball_factorization(meas, F):
+    total = 0.0
+    for mass, q, idx in loop_ball_groups(meas):
+        total += mass * entropy_functional(q, F[idx])
+    return total
+
+
+def loop_ball_dirichlet(meas, F, G):
+    total = 0.0
+    for mass, q, idx in loop_ball_groups(meas):
+        total += mass * loop_covariance(q, F[idx], G[idx])
+    return total
+
+
+def loop_jensen_residual(meas, F):
+    logF = np.log(F)
+    return max(entropy_functional(q, F[idx]) - loop_covariance(q, F[idx], logF[idx])
+               for _, q, idx in loop_ball_groups(meas))
+
+
+def blocks_instance(sizes, M, seed, field=0.4):
+    rng = make_rng(75, seed)
+    L = sum(sizes)
+    A = rng.standard_normal((L, L))
+    lam = A @ A.T
+    lam *= 0.15 / np.linalg.eigvalsh(lam)[-1]
+    return du.DuInstance(L, lam, field * rng.standard_normal(L), du.contiguous_blocks(sizes), M)
+
+
+class TestGroupedConditionals:
+    @pytest.mark.parametrize("sizes, M, trials", [
+        ((5, 5, 4), (1, -1, 0), 36),  # the benchmark's three-block L = 14 slice
+        ((3, 2, 2), (1, 0, 0), 300),  # criterion 12, quick
+        ((5, 4, 3), (1, 0, 1), 60),   # criterion 12, full
+    ])
+    def test_block_value_equals_the_loop(self, sizes, M, trials):
+        # one grouping per block, the entropies as vector operations: the
+        # same bits as one entropy_functional call per group (np.log of
+        # the group means in place of math.log moves a few of the small
+        # slice's 300 values in the last bit)
+        meas = du.du_measure(blocks_instance(sizes, M, len(sizes) + sum(M)))
+        value = du.block_factorization(meas)
+        rng = make_rng(75, 1)
+        for trial in range(trials):
+            F = sample_test_function(meas.codes.size, trial, rng)
+            assert value(F) == loop_block_factorization(meas, F)
+
+    @pytest.mark.filterwarnings("error")
+    def test_massless_groups_and_zero_conditionals(self):
+        # fields of 400 put weights 800 apart in the log domain, so many
+        # states have probability 0: whole groups are massless and kept
+        # groups have zero conditional entries
+        w = np.array([400.0, 0.0, 0.0, 0.0, 0.0, 400.0, 0.0, 0.0])
+        inst = du.DuInstance(8, np.zeros((8, 8)), w, ((0, 1, 2, 3), (4, 5, 6, 7)), (0, 0))
+        meas = du.du_measure(inst)
+        assert np.count_nonzero(meas.probs == 0.0) > 0
+        mass, q, _ = du._conditionals(meas.probs, meas.codes & ~site_mask(inst.blocks[0]),
+                                      np.arange(meas.codes.size))
+        assert mass.size < meas.codes.size // math.comb(4, 2)
+        assert np.count_nonzero(q == 0.0) > 0
+        value = du.block_factorization(meas)
+        rng = make_rng(75, 2)
+        for trial in range(30):
+            F = sample_test_function(meas.codes.size, trial, rng)
+            got = value(F)
+            assert math.isfinite(got)
+            assert got == pytest.approx(loop_block_factorization(meas, F), rel=1e-14, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_entries_of_F(self):
+        # 0 log 0 = 0: a point mass on a uniform single-block slice has
+        # Ent = log(6) / 6, and zeros inside groups leave every value finite
+        meas = du.du_measure(du.single_block_instance(4, 0))
+        point = np.zeros(meas.codes.size)
+        point[0] = 1.0
+        assert du.block_factorization(meas)(point) == pytest.approx(math.log(6.0) / 6.0, rel=1e-15)
+        meas = du.du_measure(blocks_instance((3, 3), (1, 1), 3))
+        rng = make_rng(75, 3)
+        for _ in range(10):
+            F = rng.uniform(size=meas.codes.size)
+            F[F < 0.4] = 0.0
+            got = du.block_factorization(meas)(F)
+            assert math.isfinite(got)
+            assert got == pytest.approx(loop_block_factorization(meas, F), rel=1e-14, abs=1e-300)
+        assert du.block_factorization(meas)(np.zeros(meas.codes.size)) == 0.0
+
+    def test_negative_F_rejected(self):
+        meas = du.du_measure(random_psd_instance(5, 1, 0))
+        F = np.ones(meas.codes.size)
+        F[3] = -1e-9
+        with pytest.raises(ValueError, match="nonnegative"):
+            du.block_factorization(meas)(F)
+        with pytest.raises(ValueError, match="nonnegative"):
+            du.ball_factorization_value(meas, F)
+
+    def test_ball_functions_match_the_loop(self):
+        meas = du.du_measure(random_psd_instance(7, 1, 2))
+        rng = make_rng(75, 4)
+        for trial in range(12):
+            F = sample_test_function(meas.codes.size, trial, rng)
+            G = np.log(F)
+            assert du.ball_factorization_value(meas, F) == pytest.approx(
+                loop_ball_factorization(meas, F), rel=1e-14, abs=0.0)
+            assert du.ball_dirichlet_value(meas, F, G) == pytest.approx(
+                loop_ball_dirichlet(meas, F, G), rel=1e-14, abs=0.0)
+            assert du.jensen_residual(meas, F) == pytest.approx(
+                loop_jensen_residual(meas, F), rel=1e-14, abs=1e-15)
+
+    def test_unequal_groups_rejected(self):
+        with pytest.raises(RuntimeError, match="unequal sizes"):
+            du._conditionals(np.full(3, 1.0 / 3.0), np.array([0, 0, 1]), np.arange(3))
 
 
 class TestBallCoordinates:

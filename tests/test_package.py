@@ -14,7 +14,6 @@ NO_CALLER = {
     "diagonal_acceptance": "test oracle: the heat-bath acceptance of a same-slot exchange",
     "product_reference": "test oracle: the collision product by direct summation, n <= 5",
     "detailed_balance_residual": "test oracle: reversibility of the acceptance",
-    "du_rate": "test oracle: the ball-walk rate of one move, from scalar weights",
     "write_model": "test oracle: the inverse of parse_model",
     "read_table": "test oracle: the inverse of ResultTable.write",
     "bridge_check": "input of the exact comparison criterion (ROADMAP item 10)",
