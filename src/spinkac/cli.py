@@ -151,10 +151,7 @@ def cmd_mpp(args):
 def _parse_rho(arg, model, N, blocks):
     if arg == "auto":
         return kac.canonical_counts(gibbs(model.J, model.h), blocks, N)
-    parts = [Fraction(x) for x in arg.split(",")]
-    if len(parts) != len(blocks):
-        raise ValueError(f"need {len(blocks)} block densities, got {len(parts)}")
-    return kac.density_to_counts(parts, N, blocks)
+    return kac.density_to_counts([Fraction(x) for x in arg.split(",")], N, blocks)
 
 
 def cmd_kac(args):
@@ -256,8 +253,11 @@ def _parse_downup_instance(args):
     if args.blocks_spec:
         sizes_m = []
         for part in args.blocks_spec.split(","):
-            size_txt, m_txt = part.split(":")
-            sizes_m.append((int(size_txt), int(m_txt)))
+            try:
+                size, m = (int(x) for x in part.split(":"))
+            except ValueError:
+                raise ValueError(f"--blocks-spec part {part!r} is not SIZE:M") from None
+            sizes_m.append((size, m))
         sizes = [s for s, _ in sizes_m]
         L = sum(sizes)
         M = tuple(m for _, m in sizes_m)

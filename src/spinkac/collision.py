@@ -33,12 +33,15 @@ The product has three routes, chosen by n alone:
                flux table costs more than the few products a caller
                takes there.
 
-``product_reference`` evaluates the defining sum with plain loops; it
-is kept dumb on purpose, for tests to compare the routes against.
+The tests compare every route with the defining sum evaluated by plain
+loops, and check reversibility move by move (`product_reference` and
+`detailed_balance_residual` in tests/test_collision.py).
 
 The exchange acceptance lives here alone: `CollisionContext.acceptance`
-(one pair, or the full grid of `moves`), `diagonal_acceptance` (one
-configuration) and `walk_acceptance` (both, for `kac.simulate_particles`).
+(one pair, or the full grid of `moves`) and `walk_acceptance` (a pair
+or one configuration, for `kac.simulate_particles`). The scalar
+one-configuration form is a test oracle (`diagonal_acceptance` in
+tests/test_kac.py).
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ from .core import (
     check_partition,
     check_probvec,
     check_sites,
-    gibbs,
-    block_constant,
     log_gibbs_weights,
     spins_of,
 )
@@ -63,7 +64,6 @@ from .errors import CapacityError
 PRODUCT_N_MAX = 12
 TENSOR_N_MAX = 5
 FLUX_N_MAX = 7
-REFERENCE_N_MAX = 5
 
 
 def single_site_kernel(n):
@@ -150,8 +150,9 @@ def walk_acceptance(fields, logw, l, k, si, sj, same_slot):
     (`kac.simulate_particles`), read from the plain lists
     `ctx.fields.tolist()` and `ctx.logw.tolist()`.
 
-    Equals `ctx.diagonal_acceptance(l, k, si)` for an event that pairs a
-    slot with itself and `ctx.acceptance(l, k, si, sj)` otherwise. A
+    Equals the test oracle `diagonal_acceptance(ctx, l, k, si)` of
+    tests/test_kac.py for an event that pairs a slot with itself and
+    `ctx.acceptance(l, k, si, sj)` otherwise. A
     logit below -709 takes the exp(logit) tail, so no coupling size can
     overflow `math.exp`.
     """
@@ -213,13 +214,6 @@ class CollisionContext:
         b = ((sigma >> l) & 1) * 2 - 1
         logit = (a - b) * (self.fields[sigma, l] - self.fields[sigma_p, k])
         return expit(logit)
-
-    def diagonal_acceptance(self, l, k, sigma):
-        """Acceptance for swapping sites l and k inside one configuration."""
-        swapped = sigma
-        if ((sigma >> l) & 1) != ((sigma >> k) & 1):
-            swapped = sigma ^ ((1 << l) | (1 << k))
-        return float(expit(self.logw[swapped] - self.logw[sigma]))
 
     # -- product ----------------------------------------------------------
 
@@ -373,39 +367,3 @@ class CollisionContext:
                     if w_kl > 0.0 and k != l:
                         shift(k, l, w_kl, sums[l] - E.T @ cols[l])
         return out
-
-    def product_reference(self, p, q):
-        """Plain-loop evaluation of the defining sum. Slow; small n only."""
-        if self.n > REFERENCE_N_MAX:
-            raise CapacityError(f"reference product gated at n <= {REFERENCE_N_MAX}")
-        size = 1 << self.n
-        out = np.zeros(size)
-        for sigma in range(size):
-            for sigma_p in range(size):
-                mass = 0.5 * (p[sigma] * q[sigma_p] + p[sigma_p] * q[sigma])
-                if mass == 0.0:
-                    continue
-                for l, k, w in self.pairs:
-                    acc = self.acceptance(l, k, sigma, sigma_p)
-                    tau, _ = exchange(sigma, sigma_p, l, k)
-                    out[tau] += mass * w * acc
-                    out[sigma] += mass * w * (1.0 - acc)
-        return out
-
-    # -- reversibility ----------------------------------------------------
-
-    def detailed_balance_residual(self, h=None):
-        """Max over pair transitions of |forward flow - backward flow| for
-        the product measure gibbs(J, h) x gibbs(J, h). The field must be
-        constant on every irreducible block of K."""
-        mu = gibbs(self.J, h)
-        if h is not None and not block_constant(h, self.blocks):
-            raise ValueError(
-                "field is not constant on the kernel's irreducible blocks; "
-                "reversibility does not apply"
-            )
-        worst = 0.0
-        for w, P, tau, tau_p in self.moves():
-            flow = np.multiply.outer(mu, mu) * (w * P)
-            worst = max(worst, float(np.max(np.abs(flow - flow[tau, tau_p]))))
-        return worst

@@ -40,7 +40,6 @@ _CHUNK = 1 << 20
 PROBVEC_TOL = 1e-12      # mass and negativity slack of a density
 FIELD_TOL = 1e-10        # max-norm residual of the block-mean solve
 FIELD_MAX_ITER = 200     # damped Newton iterations of the block-mean solve
-BLOCK_CONSTANT_TOL = 1e-12  # spread a block-constant field may have within a block
 LANCZOS_STATES = 250     # slow modes of larger chains come from Lanczos, not dense eigh
 
 
@@ -493,13 +492,3 @@ def solve_field(J, blocks, target):
     for b, cb in zip(blocks, c):
         h[list(b)] = cb
     return h
-
-
-def block_constant(h, blocks):
-    """True when the field vector is constant on every block."""
-    h = np.asarray(h, dtype=float)
-    for b in blocks:
-        vals = h[list(b)]
-        if np.max(vals) - np.min(vals) > BLOCK_CONSTANT_TOL:
-            return False
-    return True

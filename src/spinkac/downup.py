@@ -9,11 +9,15 @@ slice law conditioned on where all other balls sit: removing it leaves
 a key code, and the states that put it back on a site of its block form
 its ball-removal group. Each such resampling is reversible for the
 conditioned Ising measure on the slice, and so is the walk, whose
-generator is their sum over balls. Its entropy-production constants, the
-entropy factorization across blocks, the tilted covariance bound, and
-the negative-correlation property of the zero-interaction case are all
-checkable exactly at small L, and so is its comparison with the
-exchange walk of `kac`, edge by edge (`bridge_check`).
+generator is their sum over balls. One sort per block groups the
+states (`_groups`): the walk reads its edges and rates off the
+ball-removal groups, and every conditional entropy of the block and
+ball factorizations is a vector operation over a grouping. The walk's
+entropy-production constants, the entropy factorization across blocks,
+the tilted covariance bound, and the negative-correlation property of
+the zero-interaction case are all checkable exactly at small L, and so
+is its comparison with the exchange walk of `kac`, edge by edge
+(`bridge_check`).
 
 Enumeration is gated at L <= 20 and spectral gaps and slow modes at
 L <= 16 (12,870 states on a one-block slice), where the Lanczos slow
@@ -43,7 +47,6 @@ from .core import (
     site_mask,
     slice_codes,
     spins_of,
-    swap_moves,
 )
 from .errors import CapacityError
 from .kac import comparison_constant, transition_table
@@ -64,6 +67,8 @@ class DuInstance:
     M: tuple
 
     def __post_init__(self):
+        if self.L < 1:
+            raise ValueError(f"need L >= 1 sites, got {self.L}")
         lam = check_interaction(self.lam_matrix, self.L)
         w = np.asarray(self.w, dtype=float)
         if w.shape != (self.L,):
@@ -135,36 +140,63 @@ def tilt(meas, v):
     return _normalized(meas.inst, meas.codes, logw, meas.spins)
 
 
-def _ball_removals(meas):
-    """(rows, keys), one entry per (state, ball) pair: the state's position
-    and its code with that ball removed."""
-    rows, sites = np.nonzero(meas.spins > 0)
-    return rows, meas.codes[rows] & ~(1 << sites)
+def _groups(keys, rows):
+    """Group entries with equal key in one sort, as a (groups, k) matrix
+    of state rows: groups in key order and the rows of each group in
+    entry order (entry e stands for state rows[e]). Every group must
+    have the same size: the groups of block b have C(|b|, balls_b)
+    members and its ball-removal groups |b| - balls_b + 1."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    sizes = np.diff(starts, append=keys.size)
+    k = int(sizes[0]) if sizes.size else 0
+    if np.any(sizes != k):
+        raise RuntimeError(f"conditional groups of unequal sizes {sorted(set(sizes.tolist()))}")
+    return rows[order].reshape(starts.size, k)
+
+
+def _ball_groups(meas, b):
+    """The ball-removal groups of block b as a (groups, k) matrix of state
+    rows, ascending along each row (`_groups`): removing the ball at site
+    l of a state leaves the key code & ~(1 << l), and its group holds the
+    k = |b| - balls_b + 1 states that put the ball back on a site of b."""
+    rows, at = np.nonzero(meas.spins[:, list(b)] > 0)
+    return _groups(meas.codes[rows] & ~(1 << np.array(b)[at]), rows)
 
 
 def du_transitions(meas):
     """The walk as a chain reversible for the slice measure, one entry per
-    edge. Removing a ball leaves a key code; the states that put it back
-    on a site of its block form the ball-removal group of that key, and a
-    ringing ball resamples its site from the slice law conditioned on its
-    group. So the edge s -> d, which moves one ball, has rate
-    exp(logw[d] - top) / mass, where the group is keyed by
-    codes[s] & codes[d], top is its largest log-weight and mass its sum
-    of exp(logw - top); no weight is taken unshifted."""
+    edge, read off the ball-removal groups: a ringing ball resamples its
+    site from the slice law conditioned on its group, so every pair of
+    members s < d of a group is an edge, moving one ball, with rate
+    exp(logw[d] - top) / mass, where top is the group's largest
+    log-weight and mass its sum of exp(logw - top), added left to right
+    (a row sum would add pairwise); no weight is taken unshifted. Edges
+    come per block, ordered by the site pair i < j the ball moves
+    across, as itertools.combinations lists them, then by src."""
     codes, logw = meas.codes, meas.logw
-    rows, keys = _ball_removals(meas)
-    groups, member = np.unique(keys, return_inverse=True)
-    top = np.full(groups.size, -np.inf)
-    np.maximum.at(top, member, logw[rows])
-    mass = np.bincount(member, np.exp(logw[rows] - top[member]), groups.size)
     srcs, dsts, rates = [], [], []
     for b in meas.inst.blocks:
-        for i, j in itertools.combinations(b, 2):
-            src, dst = swap_moves(codes, i, j)
-            g = np.searchsorted(groups, codes[src] & codes[dst])
-            srcs.append(src)
-            dsts.append(dst)
-            rates.append(np.exp(logw[dst] - top[g]) / mass[g])
+        idx = _ball_groups(meas, b)
+        if idx.shape[1] < 2:  # a block without balls or without holes
+            continue
+        lw = logw[idx]
+        weight = np.exp(lw - lw.max(axis=1, keepdims=True))
+        mass = np.cumsum(weight, axis=1)[:, -1:]
+        a, c = np.triu_indices(idx.shape[1], 1)
+        src, dst = idx[:, a].ravel(), idx[:, c].ravel()
+        rate = (weight[:, c] / mass).ravel()
+        # The ball moves between sites i < j: codes[src] & ~codes[dst] is
+        # 1 << i and codes[dst] & ~codes[src] is 1 << j. Groups come in key
+        # order and src = key | 1 << i, so the edges of one site pair are
+        # already in src order, and one stable sort by pair (radix, on
+        # int16) puts the pairs in itertools.combinations order.
+        i = np.bitwise_count((codes[src] & ~codes[dst]) - 1).astype(np.int16)
+        j = np.bitwise_count((codes[dst] & ~codes[src]) - 1)
+        order = np.argsort(i * meas.inst.L + j, kind="stable")
+        srcs.append(src[order])
+        dsts.append(dst[order])
+        rates.append(rate[order])
     return ReversibleChain.from_moves(srcs, dsts, rates, meas.probs, meas.logw)
 
 
@@ -224,21 +256,9 @@ def du_mlsi_scan(meas, trials, rng):
 # right by one cumsum.
 
 
-def _conditionals(probs, keys, rows):
-    """Group entries with equal key in one sort, as (mass, q, idx): idx
-    is a (groups, k) matrix of state rows, groups in key order and the
-    rows of each group in entry order (entry e stands for state
-    rows[e]); q is the conditional law on each row of idx and mass the
-    group masses. Groups without mass are dropped. Every group must have
-    the same size: the groups of block b have C(|b|, balls_b) members
-    and a ball-removal group L - k + 1."""
-    order = np.argsort(keys, kind="stable")
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    sizes = np.diff(starts, append=keys.size)
-    k = int(sizes[0]) if sizes.size else 0
-    if np.any(sizes != k):
-        raise RuntimeError(f"conditional groups of unequal sizes {sorted(set(sizes.tolist()))}")
-    idx = rows[order].reshape(starts.size, k)
+def _conditionals(probs, idx):
+    """(mass, q, idx) of a grouping: q is the conditional law on each row
+    of idx and mass the group masses. Groups without mass are dropped."""
     p = probs[idx]
     mass = p.sum(axis=1)
     keep = mass > 0
@@ -270,7 +290,7 @@ def block_factorization(meas):
     """The map F -> sum over blocks of nu[Ent of F inside the block given
     the rest], with each block's grouping built once."""
     rows = np.arange(meas.codes.size)
-    groupings = [_conditionals(meas.probs, meas.codes & ~site_mask(b), rows)
+    groupings = [_conditionals(meas.probs, _groups(meas.codes & ~site_mask(b), rows))
                  for b in meas.inst.blocks]
     return lambda F: _running_sum(
         np.concatenate([mass * _entropies(q, idx, F) for mass, q, idx in groupings]))
@@ -286,12 +306,10 @@ def factorization_check(meas, trials, rng):
 
 def _ball_conditionals(meas):
     """The conditionals of the slice law given all balls but one, one
-    group per (state, ball) pair keyed by the code with that ball
-    removed (single-block slices)."""
+    per ball-removal group (single-block slices)."""
     if len(meas.inst.blocks) != 1:
         raise ValueError("ball coordinates are defined for single-block slices")
-    rows, keys = _ball_removals(meas)
-    return _conditionals(meas.probs, keys, rows)
+    return _conditionals(meas.probs, _ball_groups(meas, meas.inst.blocks[0]))
 
 
 def ball_factorization_value(meas, F):

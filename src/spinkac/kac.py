@@ -102,6 +102,8 @@ def admissible_counts(N, blocks):
 def density_to_counts(rho, N, blocks):
     """Convert per-block fractions to integer shell counts, demanding
     that N|b|rho_b is an integer."""
+    if len(rho) != len(blocks):
+        raise ValueError(f"need {len(blocks)} block densities, got {len(rho)}")
     T = []
     for r, b in zip(rho, blocks):
         x = Fraction(r).limit_denominator(10 ** 9) * N * len(b)

@@ -195,18 +195,3 @@ def load_vector(path):
     if 1 not in m.shape and m.ndim == 2:
         raise ModelFormatError(f"{path}: expected a single row or column")
     return m.ravel()
-
-
-def write_model(path, n, J, h=None, kernel_kind="mean-field", partition=None):
-    """Serialize a model in the documented format (used by tests and demos)."""
-    lines = ["[model]", f"n = {n}", "", "[J]"]
-    for row in np.asarray(J, dtype=float):
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    if h is not None and np.any(np.asarray(h) != 0):
-        lines += ["", "[h]", " ".join(f"{x:.17g}" for x in np.asarray(h, dtype=float))]
-    if partition is not None:
-        lines += ["", "[partition]"]
-        for b in partition:
-            lines.append(" ".join(str(x + 1) for x in b))
-    lines += ["", "[kernel]", kernel_kind, ""]
-    Path(path).write_text("\n".join(lines))

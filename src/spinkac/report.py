@@ -53,39 +53,3 @@ class ResultTable:
     def write(self, path):
         with open(path, "w") as fh:
             fh.write(self.render())
-
-
-def read_table(path):
-    """Parse a table back into (meta dict, columns, rows as float array).
-
-    Non-numeric cells come back as nan; use the raw file for byte-level
-    comparisons.
-    """
-    meta = {}
-    columns = None
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    meta[k.strip()] = v.strip()
-                continue
-            if columns is None:
-                columns = tuple(line.split(","))
-                continue
-            vals = []
-            for cell in line.split(","):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    vals.append(float("nan"))
-            rows.append(vals)
-    if columns is None:
-        raise ValueError(f"{path}: no column header")
-    data = np.array(rows) if rows else np.zeros((0, len(columns)))
-    return meta, columns, data

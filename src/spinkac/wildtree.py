@@ -297,6 +297,8 @@ def fragmentation_times(K, runs, rng):
     is followed through its one unmarked set, stepped as a batch until
     that set is empty.
     """
+    if runs < 1:
+        raise ValueError("need at least one run")
     proc = PartitionProcess(K)
     A, mark = proc.initial(runs)
     live = np.arange(runs)

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinkac import cli, modelio
-from spinkac.report import ResultTable, format_value, read_table
+from spinkac import cli
+from spinkac.report import ResultTable, format_value
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = "tests/data/demo-n2.model"
@@ -15,10 +15,45 @@ GOLDEN = REPO / "tests" / "data" / "demo-n2-evolve.csv"
 FACTORIZE_GOLDEN = REPO / "tests" / "data" / "downup-factorize-blocks.csv"
 
 
-def free_model(tmp_path, n=2):
+def free_model(tmp_path):
+    """A zero-coupling n = 2 model file."""
     p = tmp_path / "free.model"
-    modelio.write_model(p, n, np.zeros((n, n)))
+    p.write_text("[model]\nn = 2\n\n[J]\n0 0\n0 0\n\n[kernel]\nmean-field\n")
     return str(p)
+
+
+def read_table(path):
+    """Parse a table back into (meta dict, columns, rows as float array):
+    the inverse of ResultTable.write. Non-numeric cells come back as nan;
+    compare the raw file for bytes."""
+    meta = {}
+    columns = None
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    k, v = body.split("=", 1)
+                    meta[k.strip()] = v.strip()
+                continue
+            if columns is None:
+                columns = tuple(line.split(","))
+                continue
+            vals = []
+            for cell in line.split(","):
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    vals.append(float("nan"))
+            rows.append(vals)
+    if columns is None:
+        raise ValueError(f"{path}: no column header")
+    data = np.array(rows) if rows else np.zeros((0, len(columns)))
+    return meta, columns, data
 
 
 class TestGolden:
@@ -104,6 +139,37 @@ class TestExitCodes:
         assert f"workers = {workers}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["kac", "--rho", "0.5,0.25", "--t-end", "1"],
+        ["kac-mlsi", "--rho-grid", "0.5,0.25,9", "--trials", "5"],
+    ])
+    def test_one_density_per_block(self, tmp_path, capsys, args):
+        # the demo model has one block; extra densities are an error, not dropped
+        out = tmp_path / "k.csv"
+        code = cli.main([*args, "--model", str(REPO / DEMO), "--N", "2", "--out", str(out)])
+        assert code == 1
+        assert "need 1 block densities, got" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_mpp_needs_a_run(self, tmp_path, capsys, runs):
+        out = tmp_path / "f.csv"
+        code = cli.main(["mpp", "--model", free_model(tmp_path), "--u", "0",
+                         "--runs", runs, "--out", str(out)])
+        assert code == 1
+        assert "need at least one run" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, said", [
+        (["--blocks-spec", "5"], "part '5' is not SIZE:M"),
+        (["--blocks-spec", "3:1,x:0"], "part 'x:0' is not SIZE:M"),
+        (["--L", "0", "--M", "0"], "need L >= 1"),
+    ])
+    def test_downup_names_a_bad_geometry(self, capsys, args, said):
+        code = cli.main(["downup", *args, "--mode", "mlsi", "--trials", "3"])
+        assert code == 1
+        assert said in capsys.readouterr().err
 
     def test_bad_initial_state(self, tmp_path, capsys):
         code = cli.main(["evolve", "--model", str(REPO / DEMO), "--p0", "delta:9",

@@ -22,6 +22,35 @@ def random_density(rng, n):
     return rng.dirichlet(np.full(1 << n, 1.5))
 
 
+def product_reference(ctx, p, q):
+    """The collision product by plain loops over the defining sum; slow,
+    small n only."""
+    size = 1 << ctx.n
+    out = np.zeros(size)
+    for sigma in range(size):
+        for sigma_p in range(size):
+            mass = 0.5 * (p[sigma] * q[sigma_p] + p[sigma_p] * q[sigma])
+            if mass == 0.0:
+                continue
+            for l, k, w in ctx.pairs:
+                acc = ctx.acceptance(l, k, sigma, sigma_p)
+                tau, _ = collision.exchange(sigma, sigma_p, l, k)
+                out[tau] += mass * w * acc
+                out[sigma] += mass * w * (1.0 - acc)
+    return out
+
+
+def detailed_balance_residual(ctx, h=None):
+    """Max over pair transitions of |forward flow - backward flow| for the
+    product measure gibbs(J, h) x gibbs(J, h)."""
+    mu = core.gibbs(ctx.J, h)
+    worst = 0.0
+    for w, P, tau, tau_p in ctx.moves():
+        flow = np.multiply.outer(mu, mu) * (w * P)
+        worst = max(worst, float(np.max(np.abs(flow - flow[tau, tau_p]))))
+    return worst
+
+
 class TestKernels:
     def test_single_site_is_identity(self):
         K = collision.single_site_kernel(3)
@@ -142,18 +171,23 @@ class TestAcceptance:
                 assert pair == collision.exchange(sigma, sigma_p, l, k)
 
     def test_diagonal_acceptance(self):
+        # the walk's acceptance of a swap of sites l, k inside one configuration
+        def one_slot(ctx, l, k, sigma):
+            fields, logw = ctx.fields.tolist(), ctx.logw.tolist()
+            return collision.walk_acceptance(fields, logw, l, k, sigma, sigma, True)
+
         ctx0 = CollisionContext(np.zeros((2, 2)), collision.mean_field_kernel(2))
-        assert ctx0.diagonal_acceptance(0, 1, 0b01) == pytest.approx(0.5)
+        assert one_slot(ctx0, 0, 1, 0b01) == pytest.approx(0.5)
         J = np.array([[0.0, 0.4], [0.4, 0.0]])
         ctx = CollisionContext(J, collision.mean_field_kernel(2))
         # equal spins swap to themselves
-        assert ctx.diagonal_acceptance(0, 1, 0b11) == pytest.approx(0.5)
+        assert one_slot(ctx, 0, 1, 0b11) == pytest.approx(0.5)
         # 0b01 and 0b10 have equal zero-field weight, so the swap is fair too
-        assert ctx.diagonal_acceptance(0, 1, 0b01) == pytest.approx(0.5)
+        assert one_slot(ctx, 0, 1, 0b01) == pytest.approx(0.5)
         h_ctx = CollisionContext(np.array([[0.3, 0.0], [0.0, 0.0]]), collision.mean_field_kernel(2))
         # weight ratio of the swapped configuration, as a logistic
         want = 1.0 / (1.0 + math.exp(h_ctx.logw[0b01] - h_ctx.logw[0b10]))
-        assert h_ctx.diagonal_acceptance(0, 1, 0b01) == pytest.approx(want)
+        assert one_slot(h_ctx, 0, 1, 0b01) == pytest.approx(want)
 
 
 def moves_product(ctx, p, q):
@@ -180,7 +214,7 @@ class TestProduct:
             for K in kernels:
                 ctx = CollisionContext(random_symmetric(rng, n, 0.2), K)
                 p, q = random_density(rng, n), random_density(rng, n)
-                ref = ctx.product_reference(p, q)
+                ref = product_reference(ctx, p, q)
                 assert np.abs(ctx._product_tensor(p, q) - ref).max() < 1e-13
                 assert np.abs(ctx._product_flux(p, q) - ref).max() < 1e-13
                 assert np.abs(ctx._product_stream(p, q) - ref).max() < 1e-13
@@ -190,8 +224,8 @@ class TestProduct:
                 assert np.array_equal(ctx.product(p, q), ctx.product(q, p))
 
     def test_stream_matches_moves_past_reference_gate(self):
-        # product_reference stops at n = 5; past it, sum the defining
-        # moves over whole (sigma, sigma') grids instead
+        # product_reference is too slow past n = 5; there, sum the
+        # defining moves over whole (sigma, sigma') grids instead
         def graph_kernel(rng, n):
             # K = I - eps L for the Laplacian L of a random weighted graph
             A = np.triu(rng.uniform(0.1, 1.0, (n, n)), 1)
@@ -323,15 +357,16 @@ class TestDetailedBalance:
     def test_zero_field(self):
         rng = np.random.default_rng(29)
         ctx = CollisionContext(random_symmetric(rng, 3, 0.3), collision.mean_field_kernel(3))
-        assert ctx.detailed_balance_residual() < 1e-12
+        assert detailed_balance_residual(ctx) < 1e-12
 
     def test_block_constant_field(self):
         rng = np.random.default_rng(30)
         ctx = CollisionContext(random_symmetric(rng, 3, 0.3),
                                collision.blocks_kernel(3, ((0, 1), (2,))))
-        assert ctx.detailed_balance_residual(np.array([0.4, 0.4, -0.7])) < 1e-12
+        assert detailed_balance_residual(ctx, np.array([0.4, 0.4, -0.7])) < 1e-12
 
     def test_inadmissible_field_flagged(self):
+        # the acceptance uses zero-field weights, so a field that differs
+        # inside a block of K breaks reversibility
         ctx = CollisionContext(np.zeros((2, 2)), collision.mean_field_kernel(2))
-        with pytest.raises(ValueError, match="not constant"):
-            ctx.detailed_balance_residual(np.array([0.1, 0.2]))
+        assert detailed_balance_residual(ctx, np.array([0.1, 0.2])) > 1e-3

@@ -1,5 +1,6 @@
 """Ball-relocation walks on magnetization slices."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -9,7 +10,8 @@ from scipy.special import expit
 
 from spinkac import downup as du
 from spinkac import core, kac
-from spinkac.core import entropy_functional, sample_test_function, site_mask, spins_of
+from spinkac.core import (ReversibleChain, entropy_functional, sample_test_function, site_mask,
+                          spins_of, swap_moves)
 from spinkac.errors import CapacityError, FitError
 from spinkac.rng import make_rng
 
@@ -70,6 +72,10 @@ class TestInstances:
     def test_balls_from_spin_sums(self):
         inst = du.DuInstance(5, np.zeros((5, 5)), np.zeros(5), ((0, 1, 2), (3, 4)), (1, 0))
         assert inst.balls == (2, 1)
+
+    def test_no_sites_rejected(self):
+        with pytest.raises(ValueError, match="need L >= 1"):
+            du.single_block_instance(0, 0)
 
     def test_parity_mismatch_rejected(self):
         with pytest.raises(ValueError, match="parity"):
@@ -454,8 +460,8 @@ class TestGroupedConditionals:
         inst = du.DuInstance(8, np.zeros((8, 8)), w, ((0, 1, 2, 3), (4, 5, 6, 7)), (0, 0))
         meas = du.du_measure(inst)
         assert np.count_nonzero(meas.probs == 0.0) > 0
-        mass, q, _ = du._conditionals(meas.probs, meas.codes & ~site_mask(inst.blocks[0]),
-                                      np.arange(meas.codes.size))
+        groups = du._groups(meas.codes & ~site_mask(inst.blocks[0]), np.arange(meas.codes.size))
+        mass, q, _ = du._conditionals(meas.probs, groups)
         assert mass.size < meas.codes.size // math.comb(4, 2)
         assert np.count_nonzero(q == 0.0) > 0
         value = du.block_factorization(meas)
@@ -508,7 +514,53 @@ class TestGroupedConditionals:
 
     def test_unequal_groups_rejected(self):
         with pytest.raises(RuntimeError, match="unequal sizes"):
-            du._conditionals(np.full(3, 1.0 / 3.0), np.array([0, 0, 1]), np.arange(3))
+            du._groups(np.array([0, 0, 1]), np.arange(3))
+
+
+def swap_transitions(meas):
+    """The walk's chain built one site pair at a time: the edges of each
+    pair i < j of a block from `swap_moves`, and each group's largest
+    log-weight and shifted mass from np.unique, np.maximum.at and
+    np.bincount over all (state, ball) entries. The grouped builder's
+    oracle."""
+    codes, logw = meas.codes, meas.logw
+    rows, sites = np.nonzero(meas.spins > 0)
+    groups, member = np.unique(codes[rows] & ~(1 << sites), return_inverse=True)
+    top = np.full(groups.size, -np.inf)
+    np.maximum.at(top, member, logw[rows])
+    mass = np.bincount(member, np.exp(logw[rows] - top[member]), groups.size)
+    srcs, dsts, rates = [], [], []
+    for b in meas.inst.blocks:
+        for i, j in itertools.combinations(b, 2):
+            src, dst = swap_moves(codes, i, j)
+            g = np.searchsorted(groups, codes[src] & codes[dst])
+            srcs.append(src)
+            dsts.append(dst)
+            rates.append(np.exp(logw[dst] - top[g]) / mass[g])
+    return ReversibleChain.from_moves(srcs, dsts, rates, meas.probs, meas.logw)
+
+
+class TestGroupedTransitions:
+    @pytest.mark.parametrize("inst", [
+        *(pytest.param(blocks_instance((L,), (M,), L), id=f"one-block-L{L}")
+          for L, M in ((8, 0), (12, 0), (14, 4), (16, 0))),
+        pytest.param(blocks_instance((3, 2, 2), (1, 0, 0), 7), id="criterion-12-quick"),
+        pytest.param(blocks_instance((5, 4, 3), (1, 0, 1), 12), id="criterion-12-full"),
+        pytest.param(blocks_instance((5, 5, 4), (1, -1, 0), 14), id="three-blocks-L14"),
+        pytest.param(du.DuInstance(7, np.zeros((7, 7)), 0.5 * np.arange(7.0),
+                                   ((0, 3, 5), (1, 2, 4, 6)), (1, 0)), id="non-contiguous"),
+        pytest.param(blocks_instance((3, 4), (-3, 4), 1), id="empty-and-full"),
+        pytest.param(blocks_instance((2, 3, 3), (-2, 1, 3), 2), id="empty-moving-full"),
+        pytest.param(blocks_instance((4, 4), (0, 0), 3, field=400.0), id="fields-of-400"),
+    ])
+    def test_equals_the_pairwise_builder(self, inst):
+        # every array, entry for entry: the same sums, and the same CSR
+        # entry order for ARPACK
+        meas = du.du_measure(inst)
+        got, want = du.du_transitions(meas), swap_transitions(meas)
+        for name in ("src", "dst", "rate"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestBallCoordinates:

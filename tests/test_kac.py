@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from spinkac import collision, core, dynamics, kac
 from spinkac.collision import CollisionContext
@@ -18,6 +19,15 @@ from spinkac.rng import make_rng
 def mean_field_ctx(J):
     n = np.asarray(J).shape[0]
     return CollisionContext(J, collision.mean_field_kernel(n))
+
+
+def diagonal_acceptance(ctx, l, k, sigma):
+    """Heat-bath acceptance for swapping sites l and k inside one
+    configuration, from the zero-field weights."""
+    swapped = sigma
+    if ((sigma >> l) & 1) != ((sigma >> k) & 1):
+        swapped = sigma ^ ((1 << l) | (1 << k))
+    return float(expit(ctx.logw[swapped] - ctx.logw[sigma]))
 
 
 def shell_generator(m, K):
@@ -69,6 +79,12 @@ class TestShells:
         assert kac.density_to_counts((Fraction(3, 5),), 5, ((0, 1),)) == (6,)
         with pytest.raises(ValueError, match="not admissible"):
             kac.density_to_counts((0.3,), 5, ((0,),))
+
+    def test_one_density_per_block(self):
+        with pytest.raises(ValueError, match="need 1 block densities, got 2"):
+            kac.density_to_counts((0.5, 0.25), 2, ((0, 1),))
+        with pytest.raises(ValueError, match="need 2 block densities, got 1"):
+            kac.density_to_counts((0.5,), 2, ((0,), (1,)))
 
     def test_admissible_counts_enumeration(self):
         got = kac.admissible_counts(2, ((0,), (1, 2)))
@@ -429,8 +445,7 @@ class TestSimulation:
 
     def test_kernel_leaving_its_block_raises(self):
         # a context whose blocks split the two sites that K always joins
-        ctx = SimpleNamespace(n=2, blocks=((0,), (1,)), K=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                              acceptance=lambda *a: 0.5, diagonal_acceptance=lambda *a: 0.5)
+        ctx = SimpleNamespace(n=2, blocks=((0,), (1,)), K=np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(RuntimeError, match="outside its block"):
             kac.simulate_particles(ctx, 2, (1, 1), 10.0, make_rng(64, 3))
 
@@ -456,7 +471,7 @@ class TestSimulation:
                 want = ctx.acceptance(l, k, s, sp)
                 assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
                 got = collision.walk_acceptance(fields, logw, l, k, s, s, True)
-                want = ctx.diagonal_acceptance(l, k, s)
+                want = diagonal_acceptance(ctx, l, k, s)
                 assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
 
     def test_huge_logits_do_not_overflow(self):

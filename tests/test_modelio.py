@@ -11,6 +11,22 @@ from spinkac.errors import ModelFormatError
 DEMO = Path(__file__).parent / "data" / "demo-n2.model"
 
 
+def write_model(path, n, J, h=None, kernel_kind="mean-field", partition=None):
+    """Serialize a model in the documented format: the inverse of
+    parse_model."""
+    lines = ["[model]", f"n = {n}", "", "[J]"]
+    for row in np.asarray(J, dtype=float):
+        lines.append(" ".join(f"{x:.17g}" for x in row))
+    if h is not None and np.any(np.asarray(h) != 0):
+        lines += ["", "[h]", " ".join(f"{x:.17g}" for x in np.asarray(h, dtype=float))]
+    if partition is not None:
+        lines += ["", "[partition]"]
+        for b in partition:
+            lines.append(" ".join(str(x + 1) for x in b))
+    lines += ["", "[kernel]", kernel_kind, ""]
+    Path(path).write_text("\n".join(lines))
+
+
 def parse_text(tmp_path, text):
     p = tmp_path / "m.model"
     p.write_text(text)
@@ -52,7 +68,7 @@ class TestParse:
         J = np.array([[0.0, 0.125, 0.0], [0.125, 0.0, 0.0], [0.0, 0.0, 0.0]])
         h = np.array([0.1, -0.2, 1.0 / 3.0])
         out = tmp_path / "rt.model"
-        modelio.write_model(out, 3, J, h, kernel_kind="blocks", partition=((0, 1), (2,)))
+        write_model(out, 3, J, h, kernel_kind="blocks", partition=((0, 1), (2,)))
         m = modelio.parse_model(out)
         assert m.n == 3
         assert np.array_equal(m.J, J)

@@ -11,11 +11,6 @@ PERFBENCH = Path(spinkac.__file__).resolve().parents[2] / "perfbench"
 # Public names that nothing in the package or the benchmark calls, each
 # with the reason it stays.
 NO_CALLER = {
-    "diagonal_acceptance": "test oracle: the heat-bath acceptance of a same-slot exchange",
-    "product_reference": "test oracle: the collision product by direct summation, n <= 5",
-    "detailed_balance_residual": "test oracle: reversibility of the acceptance",
-    "write_model": "test oracle: the inverse of parse_model",
-    "read_table": "test oracle: the inverse of ResultTable.write",
     "bridge_check": "input of the exact comparison criterion (ROADMAP item 10)",
     "particle_shaped_instance": "input of the exact comparison criterion (ROADMAP item 10)",
     "mean_field_alpha_bound": "input of the exact comparison criterion (ROADMAP item 10)",

@@ -390,3 +390,6 @@ class TestRepresentation:
         p = np.full(4, 0.25)
         with pytest.raises(ValueError, match="at least one run"):
             wildtree.mpp_expectation(collision.mean_field_kernel(2), p, 1, 0, make_rng(56, 7))
+        for runs in (0, -3):
+            with pytest.raises(ValueError, match="at least one run"):
+                wildtree.fragmentation_times(collision.mean_field_kernel(2), runs, make_rng(56, 8))
