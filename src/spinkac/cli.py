@@ -261,10 +261,6 @@ def _parse_downup_instance(args):
         sizes = [s for s, _ in sizes_m]
         L = sum(sizes)
         M = tuple(m for _, m in sizes_m)
-        if lam is None:
-            lam = np.zeros((L, L))
-        if w is None:
-            w = np.zeros(L)
         return downup.DuInstance(L, lam, w, downup.contiguous_blocks(sizes), M)
     if args.L is None or args.M is None:
         raise ValueError("need either --blocks-spec or both --L and --M")

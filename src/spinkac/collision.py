@@ -251,13 +251,30 @@ class CollisionContext:
         square = p is q
         p = prepared(p)
         q = p if square else prepared(q)
+        return self._route()(p, q)
+
+    def square_stage(self):
+        """The map y -> product(y, y, check=False), with its route chosen
+        once, for an integrator that squares many stage vectors of one
+        context. On the tensor route it is the one matvec that
+        `_product_tensor(y, y)` makes, B @ (y outer y); on the flux and
+        stream routes it calls that route with y twice. Either way it
+        has the bits of `product(y, y, check=False)` on a float vector.
+        """
         if self.n <= TENSOR_N_MAX:
-            return self._product_tensor(p, q)
+            B = self._tensor_matrix()
+            return lambda y: B @ np.multiply.outer(y, y).ravel()
+        route = self._route()
+        return lambda y: route(y, y)
+
+    def _route(self):
+        if self.n <= TENSOR_N_MAX:
+            return self._product_tensor
         if self.n <= FLUX_N_MAX:
-            return self._product_flux(p, q)
+            return self._product_flux
         if self.n > PRODUCT_N_MAX:
             raise CapacityError(f"exact products gated at n <= {PRODUCT_N_MAX}")
-        return self._product_stream(p, q)
+        return self._product_stream
 
     def moves(self):
         """Yield (w, P, tau, tau_p) for every site pair (l, k, w) in

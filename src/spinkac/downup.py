@@ -58,7 +58,8 @@ SPECTRAL_GATE = 16
 @dataclass(frozen=True)
 class DuInstance:
     """A slice-constrained Ising system: sites, couplings, fields,
-    conserved blocks and their spin sums."""
+    conserved blocks and their spin sums. Couplings or fields given as
+    None are zero; they are built once L is checked."""
 
     L: int
     lam_matrix: np.ndarray
@@ -69,8 +70,9 @@ class DuInstance:
     def __post_init__(self):
         if self.L < 1:
             raise ValueError(f"need L >= 1 sites, got {self.L}")
-        lam = check_interaction(self.lam_matrix, self.L)
-        w = np.asarray(self.w, dtype=float)
+        lam = np.zeros((self.L, self.L)) if self.lam_matrix is None else self.lam_matrix
+        lam = check_interaction(lam, self.L)
+        w = np.zeros(self.L) if self.w is None else np.asarray(self.w, dtype=float)
         if w.shape != (self.L,):
             raise ValueError("field vector size must match the site count")
         blocks = check_partition(self.blocks, self.L)
@@ -104,9 +106,7 @@ def contiguous_blocks(sizes):
 
 
 def single_block_instance(L, M, lam_matrix=None, w=None):
-    lam = np.zeros((L, L)) if lam_matrix is None else lam_matrix
-    wv = np.zeros(L) if w is None else w
-    return DuInstance(L, lam, wv, (tuple(range(L)),), (M,))
+    return DuInstance(L, lam_matrix, w, (tuple(range(L)),), (M,))
 
 
 @dataclass

@@ -63,27 +63,28 @@ class Trajectory:
         return np.array([tv_distance(p, self.mu_eq) for p in self.states])
 
 
-def _rk4_step(ctx, p, dt):
-    k1 = ctx.product(p, p, check=False) - p
+def _rk4_step(stage, p, dt):
+    k1 = stage(p) - p
     y = p + (0.5 * dt) * k1
-    k2 = ctx.product(y, y, check=False) - y
+    k2 = stage(y) - y
     y = p + (0.5 * dt) * k2
-    k3 = ctx.product(y, y, check=False) - y
+    k3 = stage(y) - y
     y = p + dt * k3
-    k4 = ctx.product(y, y, check=False) - y
+    k4 = stage(y) - y
     return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _advance(ctx, p, dt, depth=0):
+def _advance(stage, p, dt, depth=0):
     if depth > 24:
         raise ConvergenceError("step-size halving did not stabilize the step")
-    p_new = _rk4_step(ctx, p, dt)
-    drift = abs(float(np.sum(p_new)) - 1.0)
-    if drift < RENORM_TOL and float(np.min(p_new)) > -1e-12:
-        p_new = np.maximum(p_new, 0.0)
-        return p_new / np.sum(p_new)
-    half = _advance(ctx, p, 0.5 * dt, depth + 1)
-    return _advance(ctx, half, 0.5 * dt, depth + 1)
+    p_new = _rk4_step(stage, p, dt)
+    drift = abs(float(p_new.sum()) - 1.0)
+    if drift < RENORM_TOL and float(p_new.min()) > -1e-12:
+        np.maximum(p_new, 0.0, out=p_new)
+        p_new /= p_new.sum()
+        return p_new
+    half = _advance(stage, p, 0.5 * dt, depth + 1)
+    return _advance(stage, half, 0.5 * dt, depth + 1)
 
 
 def evolve(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None):
@@ -98,10 +99,15 @@ def evolve(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None):
 
     The initial profile must be strictly interior: any block pinned at
     |m| = 1 is rejected with the block named.
+
+    Every RK4 stage squares its vector through `ctx.square_stage()`,
+    whose product route is chosen once per call: a context past the
+    product gate raises CapacityError before any work.
     """
     p0 = check_probvec(p0, ctx.n)
     if t_end < 0 or dt <= 0:
         raise ValueError("need t_end >= 0 and dt > 0")
+    stage = ctx.square_stage()
     m0 = check_regular(p0, ctx.blocks)
     h_eq = solve_field(ctx.J, ctx.blocks, m0)
     mu_eq = gibbs(ctx.J, h_eq)
@@ -113,7 +119,7 @@ def evolve(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None):
     p = p0.copy()
     stopped = False
     for i in range(1, nsteps + 1):
-        p = _advance(ctx, p, dt)
+        p = _advance(stage, p, dt)
         if i % store_every == 0 or i == nsteps:
             times.append(i * dt)
             states.append(p.copy())

@@ -401,26 +401,59 @@ def single_count_logdist(nu, blocks):
 def shell_log_mass(nu, blocks, N, T=None):
     """log nu^{xN}(shell T) by log-domain lattice convolution.
 
-    With T None, returns the full lattice table for N copies.
+    With T None, returns the full lattice table for N copies; otherwise
+    the entry at the integer block counts T, one per block with
+    0 <= T_b <= N|b| (ValueError otherwise).
+
+    Copy i + 1 adds one support point c of the single-copy count law at
+    a time, in a fixed order, to every cell it can reach, by logaddexp.
+    Each copy writes only its live box: block b holds at most (i + 1)|b|
+    plus spins after i + 1 copies, and with T given a cell above T_b or
+    below T_b - (N - i - 1)|b| can no longer reach T. Cells outside the
+    box stay -inf. A kept cell reads only sources inside the previous
+    box, every one the full lattice would read there with a finite
+    value, in the same support order; since logaddexp(x, -inf) == x
+    exactly, the skipped -inf sources added nothing, so every kept cell
+    has the bits of the full-lattice sweep.
     """
     nu = np.asarray(nu, dtype=float)
     n = sites_of(nu)
     blocks = check_partition(blocks, n)
+    sizes = [len(b) for b in blocks]
+    dims = tuple(N * size + 1 for size in sizes)
+    if T is not None:
+        T = _shell_index(T, dims)
     logq = single_count_logdist(nu, blocks)
-    dims = tuple(N * len(b) + 1 for b in blocks)
+    support = [tuple(int(x) for x in c) for c in np.argwhere(np.isfinite(logq))]
     table = np.full(dims, -np.inf)
     table[tuple(0 for _ in blocks)] = 0.0
-    support = np.argwhere(np.isfinite(logq))
-    for _ in range(N):
+    for i in range(N):
+        lo = [0] * len(sizes)
+        hi = [(i + 1) * size for size in sizes]
+        if T is not None:
+            lo = [max(0, t - (N - i - 1) * size) for t, size in zip(T, sizes)]
+            hi = [min(top, t) for top, t in zip(hi, T)]
         new = np.full(dims, -np.inf)
         for c in support:
-            dst = tuple(slice(int(cb), d) for cb, d in zip(c, dims))
-            src = tuple(slice(0, d - int(cb)) for cb, d in zip(c, dims))
-            new[dst] = np.logaddexp(new[dst], table[src] + logq[tuple(c)])
+            first = [max(a, cb) for a, cb in zip(lo, c)]
+            if any(a > b for a, b in zip(first, hi)):
+                continue
+            dst = tuple(slice(a, b + 1) for a, b in zip(first, hi))
+            src = tuple(slice(a - cb, b + 1 - cb) for a, b, cb in zip(first, hi, c))
+            new[dst] = np.logaddexp(new[dst], table[src] + logq[c])
         table = new
     if T is None:
         return table
-    return float(table[tuple(int(t) for t in T)])
+    return float(table[T])
+
+
+def _shell_index(T, dims):
+    """T as a tuple of ints, checked against the lattice shape dims."""
+    idx = tuple(int(t) for t in T)
+    if idx != tuple(T) or len(idx) != len(dims) or any(not 0 <= t < d for t, d in zip(idx, dims)):
+        tops = [d - 1 for d in dims]
+        raise ValueError(f"need shell T as {len(dims)} integer block counts in 0..N|b| = {tops}, got T = {T}")
+    return idx
 
 
 def restricted_mass(nu, blocks, N, T):

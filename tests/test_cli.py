@@ -13,6 +13,7 @@ REPO = Path(__file__).resolve().parents[1]
 DEMO = "tests/data/demo-n2.model"
 GOLDEN = REPO / "tests" / "data" / "demo-n2-evolve.csv"
 FACTORIZE_GOLDEN = REPO / "tests" / "data" / "downup-factorize-blocks.csv"
+CHAOS_GOLDEN = REPO / "tests" / "data" / "demo-n2-chaos.csv"
 
 
 def free_model(tmp_path):
@@ -68,6 +69,20 @@ class TestGolden:
         )
         assert res.returncode == 0, res.stderr
         assert out.read_bytes() == GOLDEN.read_bytes()
+
+    def test_chaos_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
+        # the two-slot marginal along N = 8..256 reads the count-shell
+        # convolution at every N, with T given and with T None; the table
+        # and its slope must keep their bits (run from the repository
+        # root, as the header stores the model path as given)
+        out = tmp_path / "chaos.csv"
+        res = spinkac_cli(
+            ["chaos", "--model", DEMO, "--k", "2", "--N-grid", "8,16,32,64,128,256",
+             "--out", str(out)],
+            cwd=REPO, capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert out.read_bytes() == CHAOS_GOLDEN.read_bytes()
 
     def test_block_factorization_reproduces_golden_bytes(self, tmp_path):
         # three blocks on L = 14 sites (600 states) under a field: every
@@ -165,6 +180,7 @@ class TestExitCodes:
         (["--blocks-spec", "5"], "part '5' is not SIZE:M"),
         (["--blocks-spec", "3:1,x:0"], "part 'x:0' is not SIZE:M"),
         (["--L", "0", "--M", "0"], "need L >= 1"),
+        (["--L", "-2", "--M", "0"], "need L >= 1 sites, got -2"),
     ])
     def test_downup_names_a_bad_geometry(self, capsys, args, said):
         code = cli.main(["downup", *args, "--mode", "mlsi", "--trials", "3"])

@@ -291,6 +291,21 @@ class TestProduct:
             assert np.array_equal(ctx.product(p, p, check=False),
                                   ctx.product(p, p.copy(), check=False))
 
+    @pytest.mark.parametrize("n", [2, 5, 6, 8])
+    def test_square_stage_is_the_routed_square(self, n):
+        # the integrator's stage, its route bound once, has the bits of
+        # product(y, y, check=False): tensor at n = 2, 5, flux at n = 6,
+        # stream at n = 8; y is a stage vector of mass 1 with one
+        # roundoff-negative entry
+        rng = np.random.default_rng(35)
+        ctx = CollisionContext(random_symmetric(rng, n, 0.2), collision.mean_field_kernel(n))
+        stage = ctx.square_stage()
+        for _ in range(3):
+            y = random_density(rng, n)
+            y[0] -= 1e-14
+            y[1] += 1e-14
+            assert np.array_equal(stage(y), ctx.product(y, y, check=False))
+
     def test_commutative(self):
         rng = np.random.default_rng(25)
         ctx = CollisionContext(random_symmetric(rng, 3, 0.25), collision.mean_field_kernel(3))
@@ -340,6 +355,8 @@ class TestProduct:
         p = np.full(1 << n, 1.0 / (1 << n))
         with pytest.raises(CapacityError):
             ctx.product(p, p)
+        with pytest.raises(CapacityError):
+            ctx.square_stage()
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -268,6 +268,29 @@ class TestDecay:
         assert slope >= bound.value
 
 
+def full_lattice_log_mass(nu, blocks, N, T=None):
+    """The count-shell convolution over the whole (N|b| + 1)^B lattice at
+    every copy, one support point at a time: the reference of the
+    windowed `kac.shell_log_mass`."""
+    nu = np.asarray(nu, dtype=float)
+    blocks = core.check_partition(blocks, core.sites_of(nu))
+    logq = kac.single_count_logdist(nu, blocks)
+    dims = tuple(N * len(b) + 1 for b in blocks)
+    table = np.full(dims, -np.inf)
+    table[tuple(0 for _ in blocks)] = 0.0
+    support = np.argwhere(np.isfinite(logq))
+    for _ in range(N):
+        new = np.full(dims, -np.inf)
+        for c in support:
+            dst = tuple(slice(int(cb), d) for cb, d in zip(c, dims))
+            src = tuple(slice(0, d - int(cb)) for cb, d in zip(c, dims))
+            new[dst] = np.logaddexp(new[dst], table[src] + logq[tuple(c)])
+        table = new
+    if T is None:
+        return table
+    return float(table[tuple(int(t) for t in T)])
+
+
 class TestMasses:
     def test_single_copy_is_direct(self):
         nu = np.array([0.1, 0.2, 0.3, 0.4])
@@ -308,6 +331,46 @@ class TestMasses:
         assert all(v > 0 for v in vals)
         assert vals[-1] < vals[0]
         assert vals[-1] < 0.02
+
+    @pytest.mark.parametrize("blocks, N", [
+        (((0, 1),), 7),
+        (((0,), (1,)), 6),
+        (((0, 2), (1,)), 4),
+        (((0,), (1,), (2,)), 3),
+    ])
+    def test_windowed_lattice_equals_full_lattice(self, blocks, N):
+        # every table cell and every shell, corners 0 and N|b| included,
+        # for a density with zero entries and one without
+        rng = make_rng(64, 0)
+        n = 1 + max(max(b) for b in blocks)
+        sparse = rng.dirichlet(np.ones(1 << n))
+        sparse[[1, 1 << n - 1]] = 0.0
+        for nu in (rng.dirichlet(np.full(1 << n, 2.0)), sparse / sparse.sum()):
+            full = full_lattice_log_mass(nu, blocks, N)
+            got = kac.shell_log_mass(nu, blocks, N)
+            assert got.dtype == full.dtype and np.array_equal(got, full)
+            for T in kac.admissible_counts(N, blocks):
+                got = kac.shell_log_mass(nu, blocks, N, T)
+                assert np.array_equal(got, full[T]), T
+
+    def test_windowed_lattice_at_the_chaos_criterion_size(self):
+        # criterion 10's N = 200 shells, one block and two
+        J = np.array([[0.0, 0.25], [0.25, 0.0]])
+        mu = core.gibbs(J, np.array([0.15, 0.15]))
+        for blocks in (((0, 1),), ((0,), (1,))):
+            T = kac.canonical_counts(mu, blocks, 200)
+            got = kac.shell_log_mass(mu, blocks, 200, T)
+            assert np.array_equal(got, full_lattice_log_mass(mu, blocks, 200, T))
+
+    @pytest.mark.parametrize("T", [(-1,), (-2,), (11,), (3, 1), (), (2.5,)])
+    def test_shell_outside_the_lattice_raises(self, T):
+        # N = 5 copies of one two-site block: T runs over 0..10; a
+        # negative entry used to wrap around the table
+        nu = np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(ValueError, match=r"got T = \("):
+            kac.shell_log_mass(nu, ((0, 1),), 5, T)
+        with pytest.raises(ValueError, match=r"got T = \("):
+            kac.restricted_mass(nu, ((0, 1),), 5, T)
 
     def test_gaussian_prediction_at_large_N(self):
         nu = np.array([0.35, 0.65])
