@@ -256,14 +256,9 @@ class CollisionContext:
     def square_stage(self):
         """The map y -> product(y, y, check=False), with its route chosen
         once, for an integrator that squares many stage vectors of one
-        context. On the tensor route it is the one matvec that
-        `_product_tensor(y, y)` makes, B @ (y outer y); on the flux and
-        stream routes it calls that route with y twice. Either way it
-        has the bits of `product(y, y, check=False)` on a float vector.
+        context: it calls that route with y twice, so it has the bits of
+        `product(y, y, check=False)` on a float vector.
         """
-        if self.n <= TENSOR_N_MAX:
-            B = self._tensor_matrix()
-            return lambda y: B @ np.multiply.outer(y, y).ravel()
         route = self._route()
         return lambda y: route(y, y)
 
