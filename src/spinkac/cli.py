@@ -257,6 +257,8 @@ def _parse_downup_instance(args):
                 size, m = (int(x) for x in part.split(":"))
             except ValueError:
                 raise ValueError(f"--blocks-spec part {part!r} is not SIZE:M") from None
+            if size < 1:
+                raise ValueError(f"--blocks-spec part {part!r} needs SIZE >= 1")
             sizes_m.append((size, m))
         sizes = [s for s, _ in sizes_m]
         L = sum(sizes)

@@ -217,7 +217,7 @@ class CollisionContext:
 
     # -- product ----------------------------------------------------------
 
-    def product(self, p, q, check=True):
+    def product(self, p, q):
         """Symmetrized collision product of two densities.
 
         The route is chosen from n alone. The tensor route serves
@@ -240,25 +240,19 @@ class CollisionContext:
 
         The square `product(p, p)` forms its pair mass once, in the
         tensor and the flux route, with the same bits as
-        `product(p, p.copy())`, since 0.5 * (x + x) == x. check=False
-        skips the probability validation so integrator stage vectors
-        (mass 1, possibly with roundoff-negative entries) can pass
-        through.
+        `product(p, p.copy())`, since 0.5 * (x + x) == x. Both
+        inputs must be probability vectors (`check_probvec`).
         """
-        def prepared(x):
-            return check_probvec(x, self.n) if check else np.asarray(x, dtype=float)
-
         square = p is q
-        p = prepared(p)
-        q = p if square else prepared(q)
+        p = check_probvec(p, self.n)
+        q = p if square else check_probvec(q, self.n)
         return self._route()(p, q)
 
     def square_stage(self):
-        """The map y -> product(y, y, check=False), with its route chosen
-        once, for an integrator that squares many stage vectors of one
-        context: it calls that route with y twice, so it has the bits of
-        `product(y, y, check=False)` on a float vector.
-        """
+        """The map y -> route(y, y) of `product`'s route, chosen once, for
+        an integrator that squares many stage vectors of one context; it
+        skips only the check, which a stage vector (mass 1, maybe with
+        roundoff-negative entries) may fail."""
         route = self._route()
         return lambda y: route(y, y)
 

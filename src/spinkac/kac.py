@@ -9,10 +9,10 @@ across all slots, so it lives on a count shell, where its stationary law is
 the conditioned product of single-configuration Gibbs weights.
 
 Exact routes are gated by total bit count: dense spectra and the
-exponentials they give at N*n <= 12, shell enumeration and
-Dirichlet-form sums at N*n <= 22. Count-shell masses for large N go
-through a log-domain convolution over the block-count lattice instead
-of enumeration.
+exponentials they give at N*n <= 12, shell enumeration at N*n <= 22.
+Count-shell masses, slot marginals and criterion 11's Dirichlet values
+for large N go through a log-domain convolution over the block-count
+lattice instead of enumeration.
 """
 
 from __future__ import annotations
@@ -163,56 +163,27 @@ def multicanonical_measure(J, h, N, blocks, T):
 # -- exchange moves on a shell -----------------------------------------
 
 
-def _pair_moves(measure, kernel):
-    """Yield (src, dst, rate_weight, pair_weight) per unordered pair of
-    bits a < b: index arrays of the exchanges of bits a and b that stay on
-    the shell, src < dst.
-
-    rate r is the heat-bath probability from the measure's own product
-    weights; pair_weight is K[l,k] + K[k,l] for the sites l, k of bits a,
-    b (2 for the unweighted variant), since the ordered pairs (a, b) and
-    (b, a) ring the same exchange. Identity moves have no entries (their
-    gradient terms vanish), and an exchange that exits the shell targets
-    a zero-mass state, so its heat-bath rate is zero and it is dropped too.
-    """
+def transition_table(measure, kernel):
+    """The shell process as a reversible chain, one entry per edge: each
+    exchange of bits a < b (sites l = a mod n, k = b mod n) that stays on
+    the shell jumps at rate w r / (N n), r the heat-bath probability from
+    the measure's product weights and w = K[l,k] + K[k,l] (2 with kernel
+    None, the all-pairs variant), as (a, b) and (b, a) ring the same
+    exchange. Identity moves have no entries, and a move off the shell
+    has rate zero, so it is dropped too."""
     n, N = measure.n, measure.N
-    codes = measure.codes
+    srcs, dsts, rates = [], [], []
     for a in range(N * n):
         for b in range(a + 1, N * n):
             l, k = a % n, b % n
             w = 2.0 if kernel is None else float(kernel[l, k] + kernel[k, l])
             if w == 0.0:
                 continue
-            src, dst = swap_moves(codes, a, b)
+            src, dst = swap_moves(measure.codes, a, b)
             if src.size:
-                yield src, dst, expit(measure.logw[dst] - measure.logw[src]), w
-
-
-def dirichlet_form(measure, F, G, kernel):
-    """(1/2Nn) sum over slot pairs and site pairs of mu[K r dF dG]
-    (kernel given) or mu[r dF dG] (kernel None, the all-pairs variant).
-
-    The same sum as `transition_table(measure, kernel).dirichlet(F, G)`,
-    streamed per bit pair, so criterion 11 never holds the table in memory."""
-    F = np.asarray(F, dtype=float)
-    G = np.asarray(G, dtype=float)
-    total = 0.0
-    for src, dst, r, w in _pair_moves(measure, kernel):
-        dF = F[dst] - F[src]
-        dG = G[dst] - G[src]
-        total += w * float(np.sum(measure.probs[src] * r * dF * dG))
-    return total / (measure.N * measure.n)
-
-
-def transition_table(measure, kernel):
-    """The shell process as a reversible chain, one entry per edge: jump
-    rate r * (K[l,k] + K[k,l]) / (N n) for each exchange that stays on
-    the shell."""
-    srcs, dsts, rates = [], [], []
-    for src, dst, r, w in _pair_moves(measure, kernel):
-        srcs.append(src)
-        dsts.append(dst)
-        rates.append(w * r / (measure.N * measure.n))
+                srcs.append(src)
+                dsts.append(dst)
+                rates.append(w * expit(measure.logw[dst] - measure.logw[src]) / (N * n))
     return ReversibleChain.from_moves(srcs, dsts, rates, measure.probs, measure.logw)
 
 
@@ -585,15 +556,43 @@ def entropic_chaos_gap(nu1, nu2, blocks, N):
     return abs(h_per_slot - relative_entropy(nu1, nu2))
 
 
+def _exchange_sum(log_f, log_mu, K, law):
+    """sum_{l<k} (K_lk + K_kl) E_law[1{sigma_l = 1, sigma_k = 0} r (R - 1) log R]
+    over the exchange tau of sites l and k, for R = f(tau) / f(sigma) and
+    r = expit(log mu(tau) - log mu(sigma)), law a dense array over masks."""
+    masks, bits = np.arange(law.size), 1 << np.arange(K.shape[0])
+    plus = (masks & bits[:, None]) != 0  # (l, sigma): site l of sigma is +1
+    tau = masks ^ (bits[:, None] | bits)[..., None]
+    x, y = log_f[tau] - log_f, log_mu[tau] - log_mu
+    terms = np.where(plus[:, None] & ~plus, expit(y) * np.expm1(x) * x, 0.0)
+    return np.einsum("lk,lks,s->", np.triu(K + K.T, 1), terms, law.ravel())
+
+
 def _fisher_per_slot(ctx, mu, nu, N):
-    """(1/N) Dirichlet(F_N, log F_N) for the shell likelihood ratio
-    F_N between the conditioned products of nu and mu."""
+    """(1/N) Dirichlet(F_N, log F_N) for F_N = gamma_nu / gamma_mu, the
+    ratio of the conditioned products of nu and mu on their shared shell.
+
+    An edge x -> y exchanges bit (i, l) with bit (j, k), so F_N(y) / F_N(x)
+    is R = f(tau) f(tau') / (f(sigma) f(sigma')) over the changed slots
+    (f(tau) / f(sigma) if i = j), f = nu / mu. As gamma_mu F_N = gamma_nu,
+    the edge term gamma_mu(x) r (F_N(y) - F_N(x)) log R is gamma_nu(x)
+    r (R - 1) log R, r = expit(change of log mu) the rate of
+    `transition_table`. The laws are exchangeable, so the value is
+    (1 / (N^2 n)) [C(N, 2) S_2 + N S_1], S_k the `_exchange_sum` over the
+    k-slot `canonical_marginal` (across the two slots in S_2), and no shell
+    is enumerated. As N -> infinity the two-slot marginal tends to nu x nu
+    and the one-slot term fades as 1/N, so the value tends to
+    2 `dynamics.dissipation(ctx, f, mu)`.
+    """
     T = shared_shell(nu, mu, ctx.blocks, N)
-    with np.errstate(divide="ignore"):
-        gamma_mu = restricted_product_measure(np.log(mu), N, ctx.blocks, T)
-        gamma_nu = restricted_product_measure(np.log(nu), N, ctx.blocks, T)
-    F = gamma_nu.probs / gamma_mu.probs
-    return dirichlet_form(gamma_mu, F, np.log(F), kernel=ctx.K) / N
+    log_f, log_mu = np.log(nu / mu), np.log(mu)
+    total = N * _exchange_sum(log_f, log_mu, ctx.K, canonical_marginal(nu, ctx.blocks, N, T, 1))
+    if N > 1:
+        # two slots as one configuration of 2n sites, exchanging across slots only
+        pair_f, pair_mu = (np.add.outer(x, x).ravel() for x in (log_f, log_mu))
+        nu2 = canonical_marginal(nu, ctx.blocks, N, T, 2)
+        total += math.comb(N, 2) * _exchange_sum(pair_f, pair_mu, np.kron([[0, 1], [1, 0]], ctx.K), nu2)
+    return float(total) / (N * N * ctx.n)
 
 
 @dataclass
@@ -605,8 +604,11 @@ class FisherChaosTable:
 
 
 def fisher_chaos_check(ctx, h, f, N_grid):
-    """Table of the per-slot Dirichlet value and its gap to twice the
-    single-configuration dissipation along a grid of N."""
+    """Table of the per-slot Dirichlet value (1/N) Dirichlet(F_N, log F_N)
+    and its gap to its N -> infinity limit, twice the single-configuration
+    dissipation, along a grid of N. An exchange changes at most two slots,
+    so each value is a sum over the one- and two-slot shell marginals of
+    nu = f mu (`_fisher_per_slot`), and N has no size gate."""
     mu = np.exp(log_gibbs_weights(ctx.J, h))
     mu /= mu.sum()
     f = np.asarray(f, dtype=float)

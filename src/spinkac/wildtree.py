@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import cumulative_rows
+from .core import check_probvec, cumulative_rows
 from .errors import CapacityError
 
 MAX_LEAVES = 1 << 20
@@ -143,10 +143,11 @@ class Moments:
 
 
 def mc_solution(ctx, p0, t, samples, rng):
-    """Monte Carlo solution of the flow at time t by tree averaging."""
+    """Monte Carlo solution of the flow at time t by tree averaging; p0
+    is checked on entry, since at t = 0 no product checks it."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    p0 = np.asarray(p0, dtype=float)
+    p0 = check_probvec(p0, ctx.n)
     mean = np.zeros(1 << ctx.n)
     m2 = np.zeros(1 << ctx.n)
     leaves = 0

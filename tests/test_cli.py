@@ -181,11 +181,23 @@ class TestExitCodes:
         (["--blocks-spec", "3:1,x:0"], "part 'x:0' is not SIZE:M"),
         (["--L", "0", "--M", "0"], "need L >= 1"),
         (["--L", "-2", "--M", "0"], "need L >= 1 sites, got -2"),
+        (["--blocks-spec", "3:1,-2:0"], "part '-2:0' needs SIZE >= 1"),
+        (["--blocks-spec", "3:1,-3:1"], "part '-3:1' needs SIZE >= 1"),
     ])
     def test_downup_names_a_bad_geometry(self, capsys, args, said):
         code = cli.main(["downup", *args, "--mode", "mlsi", "--trials", "3"])
         assert code == 1
         assert said in capsys.readouterr().err
+
+    def test_tree_checks_its_initial_density(self, tmp_path, capsys):
+        # a vector of mass 2 at t = 0, where no product would check it
+        (tmp_path / "p0.txt").write_text("0.5 0.5 0.5 0.5\n")
+        out = tmp_path / "tree.csv"
+        code = cli.main(["tree", "--model", str(REPO / DEMO), "--t", "0", "--samples", "5",
+                         "--p0", f"file:{tmp_path / 'p0.txt'}", "--out", str(out)])
+        assert code == 1
+        assert "density mass 2.0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_initial_state(self, tmp_path, capsys):
         code = cli.main(["evolve", "--model", str(REPO / DEMO), "--p0", "delta:9",

@@ -153,14 +153,15 @@ class TestDirichlet:
     def test_constant_function_vanishes(self):
         m = kac.multicanonical_measure(np.array([[0.0, 0.2], [0.2, 0.0]]), None, 2, ((0, 1),), (2,))
         F = np.full(m.codes.size, 2.5)
-        assert kac.dirichlet_form(m, F, F, None) == 0.0
+        assert kac.transition_table(m, None).dirichlet(F, F) == 0.0
 
     def test_nonnegative_quadratic(self):
         rng = make_rng(61, 0)
         m = kac.multicanonical_measure(np.array([[0.1, 0.15], [0.15, 0.1]]), None, 3, ((0, 1),), (3,))
+        tab = kac.transition_table(m, None)
         for _ in range(10):
             F = np.exp(rng.standard_normal(m.codes.size))
-            assert kac.dirichlet_form(m, F, F, None) >= 0.0
+            assert tab.dirichlet(F, F) >= 0.0
 
     def test_matches_generator_pairing(self):
         rng = make_rng(61, 1)
@@ -168,11 +169,12 @@ class TestDirichlet:
         m = kac.multicanonical_measure(J, np.array([0.2, 0.2]), 3, ((0, 1),), (4,))
         K = collision.mean_field_kernel(2)
         L = shell_generator(m, K)
+        tab = kac.transition_table(m, K)
         for _ in range(5):
             F = np.exp(rng.standard_normal(m.codes.size))
             G = np.exp(rng.standard_normal(m.codes.size))
             pairing = -float(m.probs @ (F * (L @ G)))
-            assert kac.dirichlet_form(m, F, G, kernel=K) == pytest.approx(pairing, abs=1e-12)
+            assert tab.dirichlet(F, G) == pytest.approx(pairing, abs=1e-12)
 
     def test_reversibility_of_generator(self):
         m = kac.multicanonical_measure(np.array([[0.1, 0.25], [0.25, 0.1]]), np.array([0.3, 0.3]),
@@ -211,7 +213,6 @@ class TestDirichlet:
             G = np.log(F)
             want = directed_dirichlet(m, L, F, G)
             assert tab.dirichlet(F, G) == pytest.approx(want, rel=1e-12)
-            assert kac.dirichlet_form(m, F, G, kernel=K) == pytest.approx(want, rel=1e-12)
 
 
 class TestScan:
@@ -423,6 +424,28 @@ class TestChaos:
             kac.entropic_chaos_gap(nu1, nu2, ((0,),), 5)
 
 
+def projected_tilt(kernel, rng):
+    """(ctx, h, nu): a random tilt of the Gibbs law mu, projected back on
+    mu's block magnetizations so that both share their canonical shells."""
+    J3 = np.array([[0.1, 0.2, 0.0], [0.2, 0.05, 0.1], [0.0, 0.1, 0.1]])
+    J, h, K = {
+        "mean-field-2": (np.array([[0.0, 0.3], [0.3, 0.0]]), np.array([0.1, 0.1]),
+                         collision.mean_field_kernel(2)),
+        "mean-field-3": (J3, np.array([0.1, 0.1, 0.1]), collision.mean_field_kernel(3)),
+        "blocks": (J3, np.array([0.1, 0.1, -0.2]), collision.blocks_kernel(3, ((0, 1), (2,)))),
+        "single-site": (np.array([[0.0, 0.3], [0.3, 0.0]]), np.array([0.1, -0.3]),
+                        collision.single_site_kernel(2)),
+        "matrix": (J3, np.array([0.1, 0.1, 0.1]),
+                   np.array([[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]])),
+    }[kernel]
+    ctx = CollisionContext(J, K)
+    mu = core.gibbs(J, h)
+    f0 = np.exp(0.5 * rng.standard_normal(1 << ctx.n))
+    _, nu = core.match_block_means(core.log_gibbs_weights(J, h) + np.log(f0), ctx.blocks,
+                                   core.magnetization_profile(mu, ctx.blocks))
+    return ctx, h, nu
+
+
 class TestFisher:
     def test_constant_ratio_vanishes(self):
         J = np.array([[0.0, 0.2], [0.2, 0.0]])
@@ -469,10 +492,30 @@ class TestFisher:
         with pytest.raises(ValueError, match="off the shell"):
             kac.fisher_chaos_check(ctx, h, f, [4])
 
-    def test_exact_route_is_gated(self):
-        ctx = mean_field_ctx(np.zeros((2, 2)))
-        with pytest.raises(CapacityError):
-            kac.fisher_chaos_check(ctx, np.zeros(2), np.ones(4), [12])
+    @pytest.mark.parametrize("kernel", ["mean-field-2", "mean-field-3", "blocks", "single-site", "matrix"])
+    def test_marginal_sum_matches_the_shell_table(self, kernel):
+        # the per-slot value from the one- and two-slot marginals against
+        # the shell's transition table on the enumerated shell, N*n <= 16
+        ctx, h, nu = projected_tilt(kernel, make_rng(20260822, 12))
+        mu = core.gibbs(ctx.J, h)
+        for N in range(1, 16 // ctx.n + 1):
+            T = kac.shared_shell(nu, mu, ctx.blocks, N)
+            gamma_mu = kac.restricted_product_measure(np.log(mu), N, ctx.blocks, T)
+            gamma_nu = kac.restricted_product_measure(np.log(nu), N, ctx.blocks, T)
+            F = gamma_nu.probs / gamma_mu.probs
+            want = kac.transition_table(gamma_mu, ctx.K).dirichlet(F, np.log(F)) / N
+            assert kac._fisher_per_slot(ctx, mu, nu, N) == pytest.approx(want, rel=1e-12)
+
+    def test_large_N_enumerates_no_shell(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the shell was enumerated")
+
+        monkeypatch.setattr(kac, "restricted_product_measure", refuse)
+        monkeypatch.setattr(kac, "transition_table", refuse)
+        ctx, h, nu = projected_tilt("mean-field-2", make_rng(20260822, 11))
+        tab = kac.fisher_chaos_check(ctx, h, nu / core.gibbs(ctx.J, h), [64, 128])
+        assert np.all(np.isfinite(tab.per_slot))
+        assert tab.gap[1] < tab.gap[0]
 
 
 class TestSimulation:

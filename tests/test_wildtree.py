@@ -107,6 +107,13 @@ class TestMCSolution:
         assert np.all(sol.stderr == 0.0)
         assert sol.mean_leaves == 1.0
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_initial_density_is_checked(self, t):
+        # at t = 0 no product runs, so the entry check is the only one
+        ctx = free_ctx(2)
+        with pytest.raises(ValueError, match="density mass 2.0"):
+            wildtree.mc_solution(ctx, np.full(4, 0.5), t, 5, make_rng(53, 1))
+
     def test_stationary_input(self):
         from spinkac.core import gibbs
         J = np.array([[0.0, 0.2], [0.2, 0.0]])
