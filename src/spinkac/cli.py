@@ -29,6 +29,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+def count(text):
+    """argparse type of a count such as --trials: an int >= 0. argparse
+    names the option and, for a non-integer, this function."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a count >= 0, got {value}")
+    return value
+
+
 def _parse_density(arg, size):
     if arg == "uniform":
         return np.full(size, 1.0 / size)
@@ -329,7 +338,7 @@ def build_parser():
 
     p = add("mlsi-nl", cmd_mlsi_nl, help="scan dissipation/entropy ratios of the flow")
     p.add_argument("--model", required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=count, default=1000)
     p.add_argument("--out")
 
     p = add("tree", cmd_tree, help="Monte Carlo flow solution by branching trees")
@@ -360,7 +369,7 @@ def build_parser():
 
     p = add("kac-mlsi", cmd_kac_mlsi, help="ratio scan of the N-configuration walk")
     p.add_argument("--model", required=True)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=count, default=200)
     p.add_argument("--N", default="2,3,4", help="comma list")
     p.add_argument("--rho-grid", default="all",
                    help="all | semicolon list of comma block-density lists")
@@ -373,7 +382,7 @@ def build_parser():
     p.add_argument("--lambda-matrix", help="file with a symmetric L x L matrix")
     p.add_argument("--w", help="file with L field values")
     p.add_argument("--mode", choices=("mlsi", "factorize", "cov"), default="mlsi")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=count, default=200)
     p.add_argument("--out")
 
     p = add("verify-all", cmd_verify_all, help="run the acceptance suite")

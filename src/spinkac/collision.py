@@ -49,13 +49,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .core import (
     check_interaction,
     check_partition,
     check_probvec,
     check_sites,
+    expit,
     log_gibbs_weights,
     spins_of,
 )
@@ -152,9 +152,10 @@ def walk_acceptance(fields, logw, l, k, si, sj, same_slot):
 
     Equals the test oracle `diagonal_acceptance(ctx, l, k, si)` of
     tests/test_kac.py for an event that pairs a slot with itself and
-    `ctx.acceptance(l, k, si, sj)` otherwise. A
-    logit below -709 takes the exp(logit) tail, so no coupling size can
-    overflow `math.exp`.
+    `ctx.acceptance(l, k, si, sj)` otherwise, bit for bit: the rule of
+    `core.expit`, written out so that an event makes no further call.
+    Where exp(-logit) overflows (logit below about -709.78) it returns
+    0.0, expit's limit, so no coupling size can raise.
     """
     if same_slot:
         if not ((si >> l) ^ (si >> k)) & 1:
@@ -165,7 +166,10 @@ def walk_acceptance(fields, logw, l, k, si, sj, same_slot):
         if bk == (si >> l) & 1:
             return 0.5
         x = (fields[si][l] - fields[sj][k]) * (2.0 if bk else -2.0)
-    return 1.0 / (1.0 + math.exp(-x)) if x > -709.0 else math.exp(x)
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 class CollisionContext:

@@ -129,6 +129,44 @@ def logsumexp(a):
     return np.log1p(s / k) + np.log(k) + top
 
 
+_CEXP_SCALED = -709.0  # for x below it glibc's cexp rescales exp(-x)
+
+
+def _expit_one(x):
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) past the largest double: expit's limit
+        return 0.0
+
+
+def expit(x):
+    """The logistic 1 / (1 + exp(-x)) with the bits of SciPy's `expit`:
+    float64 of x's shape, np.float64 for a 0-d x.
+
+    exp(-x) is libm's `exp`, not NumPy's SIMD float `exp`, whose bits
+    differ from it in a few values per hundred and with the CPU's
+    kernel family. NumPy's complex exp calls libm's `cexp`, which in
+    glibc returns, at imaginary part 0, libm's `exp` of the real part
+    unchanged while that part is at most 709. The few x below -709,
+    where `cexp` rescales, go through `math.exp` one at a time.
+    tests/test_core.py compares the bits with SciPy's."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 0:
+        return np.float64(_expit_one(float(x)))
+    z = np.negative(x, dtype=np.complex128)
+    tail = x < _CEXP_SCALED
+    scaled = np.count_nonzero(tail)
+    if scaled:
+        z[tail] = 0.0  # keeps cexp from overflowing; these are replaced
+    np.exp(z, out=z)
+    e = z.real
+    e += 1.0
+    r = np.reciprocal(e)
+    if scaled:
+        r[tail] = [_expit_one(v) for v in x[tail].tolist()]
+    return r
+
+
 def gibbs(J, h=None):
     """Normalized Gibbs density over all masks (log-domain normalization)."""
     logw = log_gibbs_weights(J, h)
@@ -141,11 +179,18 @@ def check_probvec(p, n=None):
         raise ValueError(f"density must be a length-2**n vector, got shape {p.shape}")
     if n is not None and p.size != (1 << n):
         raise ValueError(f"density has {p.size} entries, expected {1 << n}")
+    return check_mass(p, "density")
+
+
+def check_mass(p, name):
+    """ValueError, naming `name`, unless the float array p is a
+    probability vector within PROBVEC_TOL: no entry below -PROBVEC_TOL
+    and total mass 1; returns p."""
     if np.min(p) < -PROBVEC_TOL:
-        raise ValueError(f"density has a negative entry: min = {np.min(p)}")
+        raise ValueError(f"{name} has a negative entry: min = {np.min(p)}")
     s = float(np.sum(p))
     if abs(s - 1.0) > PROBVEC_TOL:
-        raise ValueError(f"density mass {s} deviates from 1 beyond {PROBVEC_TOL}")
+        raise ValueError(f"{name} mass {s} deviates from 1 beyond {PROBVEC_TOL}")
     return p
 
 
@@ -324,13 +369,12 @@ class ReversibleChain:
         dG = G[self.dst] - G[self.src]
         return float(np.sum(self.probs[self.src] * self.rate * dF * dG))
 
-    def symmetric(self):
-        """The generator symmetrized by sqrt(probs), as SciPy CSR: the
-        edge entry rate * sqrt(probs[src] / probs[dst]) at (src, dst) and
-        (dst, src), minus each state's exit rate on the diagonal. Both
-        probability ratios come from the log-weights."""
-        from scipy.sparse import csr_array  # imported on use: only spectra need it
-
+    def _symmetric_entries(self):
+        """(rows, cols, values) of the generator symmetrized by
+        sqrt(probs): the edge entry rate * sqrt(probs[src] / probs[dst])
+        at (src, dst) and (dst, src), minus each state's exit rate on
+        the diagonal. Both probability ratios come from the log-weights.
+        No position repeats."""
         size = self.probs.size
         log_ratio = self.logw[self.src] - self.logw[self.dst]
         off = self.rate * np.exp(0.5 * log_ratio)
@@ -339,12 +383,26 @@ class ReversibleChain:
         diag = np.arange(size)
         rows = np.concatenate([self.src, self.dst, diag])
         cols = np.concatenate([self.dst, self.src, diag])
-        return csr_array((np.concatenate([off, off, -exit_rate]), (rows, cols)), shape=(size, size))
+        return rows, cols, np.concatenate([off, off, -exit_rate])
+
+    def symmetric(self):
+        """The symmetrized generator of `_symmetric_entries` as SciPy CSR,
+        the input of ARPACK's Lanczos in `slow_mode`."""
+        from scipy.sparse import csr_array  # imported on use: only Lanczos needs it
+
+        rows, cols, values = self._symmetric_entries()
+        size = self.probs.size
+        return csr_array((values, (rows, cols)), shape=(size, size))
 
     def spectrum(self):
         """(eigenvalues, orthonormal eigenvectors, sqrt(probs)) of the
-        symmetrized generator, by dense eigh; eigenvalues ascending."""
-        evals, vecs = np.linalg.eigh(self.symmetric().toarray())
+        symmetrized generator, by dense eigh of the `_symmetric_entries`
+        scattered into a NumPy array; eigenvalues ascending."""
+        rows, cols, values = self._symmetric_entries()
+        size = self.probs.size
+        dense = np.zeros((size, size))
+        dense[rows, cols] = values
+        evals, vecs = np.linalg.eigh(dense)
         return evals, vecs, np.sqrt(self.probs)
 
     def slow_mode(self):

@@ -346,7 +346,10 @@ class CovReport:
 
 def cov_bound_check(inst, tilt_samples, rng):
     """max eigenvalue of the covariance over random and extreme tilts,
-    against 2/(1 - 2 lam) under `interaction_condition`."""
+    against 2/(1 - 2 lam) under `interaction_condition`. A negative
+    `tilt_samples` raises ValueError."""
+    if tilt_samples < 0:
+        raise ValueError(f"need tilt_samples >= 0, got tilt_samples = {tilt_samples}")
     _, lam, reason = interaction_condition(inst.lam_matrix)
     if reason:
         raise ValueError(f"no covariance bound: {reason}")

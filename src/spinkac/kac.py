@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import expit
 
 from .collision import walk_acceptance
 from .core import (
@@ -31,12 +30,14 @@ from .core import (
     ReversibleChain,
     block_count_table,
     check_interaction,
+    check_mass,
     check_partition,
     check_probvec,
     code_index,
     covariance,
     cumulative_rows,
     entropy_ratio_scan,
+    expit,
     interaction_condition,
     interaction_row_norm,
     log_gibbs_weights,
@@ -190,12 +191,20 @@ def transition_table(measure, kernel):
 def particle_entropy_decay(measure, kernel, nu0, t_grid):
     """Exact H(nu_t | mu) along the shell semigroup, by symmetrized
     eigendecomposition of the generator: nu0 is projected on the
-    eigenbasis once, so each time point costs one matrix-vector product."""
+    eigenbasis once, so each time point costs one matrix-vector product.
+    nu0 must be a law on the shell's states (`check_mass`), else
+    ValueError."""
     if measure.N * measure.n > EXPONENTIAL_GATE:
         raise CapacityError(f"dense spectra gated at N*n <= {EXPONENTIAL_GATE}")
+    nu0 = np.asarray(nu0, dtype=float)
+    if nu0.shape != measure.probs.shape:
+        raise ValueError(
+            f"nu0 needs one entry per shell state, {measure.probs.size}, got shape {nu0.shape}"
+        )
+    check_mass(nu0, "nu0")
     evals, Q, sq = transition_table(measure, kernel).spectrum()
     mu = measure.probs
-    c = (np.asarray(nu0, dtype=float) / sq) @ Q
+    c = (nu0 / sq) @ Q
     out = []
     for t in t_grid:
         nu_t = (Q @ (c * np.exp(t * evals))) * sq

@@ -14,13 +14,17 @@ import spinkac
 PACKAGE_ROOT = str(Path(spinkac.__file__).resolve().parents[1])
 REPO = Path(__file__).resolve().parents[1]
 
-# Calls spinkac.cli.main on its arguments, then prints on the last line of
-# stderr whether scipy.sparse.linalg was loaded, and exits with main's code.
+# Blocks SciPy (a None entry in sys.modules makes every `import scipy...`
+# raise ImportError), calls spinkac.cli.main on its arguments, then prints
+# on the last line of stderr the SciPy modules that got loaded all the
+# same, and exits with main's code.
 CLI_MAIN_CHILD = (
     "import sys\n"
+    "sys.modules['scipy'] = None\n"
     "from spinkac import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print('scipy.sparse.linalg' in sys.modules, file=sys.stderr)\n"
+    "print(sorted(m for m, v in sys.modules.items() if m.startswith('scipy') and v),"
+    " file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -31,15 +35,17 @@ def package_python():
 
     The child puts the package under test first on its ``PYTHONPATH``, so
     it checks the same code as the rest of the suite and needs no console
-    script on ``PATH``.
+    script on ``PATH``. ``extra_env`` adds variables to the child's
+    environment.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p
     )
 
-    def run(args, **kwargs):
-        return subprocess.run([sys.executable, *args], env=env, **kwargs)
+    def run(args, extra_env=None, **kwargs):
+        return subprocess.run([sys.executable, *args], env={**env, **(extra_env or {})},
+                              **kwargs)
 
     return run
 
@@ -62,8 +68,9 @@ def quick_suite_runs(package_python, tmp_path_factory):
     through the CLI entry module with ``--workers 2``, so the criteria
     run in a process pool on every machine, and once through
     ``spinkac.cli.main`` in a fresh interpreter (``CLI_MAIN_CHILD``) with
-    ``--workers 1``, so that every criterion of the second run runs in
-    the interpreter whose modules it reports.
+    ``--workers 1`` and SciPy blocked, so that every criterion of the
+    second run runs in the interpreter whose modules it reports, and a
+    criterion that imported SciPy would fail it.
 
     Returns one dict per run with the keys ``stdout``, ``stderr`` (bytes),
     ``table`` (the ``--out`` bytes) and ``seconds``. Every test that reads

@@ -156,6 +156,20 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
+        ["mlsi-nl", "--model", DEMO, "--trials", "-1"],
+        ["kac-mlsi", "--model", DEMO, "--trials", "-3"],
+        ["downup", "--L", "8", "--M", "0", "--mode", "cov", "--trials", "-1"],
+    ])
+    def test_trials_is_a_count(self, tmp_path, capsys, args):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*args, "--out", str(out)])
+        assert exc.value.code == 64
+        err = capsys.readouterr().err
+        assert f"argument --trials: need a count >= 0, got {args[-1]}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
         ["kac", "--rho", "0.5,0.25", "--t-end", "1"],
         ["kac-mlsi", "--rho-grid", "0.5,0.25,9", "--trials", "5"],
     ])

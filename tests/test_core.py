@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.sparse import csr_array
+from scipy.special import expit, logsumexp
 
-from spinkac import core, downup, dynamics, kac, wildtree
+from spinkac import collision, core, downup, dynamics, kac, wildtree
 from spinkac.errors import CapacityError, ConvergenceError, DegenerateProfileError, FitError
 
 
@@ -143,7 +144,72 @@ def complete_graphs(sizes, rng):
     return core.ReversibleChain(src, dst, rate, probs, np.log(probs))
 
 
+def csr_spectrum(tab):
+    """The spectrum as `ReversibleChain.spectrum` took it before it built
+    its matrix in NumPy: the symmetrized generator assembled as SciPy CSR,
+    made dense by .toarray(), then eigh."""
+    size = tab.probs.size
+    log_ratio = tab.logw[tab.src] - tab.logw[tab.dst]
+    off = tab.rate * np.exp(0.5 * log_ratio)
+    back = tab.rate * np.exp(log_ratio)
+    exit_rate = np.bincount(tab.src, tab.rate, size) + np.bincount(tab.dst, back, size)
+    diag = np.arange(size)
+    rows = np.concatenate([tab.src, tab.dst, diag])
+    cols = np.concatenate([tab.dst, tab.src, diag])
+    S = csr_array((np.concatenate([off, off, -exit_rate]), (rows, cols)), shape=(size, size))
+    evals, vecs = np.linalg.eigh(S.toarray())
+    return evals, vecs, np.sqrt(tab.probs)
+
+
+def shell_chain(n, N, kernel, blocks=None):
+    """The transition table of a random n-site model on N slots, on the
+    shell with half of each block's N * len(block) sites plus; kernel
+    "mean-field", "blocks" or None (all pairs)."""
+    rng = np.random.default_rng(100 * n + N)
+    A = rng.standard_normal((n, n))
+    blocks = blocks or (tuple(range(n)),)
+    T = tuple(N * len(b) // 2 for b in blocks)
+    m = kac.multicanonical_measure(0.2 * (A + A.T), 0.3 * rng.standard_normal(n), N, blocks, T)
+    K = {"mean-field": collision.mean_field_kernel(n),
+         "blocks": collision.blocks_kernel(n, blocks), None: None}[kernel]
+    return kac.transition_table(m, K)
+
+
+def slice_chain(sizes, M):
+    """The ball walk of a random slice with blocks of the given sizes."""
+    L = sum(sizes)
+    rng = np.random.default_rng(10 * L + len(sizes))
+    A = 0.3 * rng.standard_normal((L, L))
+    inst = downup.DuInstance(L, A @ A.T / L, 0.4 * rng.standard_normal(L),
+                             downup.contiguous_blocks(sizes), M)
+    return downup.du_transitions(downup.du_measure(inst))
+
+
+SPECTRUM_CHAINS = {
+    **{f"shell n=2 N={N} {kernel or 'all-pairs'}": (shell_chain, (2, N, kernel))
+       for N in (3, 4, 5) for kernel in ("mean-field", None)},
+    **{f"shell n=3 N={N} {kernel or 'all-pairs'}": (shell_chain, (3, N, kernel))
+       for N in (2, 3) for kernel in ("mean-field", None)},
+    **{f"shell n=3 N={N} two blocks": (shell_chain, (3, N, "blocks", ((0, 1), (2,))))
+       for N in (2, 3)},
+    **{f"slice L={L} M={M}": (slice_chain, ((L,), (M,)))
+       for L, M in ((6, 0), (8, 0), (9, 1), (10, 2))},
+    "slice 4:0,4:2": (slice_chain, ((4, 4), (0, 2))),
+    "slice 3:1,3:-1,4:0": (slice_chain, ((3, 3, 4), (1, -1, 0))),
+}
+
+
 class TestChainSpectra:
+    @pytest.mark.parametrize("name", sorted(SPECTRUM_CHAINS))
+    def test_spectrum_matches_the_csr_build(self, name):
+        # no position repeats, so the dense scatter is the CSR matrix and
+        # eigh returns the same bits
+        build, args = SPECTRUM_CHAINS[name]
+        tab = build(*args)
+        assert tab.probs.size > 1
+        for got, want in zip(tab.spectrum(), csr_spectrum(tab)):
+            assert np.array_equal(got, want)
+
     def test_symmetric_is_the_similar_generator(self):
         tab = complete_graphs((5,), np.random.default_rng(20))
         L = chain_generator(tab)
@@ -182,6 +248,65 @@ class TestChainSpectra:
     def test_one_state_chain_has_no_slow_mode(self):
         with pytest.raises(ValueError):
             core.ReversibleChain.from_moves([], [], [], np.ones(1), np.zeros(1)).slow_mode()
+
+
+EXPIT_CHILD = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from spinkac import core\n"
+    "x = np.random.default_rng(5).standard_normal(200_000) * 300.0\n"
+    "sys.stdout.buffer.write(core.expit(x).tobytes())\n"
+)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestExpit:
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 30.0, 300.0, 1e4])
+    def test_matches_scipy_bit_for_bit(self, scale):
+        x = np.random.default_rng(6).standard_normal(200_000) * scale
+        assert same_bits(core.expit(x), expit(x))
+
+    def test_tail_where_cexp_rescales(self):
+        # below -709 glibc's cexp scales exp(-x); near -709.78 exp(-x)
+        # overflows, and below about -745 exp(x) itself is 0
+        x = np.linspace(-746.0, -700.0, 460_001)
+        assert same_bits(core.expit(x), expit(x))
+        x = np.nextafter(-709.0, [-np.inf, np.inf])
+        assert same_bits(core.expit(x), expit(x))
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 709.0, -709.0, -745.2])
+        got = core.expit(x)
+        assert same_bits(got, expit(x))
+        assert got[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+        assert np.isnan(core.expit(np.array([np.nan]))).all()
+
+    @pytest.mark.parametrize("x", [0.75, -720.0, -709.5, -0.0, np.float64(3.0), np.array(-40.0)])
+    def test_scalar_gives_float64(self, x):
+        got = core.expit(x)
+        assert type(got) is np.float64
+        assert same_bits(np.array(got), np.array(expit(x)))
+
+    def test_keeps_an_nd_shape(self):
+        x = np.random.default_rng(7).standard_normal((3, 4, 5)) * 400.0
+        got = core.expit(x)
+        assert got.shape == (3, 4, 5) and got.dtype == np.float64
+        assert same_bits(got, expit(x))
+        assert same_bits(core.expit(x[:, ::2].T), expit(x[:, ::2].T))
+
+    def test_bits_do_not_depend_on_numpy_cpu_dispatch(self, package_python):
+        # with every SIMD kernel NumPy dispatches at run time switched off,
+        # np.exp changes its bits on most x86 machines; expit must not
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+
+        res = package_python(["-c", EXPIT_CHILD], capture_output=True,
+                             extra_env={"NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__)})
+        assert res.returncode == 0, res.stderr.decode()
+        x = np.random.default_rng(5).standard_normal(200_000) * 300.0
+        assert res.stdout == core.expit(x).tobytes()
 
 
 class TestGibbs:

@@ -639,6 +639,10 @@ class TestCovariance:
         with pytest.raises(ValueError, match="1/2"):
             du.cov_bound_check(du.single_block_instance(4, 0, rank_one(4, 0.6)), 5, make_rng(71, 9))
 
+    def test_negative_tilt_count_rejected(self):
+        with pytest.raises(ValueError, match="tilt_samples = -1"):
+            du.cov_bound_check(du.single_block_instance(4, 0), -1, make_rng(71, 9))
+
     def test_negative_correlation_free_slice(self):
         meas = du.du_measure(du.single_block_instance(4, 0))
         assert du.negcorr_max_offdiag(meas) == pytest.approx(-1.0 / 3.0)

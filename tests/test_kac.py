@@ -247,6 +247,17 @@ class TestScan:
 
 
 class TestDecay:
+    @pytest.mark.parametrize("make, said", [
+        (lambda size: np.full(size, 2.0 / size), "nu0 mass 2"),
+        (lambda size: np.r_[-1.0, np.full(size - 1, 2.0 / (size - 1))], "nu0 has a negative entry"),
+        (lambda size: np.full(size + 1, 1.0 / (size + 1)), "one entry per shell state"),
+        (lambda size: np.full((1, size), 1.0 / size), "one entry per shell state"),
+    ])
+    def test_initial_law_is_checked(self, make, said):
+        m = kac.multicanonical_measure(np.array([[0.0, 0.1], [0.1, 0.0]]), None, 3, ((0, 1),), (3,))
+        with pytest.raises(ValueError, match=said):
+            kac.particle_entropy_decay(m, collision.mean_field_kernel(2), make(m.codes.size), [0.0])
+
     def test_stationary_start_is_flat(self):
         J = np.array([[0.0, 0.25], [0.25, 0.0]])
         m = kac.multicanonical_measure(J, np.array([0.15, 0.15]), 3, ((0, 1),), (3,))
@@ -574,11 +585,25 @@ class TestSimulation:
             warnings.simplefilter("error")
             for l, k, s, sp in itertools.product(range(3), range(3), range(8), range(8)):
                 got = collision.walk_acceptance(fields, logw, l, k, s, sp, False)
-                want = ctx.acceptance(l, k, s, sp)
-                assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+                assert got == ctx.acceptance(l, k, s, sp)
                 got = collision.walk_acceptance(fields, logw, l, k, s, s, True)
-                want = diagonal_acceptance(ctx, l, k, s)
-                assert got == pytest.approx(want, rel=1e-15, abs=1e-300)
+                assert got == diagonal_acceptance(ctx, l, k, s)
+
+    def test_walk_acceptance_tail_is_expit(self):
+        # logits around -709.78, where exp(-logit) overflows, and -745,
+        # where exp(logit) itself underflows to 0: the walk's scalar rule
+        # gives core.expit's bits, 0.0 past the overflow
+        logits = [-700.0, -709.0, -709.5, -709.78, -709.79, -720.0, -745.0, -745.2, -800.0]
+        logits += np.linspace(-709.9, -709.7, 41).tolist()
+        for x in logits:
+            want = core.expit(np.array([x]))[0]
+            # a slot paired with another: logit 2 (f_l(si) - f_k(sj)), bit k of sj set
+            got = collision.walk_acceptance([[x / 2.0], [0.0]], None, 0, 0, 0, 1, False)
+            assert got.hex() == want.hex()
+            # a slot paired with itself: logit logw[0b10] - logw[0b01]
+            got = collision.walk_acceptance(None, [0.0, 0.0, x, 0.0], 0, 1, 0b01, 0b01, True)
+            assert got.hex() == want.hex()
+        assert collision.walk_acceptance([[-360.0], [0.0]], None, 0, 0, 0, 1, False) == 0.0
 
     def test_huge_logits_do_not_overflow(self):
         J = np.array([[0.0, 300.0, -250.0], [300.0, 0.0, 200.0], [-250.0, 200.0, 0.0]])
