@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import downup, kac, verify, wildtree
-from .core import gibbs, relative_entropy, spins_of, tv_distance
-from .dynamics import alpha_bound, dissipation_at, evolve, nonlinear_mlsi_scan
+from .core import check_block_field, gibbs, relative_entropy, spins_of, tv_distance, weak_coupling
+from .dynamics import dissipation_at, evolve, nonlinear_mlsi_scan
 from .errors import ConvergenceError, FitError
 from .modelio import load_matrix, load_vector, parse_model
 from .report import ResultTable
@@ -87,8 +87,8 @@ def cmd_mlsi_nl(args):
     ctx = model.context()
     rng = make_rng(args.seed)
     scan = nonlinear_mlsi_scan(ctx, model.h, args.trials, rng)
-    bound = alpha_bound(ctx.J)
-    bound_txt = f"{bound.value:.17g}" if bound.applicable else f"n/a ({bound.reason})"
+    bound = weak_coupling(ctx.J)
+    bound_txt = f"{bound.alpha:.17g}" if bound.applicable else f"n/a ({bound.reason})"
     print(f"min ratio    = {scan.min_ratio:.17g}")
     print(f"median ratio = {scan.median_ratio:.17g}")
     print(f"alpha bound  = {bound_txt}")
@@ -169,6 +169,7 @@ def cmd_kac(args):
     n, N = model.n, args.N
     kac.check_run(N, args.t_end)
     blocks = ctx.blocks
+    check_block_field(model.h, blocks)  # also past the gate, where no shell measure is built
     T = _parse_rho(args.rho, model, N, blocks)
     rng = make_rng(args.seed)
     exact = N * n <= kac.ENUMERATION_GATE
@@ -227,7 +228,7 @@ def cmd_kac_mlsi(args):
     ctx = model.context()
     blocks = ctx.blocks
     rng = make_rng(args.seed)
-    bound = alpha_bound(model.J)
+    bound = weak_coupling(model.J)
     rows = []
     overall = math.inf
     for N in (int(x) for x in args.N.split(",")):
@@ -247,11 +248,11 @@ def cmd_kac_mlsi(args):
                             ("N", "shell", "min_ratio", "median_ratio", "samples"))
         table.add_meta("model", args.model)
         if bound.applicable:
-            table.add_meta("alpha_bound", format(bound.value, ".17g"))
+            table.add_meta("alpha_bound", format(bound.alpha, ".17g"))
         for row in rows:
             table.append(*row)
         table.write(args.out)
-    bound_txt = f"{bound.value:.6g}" if bound.applicable else f"n/a ({bound.reason})"
+    bound_txt = f"{bound.alpha:.6g}" if bound.applicable else f"n/a ({bound.reason})"
     print(f"scanned {len(rows)} shells; min ratio = {overall:.6g}, rate bound = {bound_txt}")
     return 0
 
@@ -281,8 +282,8 @@ def _parse_downup_instance(args):
 def cmd_downup(args):
     inst = _parse_downup_instance(args)
     rng = make_rng(args.seed)
-    single, multi, applicable = downup.du_constants(inst)
-    constant = single if len(inst.blocks) == 1 else multi
+    coupling = weak_coupling(inst.lam_matrix)
+    constant = coupling.single_block if len(inst.blocks) == 1 else coupling.multi_block
     if args.mode == "cov":
         rep = downup.cov_bound_check(inst, args.trials, rng)
         print(f"max covariance eigenvalue over {rep.samples} tilts = {rep.max_eigenvalue:.6g}")
@@ -299,7 +300,7 @@ def cmd_downup(args):
     else:
         scan = downup.factorization_check(meas, args.trials, rng)
         claim = "block-factorization-scan"
-    const_txt = f"{constant:.6g}" if applicable else "n/a (spectrum outside scope)"
+    const_txt = f"{constant:.6g}" if coupling.applicable else "n/a (spectrum outside scope)"
     print(f"min ratio    = {scan.min_ratio:.6g}")
     print(f"median ratio = {scan.median_ratio:.6g}")
     print(f"constant     = {const_txt}")

@@ -38,6 +38,7 @@ N_MAX = 24
 _CHUNK = 1 << 20
 
 PROBVEC_TOL = 1e-12      # mass and negativity slack of a density
+BOUNDARY_TOL = 1e-12     # how close to +-1 a block magnetization may come
 FIELD_TOL = 1e-10        # max-norm residual of the block-mean solve
 FIELD_MAX_ITER = 200     # damped Newton iterations of the block-mean solve
 LANCZOS_STATES = 250     # slow modes of larger chains come from Lanczos, not dense eigh
@@ -85,16 +86,63 @@ def eigen_bounds(a):
     return float(eigs[0]), float(eigs[-1])
 
 
-def interaction_condition(J):
-    """(lam_min, lam_max, reason) for the weak-interaction hypothesis
-    J >= 0, lam_max < 1/2; `reason` is empty when it holds and otherwise
-    names the part that fails."""
-    lo, hi = eigen_bounds(J)
-    if lo < -1e-10:
-        return lo, hi, f"J has negative eigenvalue {lo}"
-    if hi >= 0.5:
-        return lo, hi, f"largest eigenvalue {hi} >= 1/2"
-    return lo, hi, ""
+@dataclass(frozen=True)
+class WeakCoupling:
+    """The rate theorem's hypothesis for a coupling J on n sites, J >= 0
+    and lam = lam_max(J) < 1/2 (`reason` names the part that fails, else
+    it is empty), with Jbar the row norm of J, and the constants that the
+    hypothesis gives (None where it fails). Built by `weak_coupling`."""
+
+    n: int
+    lam: float
+    jbar: float
+    reason: str
+
+    @property
+    def applicable(self):
+        return not self.reason
+
+    @property
+    def single_block(self):
+        """1 - 2 lam: the ball walk's constant on one block, and the block factorization's."""
+        return None if self.reason else 1.0 - 2.0 * self.lam
+
+    @property
+    def multi_block(self):
+        """(1 - 2 lam)^2: the ball walk's constant on several blocks."""
+        c1 = self.single_block
+        return None if c1 is None else c1 * c1
+
+    @property
+    def alpha(self):
+        """(1 - 2 lam)^2 exp(-16 Jbar) / (4n): the flow's entropy-decay rate."""
+        c1 = self.single_block
+        return None if c1 is None else c1 ** 2 * math.exp(-16.0 * self.jbar) / (4.0 * self.n)
+
+    @property
+    def cov_bound(self):
+        """2 / (1 - 2 lam): the bound on every tilted covariance eigenvalue."""
+        return None if self.reason else 2.0 / self.single_block
+
+    def comparison(self, h):
+        """(1/4) exp(-8 (Jbar + max |h|)), h None meaning no field: the least
+        all-pairs exchange rate over the ball-relocation rate of the same
+        move. It needs no hypothesis."""
+        hbar = 0.0 if h is None else float(np.max(np.abs(h), initial=0.0))
+        return 0.25 * math.exp(-8.0 * (self.jbar + hbar))
+
+    def mean_field_alpha(self, h):
+        """(1 - 2 lam) `comparison(h)`: the all-pairs exchange walk's rate."""
+        return None if self.reason else self.single_block * self.comparison(h)
+
+
+def weak_coupling(J):
+    """The `WeakCoupling` record of a symmetric coupling matrix J."""
+    J = check_interaction(J)
+    lo, lam = eigen_bounds(J)
+    reason = (f"J has negative eigenvalue {lo}" if lo < -1e-10
+              else f"largest eigenvalue {lam} >= 1/2" if lam >= 0.5 else "")
+    return WeakCoupling(J.shape[0], lam, interaction_row_norm(J), reason)
 
 
 def log_gibbs_weights(J, h=None):
@@ -175,8 +223,9 @@ def gibbs(J, h=None):
 
 def check_probvec(p, n=None):
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or (p.size & (p.size - 1)) != 0:
-        raise ValueError(f"density must be a length-2**n vector, got shape {p.shape}")
+    if p.ndim != 1 or p.size < 2 or (p.size & (p.size - 1)) != 0:
+        raise ValueError(f"density must be a vector of 2**n entries, n >= 1, "
+                         f"got {p.size} in shape {p.shape}")
     if n is not None and p.size != (1 << n):
         raise ValueError(f"density has {p.size} entries, expected {1 << n}")
     return check_mass(p, "density")
@@ -246,17 +295,26 @@ def magnetization_profile(p, blocks):
     return np.array([means[list(b)].mean() for b in blocks])
 
 
-def check_regular(p, blocks):
-    """Raise DegenerateProfileError if any block magnetization sits at +-1."""
-    blocks = check_partition(blocks, sites_of(p))
-    m = magnetization_profile(p, blocks)
+def check_interior(m, blocks):
+    """DegenerateProfileError naming the first block whose magnetization
+    in m lies within BOUNDARY_TOL of +-1; returns m."""
     for b, mb in zip(blocks, m):
-        if abs(mb) >= 1.0:
+        if abs(mb) >= 1.0 - BOUNDARY_TOL:
             raise DegenerateProfileError(
-                f"block {tuple(x + 1 for x in b)} has magnetization {mb}; "
-                "the flow is only defined strictly inside (-1, 1)"
+                f"block {tuple(x + 1 for x in b)} has magnetization {mb}, within "
+                f"{BOUNDARY_TOL} of the boundary; a profile must lie strictly inside (-1, 1)"
             )
     return m
+
+
+def check_block_field(h, blocks):
+    """ValueError naming the first block on which the field h (None: no
+    field) is not constant, with two of its values."""
+    for b in () if h is None else blocks:
+        values = np.asarray(h, dtype=float)[list(b)]
+        if np.any(values != values[0]):
+            raise ValueError(f"field is not constant on block {tuple(x + 1 for x in b)}: "
+                             f"{values[0]} vs {values[values != values[0]][0]}")
 
 
 def covariance(p, X):
@@ -497,12 +555,7 @@ def match_block_means(logw, blocks, target):
     target = np.asarray(target, dtype=float)
     if target.shape != (len(blocks),):
         raise ValueError(f"target must give one mean per block, got shape {target.shape}")
-    for b, tb in zip(blocks, target):
-        if abs(tb) >= 1.0 - 1e-12:
-            raise DegenerateProfileError(
-                f"target magnetization {tb} for block {tuple(x + 1 for x in b)} "
-                "is on the boundary"
-            )
+    check_interior(target, blocks)
     sizes = np.array([len(b) for b in blocks], dtype=float)
     M = 2.0 * block_count_table(n, blocks) - sizes
     c = np.arctanh(target)

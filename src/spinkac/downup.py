@@ -42,14 +42,14 @@ from .core import (
     covariance,
     eigen_bounds,
     entropy_ratio_scan,
-    interaction_condition,
     sample_test_function,
     site_mask,
     slice_codes,
     spins_of,
+    weak_coupling,
 )
 from .errors import CapacityError
-from .kac import comparison_constant, transition_table
+from .kac import transition_table
 
 ENUMERATION_GATE = 20
 SPECTRAL_GATE = 16
@@ -214,13 +214,6 @@ def spectral_gap(meas):
 # -- scans --------------------------------------------------------------
 
 
-def du_constants(inst):
-    """(single-walk constant, multicomponent constant, applicable)."""
-    _, lam, reason = interaction_condition(inst.lam_matrix)
-    c1 = 1.0 - 2.0 * lam
-    return c1, c1 * c1, not reason
-
-
 def du_mlsi_scan(meas, trials, rng):
     """Minimum of Dirichlet(F, log F) / Ent(F) over random positive F, as
     a `RatioScan`; within the spectral gate it also probes the slowest
@@ -346,15 +339,14 @@ class CovReport:
 
 def cov_bound_check(inst, tilt_samples, rng):
     """max eigenvalue of the covariance over random and extreme tilts,
-    against 2/(1 - 2 lam) under `interaction_condition`. A negative
-    `tilt_samples` raises ValueError."""
+    against `WeakCoupling.cov_bound`, 2/(1 - 2 lam). ValueError when the
+    coupling fails the hypothesis or `tilt_samples` is negative."""
     if tilt_samples < 0:
         raise ValueError(f"need tilt_samples >= 0, got tilt_samples = {tilt_samples}")
-    _, lam, reason = interaction_condition(inst.lam_matrix)
-    if reason:
-        raise ValueError(f"no covariance bound: {reason}")
+    coupling = weak_coupling(inst.lam_matrix)
+    if not coupling.applicable:
+        raise ValueError(f"no covariance bound: {coupling.reason}")
     meas = du_measure(inst)
-    bound = 2.0 / (1.0 - 2.0 * lam)
     tilts = [np.zeros(inst.L)]
     for _ in range(tilt_samples):
         scale = float(rng.choice([0.3, 1.0, 3.0]))
@@ -362,7 +354,7 @@ def cov_bound_check(inst, tilt_samples, rng):
     tilts += [s * e for e in np.eye(inst.L) for s in (30.0, -30.0)]  # one site pinned each
     tilted = (tilt(meas, v) for v in tilts)
     worst = max(eigen_bounds(covariance(q.probs, q.spins))[1] for q in tilted)
-    return CovReport(worst, bound, len(tilts))
+    return CovReport(worst, coupling.cov_bound, len(tilts))
 
 
 def negcorr_max_offdiag(meas):
@@ -399,7 +391,7 @@ class BridgeReport:
 
 def bridge_check(particle_measure, du_meas):
     """min over ball-walk edges of the all-pairs exchange rate over the
-    ball-walk rate, against c = kac.comparison_constant. Both Dirichlet
+    ball-walk rate, against c = `WeakCoupling.comparison`. Both Dirichlet
     forms sum pi(x) q(x, y) (F(y) - F(x)) (log F(y) - log F(x)) over
     edges, each term nonnegative, so min_ratio >= c proves the exchange
     form >= c times the ball-walk form for every positive F (Diaconis and
@@ -423,4 +415,4 @@ def bridge_check(particle_measure, du_meas):
     ratio = kac_tab.rate[at] / ball.rate[of]
     inst = du_meas.inst
     return BridgeReport(float(ratio.min(initial=math.inf)),
-                        comparison_constant(inst.lam_matrix, inst.w), ratio.size)
+                        weak_coupling(inst.lam_matrix).comparison(inst.w), ratio.size)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    WeakCoupling,
+    check_block_field,
+    check_interior,
     check_probvec,
-    check_regular,
     entropy_ratio_scan,
     gibbs,
-    interaction_condition,
-    interaction_row_norm,
     log_gibbs_weights,
     magnetization_profile,
     match_block_means,
@@ -30,6 +30,7 @@ from .core import (
     sites_of,
     solve_field,
     tv_distance,
+    weak_coupling,
 )
 from .errors import ConvergenceError, FitError
 
@@ -108,7 +109,7 @@ def evolve(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None):
     if t_end < 0 or dt <= 0:
         raise ValueError("need t_end >= 0 and dt > 0")
     stage = ctx.square_stage()
-    m0 = check_regular(p0, ctx.blocks)
+    m0 = check_interior(magnetization_profile(p0, ctx.blocks), ctx.blocks)
     h_eq = solve_field(ctx.J, ctx.blocks, m0)
     mu_eq = gibbs(ctx.J, h_eq)
     nsteps = int(round(t_end / dt))
@@ -166,26 +167,6 @@ def dissipation_at(ctx, p, mu):
     return dissipation(ctx, f, mu)
 
 
-@dataclass(frozen=True)
-class AlphaBound:
-    value: float | None
-    applicable: bool
-    reason: str
-    lam: float
-
-
-def alpha_bound(J):
-    """Closed-form exponential-rate lower bound for the block-uniform
-    transport kernel: (1/4n) (1 - 2 lam)^2 exp(-16 Jbar), n = J.shape[0].
-    Tagged inapplicable when J has a negative eigenvalue or lam >= 1/2."""
-    J = np.asarray(J, dtype=float)
-    _, lam, reason = interaction_condition(J)
-    if reason:
-        return AlphaBound(None, False, reason, lam)
-    value = (1.0 - 2.0 * lam) ** 2 * math.exp(-16.0 * interaction_row_norm(J)) / (4.0 * J.shape[0])
-    return AlphaBound(value, True, "", lam)
-
-
 @dataclass
 class DecayReport:
     times: np.ndarray
@@ -193,7 +174,7 @@ class DecayReport:
     tv: np.ndarray
     tv_bound: np.ndarray | None
     alpha_fit: float
-    bound: AlphaBound
+    bound: WeakCoupling  # the rate theorem's hypothesis and its rate `alpha`
     fit_points: int
     entropy_identically_zero: bool = False
 
@@ -211,12 +192,12 @@ def decay_report(traj, J):
     H = traj.entropies()
     tv = traj.tv_to_equilibrium()
     n = sites_of(traj.mu_eq)
-    bound = alpha_bound(J)
+    bound = weak_coupling(J)
     tv_curve = None
     if bound.applicable:
         hbar = float(np.max(np.abs(traj.h_eq)))
         C = bound.lam + 2.0 * hbar + math.log(2.0)
-        tv_curve = np.sqrt(C * n / 2.0) * np.exp(-0.5 * bound.value * traj.times)
+        tv_curve = np.sqrt(C * n / 2.0) * np.exp(-0.5 * bound.alpha * traj.times)
     if np.all(H < ENTROPY_NOISE):
         return DecayReport(traj.times, H, tv, tv_curve, math.inf, bound, 0, True)
     t0 = traj.times[0] + 0.1 * (traj.times[-1] - traj.times[0])
@@ -238,8 +219,10 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng):
     perturbations of 1), projected onto the constraint set by an
     exponential block tilt solved with the same damped Newton as the
     field solver, then normalized. Projection failures and the trivial
-    density are discarded and counted.
+    density are discarded and counted. The field h must be constant on
+    each of ctx.blocks (`check_block_field`).
     """
+    check_block_field(h, ctx.blocks)
     mu = gibbs(ctx.J, h)
     log_mu = log_gibbs_weights(ctx.J, h)
     target = magnetization_profile(mu, ctx.blocks)

@@ -29,7 +29,7 @@ from .core import (
     RatioScan,
     ReversibleChain,
     block_count_table,
-    check_interaction,
+    check_block_field,
     check_mass,
     check_partition,
     check_probvec,
@@ -38,8 +38,6 @@ from .core import (
     cumulative_rows,
     entropy_ratio_scan,
     expit,
-    interaction_condition,
-    interaction_row_norm,
     log_gibbs_weights,
     logsumexp,
     relative_entropy,
@@ -49,30 +47,12 @@ from .core import (
     slice_codes,
     swap_moves,
 )
-from .dynamics import AlphaBound, dissipation
+from .dynamics import dissipation
 from .errors import CapacityError
 
 EXPONENTIAL_GATE = 12
 ENUMERATION_GATE = 22
 WALK_BLOCK = 4096  # walk events drawn per generator call
-
-
-def comparison_constant(J, h):
-    """c = (1/4) exp(-8 (Jbar + hbar)), the least rate of an all-pairs
-    exchange over the rate of the same move as a ball relocation; h may
-    be None (no field)."""
-    hb = 0.0 if h is None else float(np.max(np.abs(h), initial=0.0))
-    return 0.25 * math.exp(-8.0 * (interaction_row_norm(J) + hb))
-
-
-def mean_field_alpha_bound(J, h=None):
-    """Rate bound for the all-pairs (uniform transport) walk with fields:
-    (1 - 2 lam) times the comparison constant."""
-    J = check_interaction(J)
-    _, lam, reason = interaction_condition(J)
-    if reason:
-        return AlphaBound(None, False, reason, lam)
-    return AlphaBound((1.0 - 2.0 * lam) * comparison_constant(J, h), True, "", lam)
 
 
 # -- count shells -------------------------------------------------------
@@ -157,7 +137,8 @@ def restricted_product_measure(single_log_weights, N, blocks, T):
 
 def multicanonical_measure(J, h, N, blocks, T):
     """Conditioned product of Gibbs measures: h is None or one field
-    vector shared by all slots."""
+    vector shared by all slots, constant on each block (`check_block_field`)."""
+    check_block_field(h, check_partition(blocks, len(J)))
     return restricted_product_measure(log_gibbs_weights(J, h), N, blocks, T)
 
 
@@ -280,22 +261,13 @@ def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False
     acceptance uniform. The state then changes event by event, and
     events past t_end are dropped.
 
-    Site pairs must stay inside one irreducible block of K, which
-    conserves the shell counts; a K that links two of ctx.blocks raises
-    RuntimeError before any event. A given `init` must hold N
-    configurations with block counts T, else ValueError, as N < 1 and
-    t_end < 0 are (`check_run`).
+    Site pairs stay inside one irreducible block of K (ctx.blocks are
+    K's components), which conserves the shell counts. A given `init`
+    must hold N configurations with block counts T, else ValueError, as
+    N < 1 and t_end < 0 are (`check_run`).
     """
     check_run(N, t_end)
     n = ctx.n
-    block_of = np.empty(n, dtype=int)
-    for bi, b in enumerate(ctx.blocks):
-        block_of[list(b)] = bi
-    for l, k in zip(*np.nonzero(ctx.K)):
-        if block_of[l] != block_of[k]:
-            raise RuntimeError(
-                f"transport kernel moved site {l + 1} to site {k + 1} outside its block"
-            )
     if init is None:
         state = initial_state_for_counts(n, ctx.blocks, N, T)
     else:
@@ -500,14 +472,10 @@ def check_irreducible(nu, blocks):
     nu = np.asarray(nu, dtype=float)
     n = sites_of(nu)
     blocks = check_partition(blocks, n)
-    logq = single_count_logdist(nu, blocks)
-    support = {tuple(c) for c in np.argwhere(np.isfinite(logq))}
+    finite = np.isfinite(single_count_logdist(nu, blocks))
     for bi, b in enumerate(blocks):
-        ok = any(
-            tuple(c[a] + (1 if a == bi else 0) for a in range(len(blocks))) in support
-            for c in support
-        )
-        if not ok:
+        along = np.moveaxis(finite, bi, -1)
+        if not np.any(along[..., :-1] & along[..., 1:]):
             raise ValueError(
                 f"block {tuple(x + 1 for x in b)}: count support admits no +1 step; "
                 "the density is not irreducible"
@@ -617,7 +585,9 @@ def fisher_chaos_check(ctx, h, f, N_grid):
     and its gap to its N -> infinity limit, twice the single-configuration
     dissipation, along a grid of N. An exchange changes at most two slots,
     so each value is a sum over the one- and two-slot shell marginals of
-    nu = f mu (`_fisher_per_slot`), and N has no size gate."""
+    nu = f mu (`_fisher_per_slot`), and N has no size gate. The field h
+    must be constant on each of ctx.blocks (`check_block_field`)."""
+    check_block_field(h, ctx.blocks)
     mu = np.exp(log_gibbs_weights(ctx.J, h))
     mu /= mu.sum()
     f = np.asarray(f, dtype=float)

@@ -36,9 +36,9 @@ from .core import (
     match_block_means,
     relative_entropy,
     tv_distance,
+    weak_coupling,
 )
 from .dynamics import (
-    alpha_bound,
     decay_report,
     dissipation_at,
     evolve,
@@ -228,7 +228,7 @@ def c04_convergence(seed=DEFAULT_SEED, quick=False):
         target = np.array([rng.uniform(-0.4, 0.4) for _ in ctx.blocks])
         logw = np.log(_interior_density(rng, 1 << n))
         _, p0 = match_block_means(logw, ctx.blocks, target)
-        nsteps = int(math.ceil(200.0 / alpha_bound(J).value / dt))
+        nsteps = int(math.ceil(200.0 / weak_coupling(J).alpha / dt))
         traj = evolve(ctx, p0, nsteps * dt, dt, store_every=20, stop_below_entropy=1e-13)
         if traj.stopped_early:
             # entropy is monotone, so Pinsker bounds tv at every later time
@@ -263,7 +263,7 @@ def c05_decay_rate(seed=DEFAULT_SEED, quick=False):
         rep = decay_report(traj, J)
         if not rep.bound.applicable:
             raise FitError("sampled instance lost rate-bound applicability")
-        min_margin = min(min_margin, rep.alpha_fit / rep.bound.value)
+        min_margin = min(min_margin, rep.alpha_fit / rep.bound.alpha)
     # single site, no coupling: the profile pins the state, H stays 0,
     # and any rate is certified
     ctx1 = CollisionContext(np.zeros((1, 1)), build_transport_kernel("single-site", 1))
@@ -296,7 +296,7 @@ def c06_nonlinear_scan(seed=DEFAULT_SEED, quick=False):
         h = _block_constant_field(rng, n, ctx.blocks, scale=0.5)
         scan = nonlinear_mlsi_scan(ctx, h, trials, rng)
         achieved.append(scan.min_ratio)
-        min_margin = min(min_margin, scan.min_ratio / alpha_bound(J).value)
+        min_margin = min(min_margin, scan.min_ratio / weak_coupling(J).alpha)
     passed = min_margin >= 1.0
     return CriterionResult(
         6, "nonlinear-scan", passed, min_margin, 1.0,
@@ -377,7 +377,7 @@ def c09_particle_system(seed=DEFAULT_SEED, quick=False):
     for n, N, scale in decay_cases:
         J = _admissible_coupling(rng, n, scale * 0.8, scale) if n > 1 else np.array([[scale]])
         K = build_transport_kernel("mean-field", n)
-        bound = alpha_bound(J)
+        alpha = weak_coupling(J).alpha
         blocks = kernel_components(K)
         counts = [T for T in kac.admissible_counts(N, blocks)]
         T = counts[len(counts) // 3] if len(counts) > 2 else counts[0]
@@ -388,7 +388,7 @@ def c09_particle_system(seed=DEFAULT_SEED, quick=False):
         nu0[int(rng.integers(meas.codes.size))] = 1.0
         t_grid = np.linspace(0.0, 60.0, 25)
         H = kac.particle_entropy_decay(meas, K, nu0, t_grid)
-        envelope = H[0] * np.exp(-bound.value * t_grid)
+        envelope = H[0] * np.exp(-alpha * t_grid)
         worst_ratio = max(worst_ratio, float(np.max(H / envelope)))
     scan_margin = math.inf
     scan_trials = 60 if quick else 200
@@ -396,12 +396,12 @@ def c09_particle_system(seed=DEFAULT_SEED, quick=False):
         J = _admissible_coupling(rng, n, 0.08, 0.15)
         K = build_transport_kernel(family, n)
         blocks = kernel_components(K)
-        bound = alpha_bound(J)
+        alpha = weak_coupling(J).alpha
         for N in (2, 3, 4):
             for T in kac.admissible_counts(N, blocks):
                 meas = kac.multicanonical_measure(J, None, N, blocks, T)
                 scan = kac.particle_mlsi_scan(meas, K, scan_trials, rng)
-                scan_margin = min(scan_margin, scan.min_ratio / bound.value)
+                scan_margin = min(scan_margin, scan.min_ratio / alpha)
     passed = worst_ratio <= 1.0 + 1e-9 and scan_margin >= 1.0
     return CriterionResult(
         9, "particle-system", passed, worst_ratio, 1.0 + 1e-9,
@@ -489,16 +489,15 @@ def c12_ball_walks(seed=DEFAULT_SEED, quick=False):
     L1 = 8 if quick else 12
     inst1 = downup.single_block_instance(L1, 0, psd(L1, 0.15), rng.normal(0.0, 0.5, L1))
     meas1 = downup.du_measure(inst1)
-    single, multi, _ = downup.du_constants(inst1)
+    coupling1 = weak_coupling(inst1.lam_matrix)
     scan_trials = 120 if quick else 400
     scan1 = downup.du_mlsi_scan(meas1, scan_trials, rng)
-    margins.append(("single-block scan", scan1.min_ratio / single))
+    margins.append(("single-block scan", scan1.min_ratio / coupling1.single_block))
 
     if not quick:
         instL = downup.single_block_instance(14, 0, psd(14, 0.12), rng.normal(0.0, 0.4, 14))
         scanL = downup.du_mlsi_scan(downup.du_measure(instL), 200, rng)
-        sL, _, _ = downup.du_constants(instL)
-        margins.append(("L=14 scan", scanL.min_ratio / sL))
+        margins.append(("L=14 scan", scanL.min_ratio / weak_coupling(instL.lam_matrix).single_block))
 
     sizes = (3, 2, 2) if quick else (5, 4, 3)
     L2 = sum(sizes)
@@ -506,14 +505,14 @@ def c12_ball_walks(seed=DEFAULT_SEED, quick=False):
     inst2 = downup.DuInstance(L2, psd(L2, 0.15), rng.normal(0.0, 0.4, L2),
                               downup.contiguous_blocks(sizes), M2)
     meas2 = downup.du_measure(inst2)
-    single2, multi2, _ = downup.du_constants(inst2)
+    coupling2 = weak_coupling(inst2.lam_matrix)
     scan2 = downup.du_mlsi_scan(meas2, scan_trials, rng)
-    margins.append(("multiblock scan", scan2.min_ratio / multi2))
+    margins.append(("multiblock scan", scan2.min_ratio / coupling2.multi_block))
     fact = downup.factorization_check(meas2, 100 if quick else 300, rng)
-    margins.append(("factorization", fact.min_ratio / single2))
+    margins.append(("factorization", fact.min_ratio / coupling2.single_block))
 
     cov = downup.cov_bound_check(inst1, 300 if quick else 1000, rng)
-    cov_limit = 2.0 / single + 1e-9
+    cov_limit = coupling1.cov_bound + 1e-9
     margins.append(("covariance", cov_limit / max(cov.max_eigenvalue, 1e-300)))
 
     inst0 = downup.single_block_instance(10, 0, None, rng.normal(0.0, 0.6, 10))

@@ -213,6 +213,25 @@ class TestExitCodes:
         assert "density mass 2.0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["mlsi-nl", "--trials", "5"],
+        ["kac", "--N", "3", "--t-end", "1"],
+        ["kac", "--N", "12", "--t-end", "1"],  # past the enumeration gate: no shell measure
+        ["kac-mlsi", "--N", "2", "--trials", "5"],
+    ])
+    def test_field_must_be_constant_on_each_block(self, tmp_path, capsys, args):
+        # one mean-field block carrying two field values
+        model = tmp_path / "split.model"
+        model.write_text("[model]\nn = 2\n\n[J]\n0 0.1\n0.1 0\n\n[h]\n0.5 -0.3\n\n"
+                         "[kernel]\nmean-field\n")
+        out = tmp_path / "o.csv"
+        code = cli.main([*args, "--model", str(model), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinkac: error:")
+        assert "field is not constant on block (1, 2): 0.5 vs -0.3" in err
+        assert not out.exists()
+
     def test_bad_initial_state(self, tmp_path, capsys):
         code = cli.main(["evolve", "--model", str(REPO / DEMO), "--p0", "delta:9",
                          "--out", str(tmp_path / "o.csv")])

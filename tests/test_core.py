@@ -1,5 +1,6 @@
 """States, Gibbs measures and information functionals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 from scipy.special import expit, logsumexp
 
-from spinkac import collision, core, downup, dynamics, kac, wildtree
+from spinkac import collision, core, downup, kac, wildtree
 from spinkac.errors import CapacityError, ConvergenceError, DegenerateProfileError, FitError
 
 
@@ -169,7 +170,10 @@ def shell_chain(n, N, kernel, blocks=None):
     A = rng.standard_normal((n, n))
     blocks = blocks or (tuple(range(n)),)
     T = tuple(N * len(b) // 2 for b in blocks)
-    m = kac.multicanonical_measure(0.2 * (A + A.T), 0.3 * rng.standard_normal(n), N, blocks, T)
+    # a field that varies inside a block, so the product measure is built
+    # directly (multicanonical_measure takes block-constant fields only)
+    logw = core.log_gibbs_weights(0.2 * (A + A.T), 0.3 * rng.standard_normal(n))
+    m = kac.restricted_product_measure(logw, N, blocks, T)
     K = {"mean-field": collision.mean_field_kernel(n),
          "blocks": collision.blocks_kernel(n, blocks), None: None}[kernel]
     return kac.transition_table(m, K)
@@ -357,17 +361,30 @@ class TestSpectrum:
         (np.array([[0.2]]), None),
     ], ids=["admissible", "indefinite", "hot", "one-site"])
     def test_rate_bounds_share_the_eigen_condition(self, J, failing):
-        L = J.shape[0]
+        n = J.shape[0]
         lo, lam = (float(x) for x in np.linalg.eigvalsh(J)[[0, -1]])
         reason = {None: "", "negative": f"J has negative eigenvalue {lo}",
                   "hot": f"largest eigenvalue {lam} >= 1/2"}[failing]
-        flow = dynamics.alpha_bound(J)
-        shell = kac.mean_field_alpha_bound(J)
-        c1, _, applicable = downup.du_constants(downup.single_block_instance(L, L % 2, J))
-        assert flow.lam == shell.lam == lam
-        assert c1 == 1.0 - 2.0 * lam
-        assert flow.reason == shell.reason == reason
-        assert flow.applicable == shell.applicable == applicable == (failing is None)
+        wc = core.weak_coupling(J)
+        assert (wc.n, wc.lam, wc.jbar, wc.reason) == (n, lam, core.interaction_row_norm(J), reason)
+        assert wc.applicable == (failing is None)
+        constants = (wc.alpha, wc.single_block, wc.multi_block, wc.cov_bound,
+                     wc.mean_field_alpha(None))
+        if failing is None:
+            c1 = 1.0 - 2.0 * lam
+            assert constants == (c1 ** 2 * math.exp(-16.0 * wc.jbar) / (4.0 * n), c1, c1 * c1,
+                                 2.0 / c1, c1 * 0.25 * math.exp(-8.0 * wc.jbar))
+        else:
+            assert constants == (None,) * 5
+        # the comparison constant needs no hypothesis
+        assert wc.comparison(np.array([0.1, -0.3])) == 0.25 * math.exp(-8.0 * (wc.jbar + 0.3))
+
+    def test_weak_coupling_is_a_checked_frozen_record(self):
+        wc = core.weak_coupling(np.zeros((2, 2)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            wc.lam = 0.1
+        with pytest.raises(ValueError, match="not symmetric"):
+            core.weak_coupling(np.array([[0.0, 0.1], [0.2, 0.0]]))
 
     def test_row_norm(self):
         J = np.array([[0.1, -0.2], [-0.2, 0.0]])
@@ -419,7 +436,33 @@ class TestProfiles:
         p = np.zeros(4)
         p[0b11] = 1.0
         with pytest.raises(DegenerateProfileError, match=r"\(1, 2\)"):
-            core.check_regular(p, ((0, 1),))
+            core.check_interior(core.magnetization_profile(p, ((0, 1),)), ((0, 1),))
+
+    def test_profile_and_target_share_one_boundary(self):
+        # m = 1 - 1e-13: inside (-1, 1), but within BOUNDARY_TOL of it
+        p = np.array([5e-14, 1.0 - 5e-14])
+        m = core.magnetization_profile(p, ((0,),))
+        assert 1.0 - core.BOUNDARY_TOL <= m[0] < 1.0
+        said = r"block \(1,\) has magnetization 0\.9999999999999.*within 1e-12 of the boundary"
+        with pytest.raises(DegenerateProfileError, match=said):
+            core.check_interior(m, ((0,),))
+        with pytest.raises(DegenerateProfileError, match=said):
+            core.match_block_means(np.zeros(2), ((0,),), m)
+        inside = np.array([1.0 - 2.0 * core.BOUNDARY_TOL])
+        assert core.check_interior(inside, ((0,),)) is inside
+
+    @pytest.mark.parametrize("h, blocks, said", [
+        ([0.5, -0.3], ((0, 1),), r"block \(1, 2\): 0\.5 vs -0\.3"),
+        ([0.1, 0.2, 0.2, 0.1], ((1, 2), (0, 3)), None),
+        ([0.1, 0.2, 0.3, 0.1], ((0, 3), (1, 2)), r"block \(2, 3\): 0\.2 vs 0\.3"),
+        (None, ((0, 1),), None),
+    ])
+    def test_field_must_be_constant_on_each_block(self, h, blocks, said):
+        if said is None:
+            core.check_block_field(h, blocks)
+        else:
+            with pytest.raises(ValueError, match=said):
+                core.check_block_field(h, blocks)
 
 
 class TestFieldSolve:
@@ -452,6 +495,14 @@ class TestFieldSolve:
 
 
 class TestEntropy:
+    @pytest.mark.parametrize("p, said", [
+        ([], "got 0 in shape"), ([1.0], "got 1 in shape"), ([0.5, 0.25, 0.25], "got 3 in shape"),
+        ([[0.5, 0.5]], r"got 2 in shape \(1, 2\)"),
+    ])
+    def test_density_length_is_named(self, p, said):
+        with pytest.raises(ValueError, match=said):
+            core.check_probvec(p)
+
     def test_equal_densities(self):
         p = np.array([0.2, 0.3, 0.1, 0.4])
         assert core.relative_entropy(p, p) == 0.0

@@ -319,9 +319,9 @@ class TestScan:
     def test_free_single_block(self):
         inst = du.single_block_instance(4, 0)
         rep = du.du_mlsi_scan(du.du_measure(inst), 60, make_rng(71, 3))
-        single, _, applicable = du.du_constants(inst)
-        assert single == 1.0
-        assert applicable
+        coupling = core.weak_coupling(inst.lam_matrix)
+        assert coupling.single_block == 1.0
+        assert coupling.applicable
         assert rep.min_ratio >= 1.0 - 1e-9
         # the slow-mode probes pin the minimum near twice the gap
         assert rep.gap is not None
@@ -332,7 +332,7 @@ class TestScan:
         v /= np.linalg.norm(v)
         inst = du.single_block_instance(4, 0, rank_one(4, 0.3, v))
         rep = du.du_mlsi_scan(du.du_measure(inst), 60, make_rng(72, 0))
-        single, _, _ = du.du_constants(inst)
+        single = core.weak_coupling(inst.lam_matrix).single_block
         assert single == pytest.approx(0.4)
         assert rep.min_ratio >= single
         assert rep.min_ratio <= 2.0 * rep.gap + 1e-4
@@ -340,15 +340,14 @@ class TestScan:
     def test_rank_one_interaction_two_blocks(self):
         inst = du.DuInstance(6, rank_one(6, 0.3), np.zeros(6), ((0, 1, 2), (3, 4, 5)), (1, 1))
         rep = du.du_mlsi_scan(du.du_measure(inst), 60, make_rng(71, 2))
-        _, multi, _ = du.du_constants(inst)
+        multi = core.weak_coupling(inst.lam_matrix).multi_block
         assert multi == pytest.approx(0.16)
         assert rep.min_ratio >= multi
 
     def test_hot_interaction_flagged(self):
         inst = du.single_block_instance(4, 0, rank_one(4, 0.6))
         rep = du.du_mlsi_scan(du.du_measure(inst), 30, make_rng(71, 4))
-        _, _, applicable = du.du_constants(inst)
-        assert not applicable
+        assert not core.weak_coupling(inst.lam_matrix).applicable
         assert rep.samples + rep.discarded == 32
 
 
@@ -367,7 +366,7 @@ class TestFactorization:
     def test_interacting_blocks_keep_half(self):
         inst = du.DuInstance(6, rank_one(6, 0.25), np.zeros(6), ((0, 1, 2), (3, 4, 5)), (1, 1))
         rep = du.factorization_check(du.du_measure(inst), 40, make_rng(71, 6))
-        single, _, _ = du.du_constants(inst)
+        single = core.weak_coupling(inst.lam_matrix).single_block
         assert single == pytest.approx(0.5)
         assert rep.min_ratio >= single
 
@@ -680,7 +679,9 @@ class TestBridge:
     def test_dominates_on_admissible_instances(self, n):
         inst = random_psd_instance(n, n % 2, n)  # its couplings and fields
         J, h = inst.lam_matrix, inst.w
-        pm = kac.multicanonical_measure(J, h, 4, (tuple(range(n)),), (2 * n,))
+        # h varies across sites, so the product measure is built directly
+        # (multicanonical_measure takes block-constant fields only)
+        pm = kac.restricted_product_measure(core.log_gibbs_weights(J, h), 4, (tuple(range(n)),), (2 * n,))
         rep = du.bridge_check(pm, du.du_measure(du.particle_shaped_instance(J, h, 4, 2 * n)))
         assert rep.edges > 0
         assert rep.min_ratio >= rep.constant
@@ -698,11 +699,14 @@ class TestBridge:
 
     def test_constants_compose_to_the_rate_bound(self):
         # ball-walk constant (1 - 2 lam) times the comparison constant
-        J = np.array([[0.2]])
-        h = np.array([0.1])
         _, meas, rep = one_site_bridge()
-        single, _, _ = du.du_constants(meas.inst)
-        assert kac.mean_field_alpha_bound(J, h).value == pytest.approx(single * rep.constant, rel=1e-14)
+        coupling = core.weak_coupling(meas.inst.lam_matrix)
+        assert coupling.mean_field_alpha(meas.inst.w) == coupling.single_block * rep.constant
+        # the slice's block-diagonal coupling carries the one-slot lam and Jbar
+        one_slot = core.weak_coupling(np.array([[0.2]]))
+        assert (one_slot.lam, one_slot.jbar) == pytest.approx((coupling.lam, coupling.jbar), rel=1e-14)
+        assert one_slot.mean_field_alpha(np.array([0.1])) == pytest.approx(
+            coupling.single_block * rep.constant, rel=1e-14)
 
     def test_mismatched_slices_rejected(self):
         pm = kac.multicanonical_measure(np.array([[0.2]]), None, 4, ((0,),), (2,))

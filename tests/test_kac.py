@@ -4,13 +4,12 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from spinkac import collision, core, dynamics, kac
+from spinkac import collision, core, kac
 from spinkac.collision import CollisionContext
 from spinkac.errors import CapacityError
 from spinkac.rng import make_rng
@@ -203,7 +202,9 @@ class TestDirichlet:
         elif kernel == "blocks":
             blocks, T = ((0, 1), (2,)), (2, 1)
             K = collision.blocks_kernel(3, blocks)
-        m = kac.multicanonical_measure(J, h, 3, blocks, T)
+        # a field that varies inside a block: the product measure is built
+        # directly, since multicanonical_measure takes block-constant fields only
+        m = kac.restricted_product_measure(core.log_gibbs_weights(J, h), 3, blocks, T)
         L = shell_generator(m, K)
         tab = kac.transition_table(m, K)
         assert np.all(tab.src < tab.dst)
@@ -233,9 +234,9 @@ class TestScan:
         J = np.full((2, 2), 0.05)
         m = kac.multicanonical_measure(J, None, 3, ((0, 1),), (2,))
         scan = kac.particle_mlsi_scan(m, collision.mean_field_kernel(2), 150, make_rng(62, 0))
-        bound = dynamics.alpha_bound(J)
+        bound = core.weak_coupling(J)
         assert bound.applicable
-        assert scan.min_ratio >= bound.value
+        assert scan.min_ratio >= bound.alpha
         assert scan.median_ratio >= scan.min_ratio
 
     def test_singleton_shell_is_vacuous(self):
@@ -276,8 +277,7 @@ class TestDecay:
         assert np.all(np.diff(H) <= 1e-12)
         keep = H > 1e-12
         slope = -np.polyfit(t_grid[keep], np.log(H[keep]), 1)[0]
-        bound = dynamics.alpha_bound(J)
-        assert slope >= bound.value
+        assert slope >= core.weak_coupling(J).alpha
 
 
 def full_lattice_log_mass(nu, blocks, N, T=None):
@@ -415,6 +415,27 @@ class TestChaos:
         frozen = np.array([0.0, 0.5, 0.5, 0.0])  # block count pinned at one
         with pytest.raises(ValueError, match="no [+]1 step"):
             kac.chaos_scan(frozen, ((0, 1),), 1, [2, 4])
+
+    @pytest.mark.parametrize("blocks", [((0, 1, 2),), ((0, 1), (2,)), ((0,), (1,), (2,)),
+                                        ((0, 2), (1,))])
+    def test_irreducibility_matches_the_support_search(self, blocks):
+        # oracle: some support point c has c + e_b in the support too
+        rng = np.random.default_rng(66)
+        for _ in range(60):
+            nu = rng.uniform(size=8) * (rng.uniform(size=8) < 0.35)
+            if nu.sum() == 0.0:
+                continue
+            nu /= nu.sum()
+            support = {tuple(c) for c in np.argwhere(np.isfinite(kac.single_count_logdist(nu, blocks)))}
+            first_bad = next((b for bi, b in enumerate(blocks) if not any(
+                tuple(c[a] + (a == bi) for a in range(len(blocks))) in support for c in support)),
+                None)
+            if first_bad is None:
+                assert kac.check_irreducible(nu, blocks)
+            else:
+                said = rf"block \({', '.join(str(x + 1) for x in first_bad)},?\): count support"
+                with pytest.raises(ValueError, match=said):
+                    kac.check_irreducible(nu, blocks)
 
     def test_entropic_gap_shrinks(self):
         # tilt projected back onto the block mean, so both densities carry
@@ -560,12 +581,6 @@ class TestSimulation:
         with pytest.raises(ValueError, match="need N >= 1 and t_end >= 0"):
             kac.simulate_particles(ctx, N, (N,), t_end, make_rng(64, 5))
 
-    def test_kernel_leaving_its_block_raises(self):
-        # a context whose blocks split the two sites that K always joins
-        ctx = SimpleNamespace(n=2, blocks=((0,), (1,)), K=np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(RuntimeError, match="outside its block"):
-            kac.simulate_particles(ctx, 2, (1, 1), 10.0, make_rng(64, 3))
-
     def test_impossible_counts_rejected(self):
         with pytest.raises(ValueError, match="impossible"):
             kac.initial_state_for_counts(2, ((0, 1),), 2, (5,))
@@ -649,14 +664,30 @@ class TestSimulation:
         assert core.block_count_table(2, ctx.blocks)[run.final_state].sum() == 3
 
 
+class TestFieldCondition:
+    h = np.array([0.5, -0.3])  # not constant on the one mean-field block
+
+    def test_multicanonical_measure(self):
+        J = np.array([[0.0, 0.1], [0.1, 0.0]])
+        with pytest.raises(ValueError, match=r"block \(1, 2\): 0\.5 vs -0\.3"):
+            kac.multicanonical_measure(J, self.h, 2, ((0, 1),), (2,))
+        # the same field is constant on each of two singleton blocks
+        kac.multicanonical_measure(J, self.h, 2, ((0,), (1,)), (1, 1))
+
+    def test_fisher_chaos_check(self):
+        ctx = mean_field_ctx(np.array([[0.0, 0.1], [0.1, 0.0]]))
+        with pytest.raises(ValueError, match=r"block \(1, 2\): 0\.5 vs -0\.3"):
+            kac.fisher_chaos_check(ctx, self.h, np.ones(4), [2, 4])
+
+
 class TestRateBounds:
     def test_mean_field_bound_values(self):
-        bd = kac.mean_field_alpha_bound(np.zeros((2, 2)))
+        bd = core.weak_coupling(np.zeros((2, 2)))
         assert bd.applicable
-        assert bd.value == pytest.approx(0.25)
-        withf = kac.mean_field_alpha_bound(np.zeros((2, 2)), np.array([0.1, 0.1]))
-        assert withf.value == pytest.approx(0.25 * math.exp(-0.8))
+        assert bd.mean_field_alpha(None) == pytest.approx(0.25)
+        assert bd.mean_field_alpha(np.array([0.1, 0.1])) == pytest.approx(0.25 * math.exp(-0.8))
 
     def test_mean_field_bound_inapplicable(self):
-        hot = kac.mean_field_alpha_bound(np.full((2, 2), 0.4))
+        hot = core.weak_coupling(np.full((2, 2), 0.4))
         assert not hot.applicable
+        assert hot.mean_field_alpha(None) is None

@@ -13,7 +13,7 @@ PERFBENCH = Path(spinkac.__file__).resolve().parents[2] / "perfbench"
 NO_CALLER = {
     "bridge_check": "input of the exact comparison criterion (ROADMAP item 10)",
     "particle_shaped_instance": "input of the exact comparison criterion (ROADMAP item 10)",
-    "mean_field_alpha_bound": "input of the exact comparison criterion (ROADMAP item 10)",
+    "mean_field_alpha": "input of the exact comparison criterion (ROADMAP item 10)",
     "spectral_gap": "input of the exact comparison criterion (ROADMAP item 10)",
     "ball_factorization_value": "a localization step for the comparison criterion (ROADMAP item 10)",
     "ball_dirichlet_value": "a localization step for the comparison criterion (ROADMAP item 10)",
