@@ -89,6 +89,8 @@ def check_transport_kernel(K, n=None):
         raise ValueError(f"transport kernel must be square, got shape {K.shape}")
     if n is not None and K.shape[0] != n:
         raise ValueError(f"transport kernel is {K.shape[0]}x{K.shape[0]}, expected n = {n}")
+    if not np.isfinite(K).all():
+        raise ValueError(f"transport kernel entries must be finite, got {K[~np.isfinite(K)]}")
     if np.min(K) < 0:
         raise ValueError("transport kernel has a negative entry")
     if np.max(np.abs(K - K.T)) > 1e-12:

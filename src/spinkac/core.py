@@ -65,6 +65,8 @@ def check_interaction(J, n=None):
         raise ValueError(f"interaction matrix must be square, got shape {J.shape}")
     if n is not None and J.shape[0] != n:
         raise ValueError(f"interaction matrix is {J.shape[0]}x{J.shape[0]}, expected n = {n}")
+    if not np.isfinite(J).all():
+        raise ValueError(f"interaction matrix entries must be finite, got {J[~np.isfinite(J)]}")
     ij = np.unravel_index(np.argmax(np.abs(J - J.T)), J.shape)
     if abs(J[ij] - J.T[ij]) > 1e-12:
         raise ValueError(

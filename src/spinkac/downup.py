@@ -42,6 +42,7 @@ from .core import (
     covariance,
     eigen_bounds,
     entropy_ratio_scan,
+    logsumexp,
     sample_test_function,
     site_mask,
     slice_codes,
@@ -119,8 +120,7 @@ class DuMeasure:
 
 
 def _normalized(inst, codes, logw, spins):
-    probs = np.exp(logw - logw.max())
-    probs /= probs.sum()
+    probs = np.exp(logw - logsumexp(logw))
     return DuMeasure(inst, codes, probs, logw, spins)
 
 

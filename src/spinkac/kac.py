@@ -26,6 +26,7 @@ import numpy as np
 
 from .collision import walk_acceptance
 from .core import (
+    FIELD_TOL,
     RatioScan,
     ReversibleChain,
     block_count_table,
@@ -40,6 +41,7 @@ from .core import (
     expit,
     log_gibbs_weights,
     logsumexp,
+    magnetization_profile,
     relative_entropy,
     sample_test_function,
     site_mask,
@@ -505,23 +507,26 @@ def chaos_scan(nu, blocks, k, N_grid):
     return ChaosReport(np.asarray(N_grid), tvs, slope)
 
 
-def shared_shell(nu1, nu2, blocks, N):
-    """The canonical counts at N, which nu1 and nu2 must share."""
-    T1, T2 = (canonical_counts(nu, blocks, N) for nu in (nu1, nu2))
-    if T1 != T2:
-        raise ValueError(f"canonical counts differ at N = {N}: {T1} vs {T2}, one density is off the shell")
-    return T1
+def _check_same_profile(nu, ref, blocks):
+    """ValueError naming the first block whose magnetization under nu is
+    more than 10 FIELD_TOL (the field solve's slack) off ref's."""
+    for b, x, y in zip(blocks, magnetization_profile(nu, blocks), magnetization_profile(ref, blocks)):
+        if abs(x - y) > 10.0 * FIELD_TOL:
+            raise ValueError(f"block {tuple(s + 1 for s in b)} has magnetization {x} against {y}; "
+                             "one density is off the shell")
 
 
 def entropic_chaos_gap(nu1, nu2, blocks, N):
     """| (1/N) H(shell product of nu1 | shell product of nu2) - H(nu1|nu2) |.
 
-    Both densities must share the shell (same canonical counts at N) and
-    nu1 must be absolutely continuous w.r.t. nu2.
+    The shell is nu2's canonical shell at N, and nu1 must have nu2's
+    block profile (`_check_same_profile`) and be absolutely continuous
+    w.r.t. nu2.
     """
     nu1 = check_probvec(np.asarray(nu1, dtype=float))
     nu2 = check_probvec(np.asarray(nu2, dtype=float))
-    T = shared_shell(nu1, nu2, blocks, N)
+    _check_same_profile(nu1, nu2, blocks)
+    T = canonical_counts(nu2, blocks, N)
     if np.any((nu1 > 0) & (nu2 == 0)):
         return math.inf
     marg1 = canonical_marginal(nu1, blocks, N, T, 1)
@@ -547,7 +552,8 @@ def _exchange_sum(log_f, log_mu, K, law):
 
 def _fisher_per_slot(ctx, mu, nu, N):
     """(1/N) Dirichlet(F_N, log F_N) for F_N = gamma_nu / gamma_mu, the
-    ratio of the conditioned products of nu and mu on their shared shell.
+    ratio of the conditioned products of nu and mu on mu's canonical
+    shell at N.
 
     An edge x -> y exchanges bit (i, l) with bit (j, k), so F_N(y) / F_N(x)
     is R = f(tau) f(tau') / (f(sigma) f(sigma')) over the changed slots
@@ -561,7 +567,7 @@ def _fisher_per_slot(ctx, mu, nu, N):
     and the one-slot term fades as 1/N, so the value tends to
     2 `dynamics.dissipation(ctx, f, mu)`.
     """
-    T = shared_shell(nu, mu, ctx.blocks, N)
+    T = canonical_counts(mu, ctx.blocks, N)
     log_f, log_mu = np.log(nu / mu), np.log(mu)
     total = N * _exchange_sum(log_f, log_mu, ctx.K, canonical_marginal(nu, ctx.blocks, N, T, 1))
     if N > 1:
@@ -586,7 +592,8 @@ def fisher_chaos_check(ctx, h, f, N_grid):
     dissipation, along a grid of N. An exchange changes at most two slots,
     so each value is a sum over the one- and two-slot shell marginals of
     nu = f mu (`_fisher_per_slot`), and N has no size gate. The field h
-    must be constant on each of ctx.blocks (`check_block_field`)."""
+    must be constant on each of ctx.blocks (`check_block_field`), and nu
+    must keep mu's block profile (`_check_same_profile`)."""
     check_block_field(h, ctx.blocks)
     mu = np.exp(log_gibbs_weights(ctx.J, h))
     mu /= mu.sum()
@@ -596,6 +603,7 @@ def fisher_chaos_check(ctx, h, f, N_grid):
     f = f / float(mu @ f)
     nu = f * mu
     nu /= nu.sum()
+    _check_same_profile(nu, mu, ctx.blocks)
     target = 2.0 * dissipation(ctx, f, mu)
     check_irreducible(nu, ctx.blocks)
     per = np.array([_fisher_per_slot(ctx, mu, nu, int(N)) for N in N_grid])

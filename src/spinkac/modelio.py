@@ -72,14 +72,22 @@ def _sections(text):
         out[current].append((lineno, line))
     return out
 
-def _float_row(lineno, line, n, what):
-    parts = line.split()
-    if len(parts) != n:
-        raise ModelFormatError(f"line {lineno}: {what} row needs {n} entries, got {len(parts)}")
+def _floats(lineno, line):
+    """The numbers of one line, each finite; else ModelFormatError naming the line."""
     try:
-        return [float(x) for x in parts]
+        row = [float(x) for x in line.split()]
     except ValueError as exc:
-        raise ModelFormatError(f"line {lineno}: bad number in {what} row: {exc}") from None
+        raise ModelFormatError(f"line {lineno}: bad number: {exc}") from None
+    if not np.isfinite(row).all():
+        raise ModelFormatError(f"line {lineno}: entries must be finite, got {line!r}")
+    return row
+
+
+def _float_row(lineno, line, n, what):
+    row = _floats(lineno, line)
+    if len(row) != n:
+        raise ModelFormatError(f"line {lineno}: {what} row needs {n} entries, got {len(row)}")
+    return row
 
 
 def parse_model(path):
@@ -181,10 +189,7 @@ def load_matrix(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            rows.append([float(x) for x in line.split()])
-        except ValueError as exc:
-            raise ModelFormatError(f"line {lineno}: {exc}") from None
+        rows.append(_floats(lineno, line))
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ModelFormatError(f"{path}: ragged or empty matrix")
     return np.array(rows)

@@ -1,9 +1,9 @@
 """CSV result tables with provenance headers.
 
 Every table starts with ``# key = value`` lines (at least the claim
-being tested, the master seed, and ``reduction = deterministic``: Monte
-Carlo partial sums are always added in stream order), then a column
-header, then data rows. Floats are written with 17 significant digits
+being tested, the master seed, and ``reduction = deterministic``: each
+Monte Carlo estimate is drawn from one seeded stream, whatever the
+worker count), then a column header, then data rows. Floats are written with 17 significant digits
 so a rewrite of the same run is byte-identical. Timing never goes into
 the file; it belongs on stderr.
 """

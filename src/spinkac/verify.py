@@ -6,19 +6,17 @@ them print. `run_all` executes the full list, writes the result table,
 and reports wall time on stderr only, so the table and stdout are
 byte-stable at a fixed seed.
 
-Checks that average Monte Carlo batches run each batch on its own
-seeded stream and add the partial results (`wildtree.Moments`, or lists
-of fragmentation times) in stream order. Every check is a function of
-(seed, quick) alone, so `run_all` may spread whole checks over worker
-processes and still print the same bytes whatever the worker count.
+Each check draws from seeded streams of its own; a Monte Carlo check
+draws its samples from the one stream that drew its instance. So every
+check is a function of (seed, quick) alone, and `run_all` may spread
+whole checks over worker processes and still print the same bytes
+whatever the worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import math
-import operator
 import os
 import sys
 import time
@@ -66,14 +64,6 @@ class CriterionResult:
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag} criterion {self.index:2d} {self.name}: {self.detail}"
-
-
-def _seeded_sum(fn, args, seed, first_stream, batches):
-    """Run fn(*args, rng) once per stream first_stream, first_stream + 1,
-    ..., each on that stream's own generator, and add the results in
-    stream order."""
-    parts = (fn(*args, make_rng(seed, first_stream + b)) for b in range(batches))
-    return functools.reduce(operator.add, parts)
 
 
 # -- shared instance samplers ------------------------------------------
@@ -320,9 +310,7 @@ def c07_tree_solution(seed=DEFAULT_SEED, quick=False):
         p0 = _interior_density(rng, 1 << n)
         t = 1.0
         exact = evolve(ctx, p0, t, dt=0.001).final
-        batches = 16
-        est = _seeded_sum(wildtree.mc_solution, (ctx, p0, t, samples // batches),
-                          seed, 700 + n * 100, batches)
+        est = wildtree.mc_solution(ctx, p0, t, samples, rng)
         worst = max(worst, est.sigmas(exact))
     passed = worst <= 3.0
     return CriterionResult(
@@ -342,19 +330,16 @@ def c08_partition_process(seed=DEFAULT_SEED, quick=False):
     ctx = CollisionContext(np.zeros((n, n)), K)
     p0 = _interior_density(rng, 1 << n)
     worst_sig = 0.0
-    batches = 8
     for depth in (1, 2, 3, 4):
         exact = wildtree.discrete_iterate(ctx, p0, depth)
-        est = _seeded_sum(wildtree.mpp_expectation, (K, p0, depth, runs // batches),
-                          seed, 800 + depth * 10, batches)
+        est = wildtree.mpp_expectation(K, p0, depth, runs, rng)
         worst_sig = max(worst_sig, est.sigmas(exact))
     tail_runs = 5_000 if quick else 20_000
     tail_sizes = (2, 4) if quick else (2, 4, 8)
     worst_excess = -math.inf
     for m in tail_sizes:
         Km = build_transport_kernel("mean-field", m)
-        times = _seeded_sum(wildtree.fragmentation_times, (Km, tail_runs // batches),
-                            seed, 880 + m * 10, batches)
+        times = wildtree.fragmentation_times(Km, tail_runs, rng)
         u, tail, stderr = wildtree.fragmentation_tail(times, m)
         excess = tail - (m * np.exp(-u / (2.0 * m)) + 3.0 * stderr)
         worst_excess = max(worst_excess, float(np.max(excess)))
@@ -534,7 +519,7 @@ def c12_ball_walks(seed=DEFAULT_SEED, quick=False):
 
 def _repro_payload(seed):
     """A fixed slice of the suite rendered to bytes: seeded model draws,
-    a Monte Carlo sum over seeded batches, and a ratio scan."""
+    a Monte Carlo tree sum and a ratio scan, all from one stream."""
     rng = make_rng(seed, 13)
     table = ResultTable("repro-probe", seed, ("name", "value"))
     K = _random_kernel(rng, 3, "blocks")
@@ -543,7 +528,7 @@ def _repro_payload(seed):
     h = _block_constant_field(rng, 3, ctx.blocks)
     table.append("stationarity", stationarity_residual(ctx, gibbs(J, h)))
     p0 = _interior_density(rng, 8)
-    est = _seeded_sum(wildtree.mc_solution, (ctx, p0, 0.8, 500), seed, 1300, 8)
+    est = wildtree.mc_solution(ctx, p0, 0.8, 4000, rng)
     for i, v in enumerate(est.mean):
         table.append(f"tree-mean-{i}", v)
     Jk = _admissible_coupling(rng, 2, 0.08, 0.15)

@@ -36,7 +36,7 @@ from .errors import CapacityError
 MAX_LEAVES = 1 << 20
 MAX_STEPS = 100_000
 MEMO_ENTRIES = 1 << 16
-BATCH_FRAGMENTS = 1 << 18
+BATCH_FRAGMENTS = 1 << 14
 
 
 def sample_tree(t, rng):
@@ -111,22 +111,13 @@ class Moments:
     the partition process takes two passes over its batch of deviations
     from the first sample. Either way identical samples give m2 = 0
     exactly. `leaves` is the total leaf count of the trees drawn (0 for
-    the partition process). Batches combine with `+` by
-    the pairwise update of Chan, Golub and LeVeque (1979); adding them
-    in a fixed order gives the same bytes however the batches were run.
+    the partition process). Each estimate is drawn from one stream.
     """
 
     mean: np.ndarray
     m2: np.ndarray
     samples: int
     leaves: int = 0
-
-    def __add__(self, other):
-        count = self.samples + other.samples
-        delta = other.mean - self.mean
-        mean = self.mean + delta * (other.samples / count)
-        m2 = self.m2 + other.m2 + delta * delta * (self.samples * other.samples / count)
-        return Moments(mean, m2, count, self.leaves + other.leaves)
 
     @property
     def stderr(self):
@@ -291,8 +282,8 @@ def mpp_expectation(K, p, depth, runs, rng):
 
 def fragmentation_times(K, runs, rng):
     """Fragmentation times (steps until every surviving fragment is a
-    marked singleton) of `runs` independent partition processes, as a
-    list, so batches concatenate with `+`.
+    marked singleton) of `runs` independent partition processes, as an
+    int64 array.
 
     Marked singletons stay marked and empties are dropped, so each run
     is followed through its one unmarked set, stepped as a batch until
@@ -315,15 +306,15 @@ def fragmentation_times(K, runs, rng):
         times[live[done]] = steps
         live, A = live[~done], A[~done]
         mark = np.full(A.shape, -1)
-    return times.tolist()
+    return times
 
 
 def fragmentation_tail(times, n):
-    """Empirical tail P(H >= u) of n-site fragmentation times.
+    """Empirical tail P(H >= u) of n-site fragmentation times, an array
+    as `fragmentation_times` returns them.
 
     Returns (u values, tail estimates, stderr) for u = 1 up to past the
     n e^{-u/2n} crossing of 1/runs."""
-    times = np.asarray(times)
     runs = times.size
     horizon = int(2 * n * math.log(max(runs, 2) * n)) + 1
     u = np.arange(1, horizon + 1)

@@ -232,6 +232,32 @@ class TestExitCodes:
         assert "field is not constant on block (1, 2): 0.5 vs -0.3" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("J, h, kernel, said", [
+        ("0 nan\nnan 0", "0 0", "mean-field", "line 5: entries must be finite, got '0 nan'"),
+        ("0 inf\ninf 0", "0 0", "mean-field", "line 5: entries must be finite, got '0 inf'"),
+        ("0 0.1\n0.1 0", "nan 0.2", "mean-field", "line 9: entries must be finite, got 'nan 0.2'"),
+        ("0 0.1\n0.1 0", "0 0", "matrix\n0.5 nan\nnan 0.5",
+         "line 13: entries must be finite, got '0.5 nan'"),
+    ], ids=["nan-coupling", "inf-coupling", "nan-field", "nan-kernel"])
+    def test_model_entries_must_be_finite(self, tmp_path, capsys, J, h, kernel, said):
+        model = tmp_path / "bad.model"
+        model.write_text(f"[model]\nn = 2\n\n[J]\n{J}\n\n[h]\n{h}\n\n[kernel]\n{kernel}\n")
+        out = tmp_path / "o.csv"
+        code = cli.main(["mlsi-nl", "--trials", "5", "--model", str(model), "--out", str(out)])
+        assert code == 1
+        assert said in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_field_file_entries_must_be_finite(self, tmp_path, capsys):
+        w = tmp_path / "w.txt"
+        w.write_text("# field\n0.3 -0.2 0.5 nan -0.4 0.2 0.6 -0.1\n")
+        out = tmp_path / "d.csv"
+        code = cli.main(["downup", "--L", "8", "--M", "0", "--mode", "factorize", "--trials", "5",
+                         "--w", str(w), "--out", str(out)])
+        assert code == 1
+        assert "line 2: entries must be finite, got '0.3 -0.2 0.5 nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_initial_state(self, tmp_path, capsys):
         code = cli.main(["evolve", "--model", str(REPO / DEMO), "--p0", "delta:9",
                          "--out", str(tmp_path / "o.csv")])

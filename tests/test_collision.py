@@ -96,6 +96,9 @@ class TestKernels:
             collision.build_transport_kernel("matrix", 2, matrix=np.array([[0.5, 0.6], [0.6, 0.5]]))
         with pytest.raises(ValueError):
             collision.build_transport_kernel("no-such-kind", 2)
+        # a nan passes every tolerance test, since nan > tol is False
+        with pytest.raises(ValueError, match=r"entries must be finite, got \[nan nan\]"):
+            collision.build_transport_kernel("matrix", 2, matrix=np.array([[0.5, np.nan], [np.nan, 0.5]]))
 
 
 class TestExchange:

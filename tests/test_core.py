@@ -352,6 +352,12 @@ class TestGibbs:
         with pytest.raises(ValueError):
             core.gibbs(np.array([[0.0, 0.1], [0.2, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_interaction_entries_must_be_finite(self, bad):
+        J = np.array([[0.0, 0.1], [0.1, bad]])
+        with pytest.raises(ValueError, match=rf"entries must be finite, got \[{bad}\]"):
+            core.check_interaction(J)
+
 
 class TestSpectrum:
     @pytest.mark.parametrize("J, failing", [

@@ -452,8 +452,18 @@ class TestChaos:
     def test_entropic_gap_rejects_mismatched_shells(self):
         nu1 = np.array([0.7, 0.3])
         nu2 = np.array([0.3, 0.7])
-        with pytest.raises(ValueError, match="counts differ"):
+        with pytest.raises(ValueError, match=r"block \(1,\) .* off the shell"):
             kac.entropic_chaos_gap(nu1, nu2, ((0,),), 5)
+
+    def test_profiles_may_differ_by_the_field_solve_slack(self):
+        # a profile 2e-11 off nu2's is within the field solve's slack,
+        # one 2e-9 off is another density
+        nu2 = np.array([0.3, 0.7])
+        blocks = ((0,),)
+        near = kac.entropic_chaos_gap(nu2 + np.array([1e-11, -1e-11]), nu2, blocks, 8)
+        assert math.isfinite(near)
+        with pytest.raises(ValueError, match=r"block \(1,\) .* off the shell"):
+            kac.entropic_chaos_gap(nu2 + np.array([1e-9, -1e-9]), nu2, blocks, 8)
 
 
 def projected_tilt(kernel, rng):
@@ -531,12 +541,29 @@ class TestFisher:
         ctx, h, nu = projected_tilt(kernel, make_rng(20260822, 12))
         mu = core.gibbs(ctx.J, h)
         for N in range(1, 16 // ctx.n + 1):
-            T = kac.shared_shell(nu, mu, ctx.blocks, N)
+            T = kac.canonical_counts(mu, ctx.blocks, N)
             gamma_mu = kac.restricted_product_measure(np.log(mu), N, ctx.blocks, T)
             gamma_nu = kac.restricted_product_measure(np.log(nu), N, ctx.blocks, T)
             F = gamma_nu.probs / gamma_mu.probs
             want = kac.transition_table(gamma_mu, ctx.K).dirichlet(F, np.log(F)) / N
             assert kac._fisher_per_slot(ctx, mu, nu, N) == pytest.approx(want, rel=1e-12)
+
+    def test_profile_a_roundoff_below_the_reference_shares_its_shell(self):
+        # criterion 11's second case at seed 102: the field solve leaves
+        # nu's magnetization 1.3e-11 below mu's, so floor(N (1 + m) + 1e-9)
+        # gives nu 127 plus spins at N = 128 where mu has 128; both
+        # densities read mu's shell
+        J, h = np.array([[0.1, 0.15], [0.15, 0.1]]), np.zeros(2)
+        ctx = mean_field_ctx(J)
+        mu = core.gibbs(J, h)
+        target = core.magnetization_profile(mu, ctx.blocks)
+        f0 = np.exp(0.5 * make_rng(102, 1102).standard_normal(4))
+        _, nu = core.match_block_means(core.log_gibbs_weights(J, h) + np.log(f0), ctx.blocks, target)
+        assert kac.canonical_counts(nu, ctx.blocks, 128) != kac.canonical_counts(mu, ctx.blocks, 128)
+        tab = kac.fisher_chaos_check(ctx, h, nu / mu, [128, 256])
+        assert np.all(np.isfinite(tab.gap))
+        gaps = [kac.entropic_chaos_gap(nu, mu, ctx.blocks, N) for N in (128, 256)]
+        assert all(math.isfinite(g) for g in gaps)
 
     def test_large_N_enumerates_no_shell(self, monkeypatch):
         def refuse(*args):

@@ -133,18 +133,6 @@ class TestMCSolution:
         assert sig.max() <= 3.0
         assert sol.samples == 10000
 
-    def test_batches_add_up(self):
-        # two batches drawn in turn from one stream hold the same samples
-        # as one batch of their combined size
-        ctx = free_ctx(2)
-        p0 = random_density(make_rng(53, 5), 2)
-        rng = make_rng(53, 6)
-        parts = wildtree.mc_solution(ctx, p0, 0.8, 30, rng) + wildtree.mc_solution(ctx, p0, 0.8, 50, rng)
-        whole = wildtree.mc_solution(ctx, p0, 0.8, 80, make_rng(53, 6))
-        assert (parts.samples, parts.leaves) == (whole.samples, whole.leaves)
-        assert np.abs(parts.mean - whole.mean).max() < 1e-14
-        assert np.abs(parts.stderr - whole.stderr).max() < 1e-12
-
     def test_memo_matches_a_plain_loop(self):
         # the same trees from the same stream, collapsed without the
         # memo and averaged by Welford's update, give the same bytes
@@ -316,6 +304,11 @@ class TestFragmentation:
         exact = sum(2.0 * n / k for k in range(1, n + 1))
         se = times.std() / math.sqrt(times.size)
         assert abs(times.mean() - exact) <= 3 * se
+
+    def test_times_are_one_int64_array(self):
+        times = wildtree.fragmentation_times(collision.mean_field_kernel(2), 50, make_rng(55, 22))
+        assert times.dtype == np.int64 and times.shape == (50,)
+        assert times.min() >= 1
 
     def test_step_cap(self, monkeypatch):
         monkeypatch.setattr(wildtree, "MAX_STEPS", 3)
