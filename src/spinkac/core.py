@@ -349,16 +349,19 @@ def tv_distance(p, q):
 
 
 def entropy_functional(mu, F):
-    """Ent_mu(F) = mu[F log F] - mu[F] log mu[F] for nonnegative F."""
+    """Ent_mu(F) = mu[F log F] - mu[F] log mu[F] for nonnegative F, with
+    0 log 0 = 0: a float for one law, and one value per row when mu and
+    F are stacks of row laws and functions of the same shape. Plain
+    numpy reductions, no BLAS call, so the bits do not depend on the
+    BLAS kernel and a row of a stack gives those of its own call."""
     mu = np.asarray(mu, dtype=float)
     F = np.asarray(F, dtype=float)
-    if np.min(F) < 0:
+    if np.any(F < 0):
         raise ValueError("entropy functional needs a nonnegative function")
-    pos = (F > 0.0) & (mu > 0.0)
-    mean = float(mu @ F)
-    if mean <= 0.0:
-        return 0.0
-    return float(np.sum(mu[pos] * F[pos] * np.log(F[pos]))) - mean * math.log(mean)
+    mean = (mu * F).sum(axis=-1)
+    ent = ((mu * F * np.log(np.where(F > 0.0, F, 1.0))).sum(axis=-1)
+           - mean * np.log(np.where(mean > 0.0, mean, 1.0)))
+    return float(ent) if ent.ndim == 0 else ent
 
 
 def site_mask(sites):
@@ -524,7 +527,11 @@ def entropy_ratio_scan(mu, functions, numerator):
     """Minimum and median of numerator(F) / Ent_mu(F) over the test
     functions, read one at a time; a function given as None (one that
     could not be built) and F with Ent_mu(F) < 1e-13 are discarded and
-    counted."""
+    counted. On a one-state space no F is nonconstant and the infimum is
+    vacuous: the scan is RatioScan(inf, inf, 0, 0), and no function is
+    drawn."""
+    if np.size(mu) == 1:
+        return RatioScan(math.inf, math.inf, 0, 0)
     ratios = []
     discarded = 0
     for F in functions:

@@ -22,9 +22,10 @@ is its comparison with the exchange walk of `kac`, edge by edge
 Enumeration is gated at L <= 20 and spectral gaps and slow modes at
 L <= 16 (12,870 states on a one-block slice), where the Lanczos slow
 mode takes 0.2-0.5 s. The block factorization groups each block's
-conditional laws once per call; on a three-block L = 14 slice (600
-states) 100 test functions took 0.018 s against 0.48 s with one
-`entropy_functional` call per group (one BLAS thread, 2-CPU x86-64).
+conditional laws once per call and takes all their entropies in one
+stacked `entropy_functional` call per block; on a three-block L = 14
+slice (600 states) 100 test functions took 0.018 s against 0.48 s with
+one call per group (one BLAS thread, 2-CPU x86-64).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .core import (
     check_partition,
     covariance,
     eigen_bounds,
+    entropy_functional,
     entropy_ratio_scan,
     logsumexp,
     sample_test_function,
@@ -130,7 +132,8 @@ def du_measure(inst):
         raise CapacityError(f"slice enumeration gated at L <= {ENUMERATION_GATE}")
     codes = slice_codes(L, [site_mask(b) for b in inst.blocks], inst.balls)
     spins = spins_of(codes, L)
-    logw = 0.5 * np.einsum("si,ij,sj->s", spins, inst.lam_matrix, spins) + spins @ inst.w
+    logw = (0.5 * np.einsum("si,ij,sj->s", spins, inst.lam_matrix, spins)
+            + np.einsum("si,i->s", spins, inst.w))
     return _normalized(inst, codes, logw, spins)
 
 
@@ -170,33 +173,21 @@ def du_transitions(meas):
     site from the slice law conditioned on its group, so every pair of
     members s < d of a group is an edge, moving one ball, with rate
     exp(logw[d] - top) / mass, where top is the group's largest
-    log-weight and mass its sum of exp(logw - top), added left to right
-    (a row sum would add pairwise); no weight is taken unshifted. Edges
-    come per block, ordered by the site pair i < j the ball moves
-    across, as itertools.combinations lists them, then by src."""
-    codes, logw = meas.codes, meas.logw
+    log-weight and mass its sum of exp(logw - top); no weight is taken
+    unshifted. Edges come per block in group order, one per undirected
+    edge."""
     srcs, dsts, rates = [], [], []
     for b in meas.inst.blocks:
         idx = _ball_groups(meas, b)
         if idx.shape[1] < 2:  # a block without balls or without holes
             continue
-        lw = logw[idx]
+        lw = meas.logw[idx]
         weight = np.exp(lw - lw.max(axis=1, keepdims=True))
-        mass = np.cumsum(weight, axis=1)[:, -1:]
+        mass = weight.sum(axis=1, keepdims=True)
         a, c = np.triu_indices(idx.shape[1], 1)
-        src, dst = idx[:, a].ravel(), idx[:, c].ravel()
-        rate = (weight[:, c] / mass).ravel()
-        # The ball moves between sites i < j: codes[src] & ~codes[dst] is
-        # 1 << i and codes[dst] & ~codes[src] is 1 << j. Groups come in key
-        # order and src = key | 1 << i, so the edges of one site pair are
-        # already in src order, and one stable sort by pair (radix, on
-        # int16) puts the pairs in itertools.combinations order.
-        i = np.bitwise_count((codes[src] & ~codes[dst]) - 1).astype(np.int16)
-        j = np.bitwise_count((codes[dst] & ~codes[src]) - 1)
-        order = np.argsort(i * meas.inst.L + j, kind="stable")
-        srcs.append(src[order])
-        dsts.append(dst[order])
-        rates.append(rate[order])
+        srcs.append(idx[:, a].ravel())
+        dsts.append(idx[:, c].ravel())
+        rates.append((weight[:, c] / mass).ravel())
     return ReversibleChain.from_moves(srcs, dsts, rates, meas.probs, meas.logw)
 
 
@@ -241,12 +232,8 @@ def du_mlsi_scan(meas, trials, rng):
 # -- entropy factorization ---------------------------------------------
 #
 # Each conditional law below is one row of a grouping, and every
-# expected conditional entropy is a few vector operations over all rows
-# at once. The bits are those of one `entropy_functional` call per
-# group added with `total += ...`: `np.vecdot` gives each row `q @ F`
-# exactly (an einsum or a row sum of q * F does not), each mean takes
-# `math.log` (not `np.log`), and the weighted terms are added left to
-# right by one cumsum.
+# expected conditional entropy is one stacked `entropy_functional` call
+# over all rows at once.
 
 
 def _conditionals(probs, idx):
@@ -258,25 +245,10 @@ def _conditionals(probs, idx):
     return mass[keep], p[keep] / mass[keep, None], idx[keep]
 
 
-def _entropies(q, idx, F):
-    """Ent of F under each conditional law, one per row (0 log 0 = 0)."""
-    if np.min(F) < 0:
-        raise ValueError("entropy functional needs a nonnegative function")
-    Fg = F[idx]
-    mean = np.vecdot(q, Fg)
-    positive = np.where(mean > 0.0, mean, 1.0).tolist()
-    log_mean = np.fromiter(map(math.log, positive), float, len(positive))
-    return (q * Fg * np.log(np.where(Fg > 0.0, Fg, 1.0))).sum(axis=1) - mean * log_mean
-
-
 def _covariances(q, idx, F, G):
     """Cov(F, G) under each conditional law, one per row."""
-    return np.vecdot(q, (F * G)[idx]) - np.vecdot(q, F[idx]) * np.vecdot(q, G[idx])
-
-
-def _running_sum(terms):
-    """The terms added left to right, as a `total += term` loop does."""
-    return float(np.cumsum(np.r_[0.0, terms])[-1])
+    return ((q * (F * G)[idx]).sum(axis=1)
+            - (q * F[idx]).sum(axis=1) * (q * G[idx]).sum(axis=1))
 
 
 def block_factorization(meas):
@@ -285,8 +257,8 @@ def block_factorization(meas):
     rows = np.arange(meas.codes.size)
     groupings = [_conditionals(meas.probs, _groups(meas.codes & ~site_mask(b), rows))
                  for b in meas.inst.blocks]
-    return lambda F: _running_sum(
-        np.concatenate([mass * _entropies(q, idx, F) for mass, q, idx in groupings]))
+    return lambda F: float(sum((mass * entropy_functional(q, F[idx])).sum()
+                               for mass, q, idx in groupings))
 
 
 def factorization_check(meas, trials, rng):
@@ -309,21 +281,21 @@ def ball_factorization_value(meas, F):
     """sum over ball coordinates of the expected conditional entropy of
     F given the positions of all other balls (single-block slices)."""
     mass, q, idx = _ball_conditionals(meas)
-    return _running_sum(mass * _entropies(q, idx, F))
+    return float((mass * entropy_functional(q, F[idx])).sum())
 
 
 def ball_dirichlet_value(meas, F, G):
     """sum over ball coordinates of the expected conditional covariance;
     equals the walk's Dirichlet form on the slice."""
     mass, q, idx = _ball_conditionals(meas)
-    return _running_sum(mass * _covariances(q, idx, F, G))
+    return float((mass * _covariances(q, idx, F, G)).sum())
 
 
 def jensen_residual(meas, F):
     """max over ball-removal groups of Ent minus Cov(F, log F) under the
     conditional; nonpositive up to rounding."""
     _, q, idx = _ball_conditionals(meas)
-    residual = _entropies(q, idx, F) - _covariances(q, idx, F, np.log(F))
+    residual = entropy_functional(q, F[idx]) - _covariances(q, idx, F, np.log(F))
     return float(residual.max(initial=-math.inf))
 
 

@@ -27,7 +27,6 @@ import numpy as np
 from .collision import walk_acceptance
 from .core import (
     FIELD_TOL,
-    RatioScan,
     ReversibleChain,
     block_count_table,
     check_block_field,
@@ -39,6 +38,7 @@ from .core import (
     cumulative_rows,
     entropy_ratio_scan,
     expit,
+    gibbs,
     log_gibbs_weights,
     logsumexp,
     magnetization_profile,
@@ -200,9 +200,6 @@ def particle_entropy_decay(measure, kernel, nu0, t_grid):
 def particle_mlsi_scan(measure, kernel, trials, rng):
     """Minimum of Dirichlet(F, log F) / Ent(F) over random positive F."""
     size = measure.codes.size
-    if size == 1:
-        # a one-point shell has no nonconstant F; the infimum is vacuous
-        return RatioScan(math.inf, math.inf, 0, 0)
     tab = transition_table(measure, kernel)
     functions = (sample_test_function(size, trial, rng) for trial in range(trials))
     return entropy_ratio_scan(measure.probs, functions, lambda F: tab.dirichlet(F, np.log(F)))
@@ -595,8 +592,7 @@ def fisher_chaos_check(ctx, h, f, N_grid):
     must be constant on each of ctx.blocks (`check_block_field`), and nu
     must keep mu's block profile (`_check_same_profile`)."""
     check_block_field(h, ctx.blocks)
-    mu = np.exp(log_gibbs_weights(ctx.J, h))
-    mu /= mu.sum()
+    mu = gibbs(ctx.J, h)
     f = np.asarray(f, dtype=float)
     if np.min(f) <= 0:
         raise ValueError("the density ratio must be strictly positive")

@@ -1,5 +1,6 @@
 """Command-line interface and result tables."""
 
+import platform
 import sys
 from pathlib import Path
 
@@ -14,6 +15,19 @@ DEMO = "tests/data/demo-n2.model"
 GOLDEN = REPO / "tests" / "data" / "demo-n2-evolve.csv"
 FACTORIZE_GOLDEN = REPO / "tests" / "data" / "downup-factorize-blocks.csv"
 CHAOS_GOLDEN = REPO / "tests" / "data" / "demo-n2-chaos.csv"
+W14 = "0.3 -0.2 0.5 0.1 -0.4 0.2 0.6 -0.1 0.3 -0.5 0.4 0 -0.3 0.2\n"
+FACTORIZE_ARGS = ["downup", "--blocks-spec", "5:1,5:-1,4:0", "--mode", "factorize",
+                  "--trials", "100", "--seed", "3"]
+
+
+def cpu_flags():
+    """The flags of the first CPU in /proc/cpuinfo; empty where there is none."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines()
+                 if line.startswith("flags")), set())
 
 
 def free_model(tmp_path):
@@ -89,12 +103,27 @@ class TestGolden:
         # block conditional has its own mass, so the table pins the
         # grouped conditional entropies bit for bit
         w = tmp_path / "w14.txt"
-        w.write_text("0.3 -0.2 0.5 0.1 -0.4 0.2 0.6 -0.1 0.3 -0.5 0.4 0 -0.3 0.2\n")
+        w.write_text(W14)
         out = tmp_path / "fb.csv"
-        code = cli.main(["downup", "--blocks-spec", "5:1,5:-1,4:0", "--w", str(w),
-                         "--mode", "factorize", "--trials", "100", "--seed", "3",
-                         "--out", str(out)])
+        code = cli.main([*FACTORIZE_ARGS, "--w", str(w), "--out", str(out)])
         assert code == 0
+        assert out.read_bytes() == FACTORIZE_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize("coretype, flag", [("Haswell", "avx2"), ("SandyBridge", "avx")])
+    def test_block_factorization_golden_holds_on_other_kernels(self, tmp_path, spinkac_cli,
+                                                               coretype, flag):
+        # OPENBLAS_CORETYPE makes the child's OpenBLAS use the kernels it
+        # would pick on another x86 CPU; the factorization path calls no
+        # BLAS routine, so its table keeps its bytes on every kernel
+        if platform.machine() not in ("x86_64", "AMD64") or flag not in cpu_flags():
+            pytest.skip(f"the {coretype} kernels need an x86-64 CPU with {flag}")
+        w = tmp_path / "w14.txt"
+        w.write_text(W14)
+        out = tmp_path / "fb.csv"
+        res = spinkac_cli([*FACTORIZE_ARGS, "--w", str(w), "--out", str(out)],
+                          extra_env={"OPENBLAS_CORETYPE": coretype},
+                          capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
         assert out.read_bytes() == FACTORIZE_GOLDEN.read_bytes()
 
 
@@ -357,6 +386,13 @@ class TestSubcommands:
         meta, _, data = read_table(out)
         assert meta["claim"] == "block-factorization-scan"
         assert data[0, 0] >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("mode", ["mlsi", "factorize"])
+    def test_downup_one_state_slice_is_vacuous(self, capsys, mode):
+        # a full block has one configuration and no nonconstant F
+        code = cli.main(["downup", "--L", "4", "--M", "4", "--mode", mode, "--trials", "5"])
+        assert code == 0
+        assert "min ratio    = inf\n" in capsys.readouterr().out
 
     def test_downup_cov(self, tmp_path):
         out = tmp_path / "ducov.csv"

@@ -538,6 +538,42 @@ class TestEntropy:
         mu = np.full(4, 0.25)
         assert core.entropy_functional(mu, np.full(4, 3.0)) == pytest.approx(0.0, abs=1e-15)
 
+    def test_stacked_rows_equal_one_call_per_row(self):
+        # a stack of row laws gives each row the bits of its own call,
+        # through zero weights and zero entries of F (0 log 0 = 0)
+        rng = np.random.default_rng(10)
+        for k in range(1, 201):
+            mu = rng.uniform(size=(7, k))
+            mu[mu < 0.2] = 0.0
+            mu[0] = 0.0
+            mu /= np.maximum(mu.sum(axis=1, keepdims=True), 1e-300)
+            F = np.exp(rng.standard_normal((7, k)))
+            F[rng.uniform(size=(7, k)) < 0.2] = 0.0
+            F[1] = 0.0
+            stacked = core.entropy_functional(mu, F)
+            assert stacked.shape == (7,)
+            rows = np.array([core.entropy_functional(m, f) for m, f in zip(mu, F)])
+            assert same_bits(stacked, rows), k
+        assert type(core.entropy_functional(mu[2], F[2])) is float
+
+    def test_negative_function_rejected(self):
+        F = np.ones((3, 4))
+        F[2, 1] = -1e-300
+        with pytest.raises(ValueError, match="nonnegative"):
+            core.entropy_functional(np.full((3, 4), 0.25), F)
+        with pytest.raises(ValueError, match="nonnegative"):
+            core.entropy_functional(np.full(4, 0.25), F[2])
+
+    def test_ratio_scan_on_one_state_is_vacuous(self):
+        # no function is drawn: the scan returns before reading one
+        def functions():
+            raise AssertionError("drew a test function")
+            yield
+
+        scan = core.entropy_ratio_scan(np.ones(1), functions(), lambda G: 1.0)
+        assert (scan.min_ratio, scan.median_ratio) == (math.inf, math.inf)
+        assert (scan.samples, scan.discarded) == (0, 0)
+
     def test_ratio_scan_discards_missing_and_flat_functions(self):
         mu = np.full(4, 0.25)
         F = np.array([1.0, 2.0, 3.0, 4.0])
