@@ -70,10 +70,10 @@ def cmd_evolve(args):
     table.add_meta("t_end", format(args.t_end, ".17g"))
     table.add_meta("dt", format(args.dt, ".17g"))
     spins = ctx.spins
-    for t, p in zip(traj.times, traj.states):
+    dissipations = dissipation_at(ctx, traj.states, traj.mu_eq)
+    for t, p, diss in zip(traj.times, traj.states, dissipations):
         means = p @ spins
-        row = [t, relative_entropy(p, traj.mu_eq), dissipation_at(ctx, p, traj.mu_eq),
-               tv_distance(p, traj.mu_eq)]
+        row = [t, relative_entropy(p, traj.mu_eq), diss, tv_distance(p, traj.mu_eq)]
         row += [float(np.mean(means[list(b)])) for b in ctx.blocks]
         row += [abs(float(np.sum(p)) - 1.0)]
         table.append(*row)

@@ -167,16 +167,16 @@ def log_gibbs_weights(J, h=None):
 
 
 def logsumexp(a):
-    """log(sum(exp(a))) of a 1-D array: SciPy's `logsumexp` arithmetic
-    (the maximal terms held out of the shifted sum) without its per-call
-    overhead."""
-    top = a.max()
+    """log(sum(exp(a))) over the last axis, one value per row of a stack:
+    SciPy's `logsumexp` arithmetic (the maximal terms held out of the
+    shifted sum) without its per-call overhead."""
+    top = np.maximum.reduce(a, axis=-1, keepdims=True)
     at_top = a == top
-    k = float(np.count_nonzero(at_top))
+    k = np.add.reduce(at_top, axis=-1, dtype=float)
     e = np.exp(a - top)
     e[at_top] = 0.0
-    s = e.sum()
-    return np.log1p(s / k) + np.log(k) + top
+    s = np.add.reduce(e, axis=-1)
+    return np.log1p(s / k) + np.log(k) + top[..., 0]
 
 
 _CEXP_SCALED = -709.0  # for x below it glibc's cexp rescales exp(-x)
@@ -246,7 +246,8 @@ def check_mass(p, name):
 
 
 def sites_of(p):
-    return int(np.asarray(p).size).bit_length() - 1
+    """Site count n of a density on 2**n states, or of each row of a stack."""
+    return int(np.shape(p)[-1]).bit_length() - 1
 
 
 def check_partition(blocks, n):
@@ -320,9 +321,11 @@ def check_block_field(h, blocks):
 
 
 def covariance(p, X):
-    """Covariance matrix of the columns of X under the density p on its rows."""
-    centered = X - p @ X
-    return (centered * p[:, None]).T @ centered
+    """Covariance matrix of the columns of X under the density p on its
+    rows; one matrix per row when p is a stack of densities. A row of a
+    stack takes the same BLAS calls as its own call, so it gets its bits."""
+    centered = X - p[..., None, :] @ X
+    return np.swapaxes(centered * p[..., None], -1, -2) @ centered
 
 
 def cumulative_rows(P):
@@ -350,8 +353,8 @@ def tv_distance(p, q):
 
 def entropy_functional(mu, F):
     """Ent_mu(F) = mu[F log F] - mu[F] log mu[F] for nonnegative F, with
-    0 log 0 = 0: a float for one law, and one value per row when mu and
-    F are stacks of row laws and functions of the same shape. Plain
+    0 log 0 = 0: a float for one law, and one value per row when F is a
+    stack of row functions (mu then one law, or a stack of row laws). Plain
     numpy reductions, no BLAS call, so the bits do not depend on the
     BLAS kernel and a row of a stack gives those of its own call."""
     mu = np.asarray(mu, dtype=float)
@@ -525,25 +528,73 @@ class RatioScan:
 
 def entropy_ratio_scan(mu, functions, numerator):
     """Minimum and median of numerator(F) / Ent_mu(F) over the test
-    functions, read one at a time; a function given as None (one that
-    could not be built) and F with Ent_mu(F) < 1e-13 are discarded and
-    counted. On a one-state space no F is nonconstant and the infimum is
-    vacuous: the scan is RatioScan(inf, inf, 0, 0), and no function is
-    drawn."""
+    functions; F with Ent_mu(F) < 1e-13 are discarded and counted.
+
+    `functions` is either an iterable read one function at a time, with
+    None for a function that could not be built (discarded and counted),
+    and `numerator` maps one F to a float; or a 2-D stack of functions,
+    one per row, whose entropies are taken in one call, and `numerator`
+    maps the stack of kept rows to one value per row. On a one-state
+    space no F is nonconstant and the infimum is vacuous: the scan is
+    RatioScan(inf, inf, 0, 0), and no function is drawn."""
     if np.size(mu) == 1:
         return RatioScan(math.inf, math.inf, 0, 0)
-    ratios = []
-    discarded = 0
-    for F in functions:
-        ent = 0.0 if F is None else entropy_functional(mu, F)
-        if ent < 1e-13:
-            discarded += 1
-            continue
-        ratios.append(numerator(F) / ent)
-    if not ratios:
+    if isinstance(functions, np.ndarray):
+        ent = entropy_functional(mu, functions)
+        keep = ent >= 1e-13
+        discarded = int(np.count_nonzero(~keep))
+        ratios = np.asarray(numerator(functions[keep])) / ent[keep] if keep.any() else []
+    else:
+        ratios = []
+        discarded = 0
+        for F in functions:
+            ent = 0.0 if F is None else entropy_functional(mu, F)
+            if ent < 1e-13:
+                discarded += 1
+                continue
+            ratios.append(numerator(F) / ent)
+    if not len(ratios):
         raise FitError("no usable test functions")
-    ratios = np.array(ratios)
+    ratios = np.asarray(ratios)
     return RatioScan(float(ratios.min()), float(np.median(ratios)), len(ratios), discarded)
+
+
+_SINGULAR, _STAGNATED, _EXCEEDED = 1, 2, 3  # why a row of the field solve failed
+
+
+def _tilted(logw, M, sizes, target, C):
+    """(p, m, res) of the tilts C, one row per row of the log-weight
+    stack: density, block magnetizations and max-norm residual. A row
+    whose tilted log-weights hold a NaN or +inf gets res = inf, and no
+    exp is taken of it."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        lp = logw + np.matmul(M, C[:, :, None])[:, :, 0]
+    ok = (lp < np.inf).all(axis=1)
+    if not ok.all():
+        p, m, res = np.full_like(lp, np.nan), np.full_like(C, np.nan), np.full(len(C), np.inf)
+        p[ok], m[ok], res[ok] = _tilted(logw[ok], M, sizes, target, C[ok])
+        return p, m, res
+    lp -= logsumexp(lp)[:, None]
+    p = np.exp(lp)
+    m = np.matmul(p[:, None, :], M)[:, 0, :] / sizes
+    return p, m, np.maximum.reduce(np.abs(m - target), axis=1)
+
+
+def _newton_steps(hess, grad):
+    """Solutions of a stack of Newton systems, and a mask of the singular
+    ones (their steps left at 0)."""
+    singular = np.zeros(len(grad), dtype=bool)
+    try:
+        return np.linalg.solve(hess, grad[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(grad)
+    for r in range(len(grad)):
+        try:
+            step[r] = np.linalg.solve(hess[r], grad[r])
+        except np.linalg.LinAlgError:
+            singular[r] = True
+    return step, singular
 
 
 def match_block_means(logw, blocks, target):
@@ -552,13 +603,23 @@ def match_block_means(logw, blocks, target):
     The tilted measure is ``exp(logw + sum_b c_b * M_b) / Z`` with ``M_b``
     the spin sum of block b. The map c -> log Z is strictly convex with
     gradient the block spin-sum means, so damped Newton (halve the step
-    until the max-norm residual of the block magnetizations decreases)
-    converges for any strictly interior target.
+    until the max-norm residual of the block magnetizations decreases,
+    down to a step of 1e-14, for at most FIELD_MAX_ITER steps) converges
+    for any strictly interior target. A trial step whose tilted
+    log-weights hold a NaN or +inf counts as no decrease.
 
-    Returns (c, tilted_density). Raises DegenerateProfileError for a
-    boundary target and ConvergenceError on stagnation.
+    logw is one row of log-weights or a (rows, 2**n) stack of them, and
+    every row of a stack runs the rule at once, with the bits of its own
+    one-row call. One row returns (c, tilted_density) and raises
+    ConvergenceError, with the last residual, on a singular curvature, a
+    stalled step or too many steps. A stack returns (c, densities,
+    converged), one row each; a row that failed holds its last accepted
+    iterate. Both raise DegenerateProfileError for a boundary target and
+    ValueError for a target of the wrong shape.
     """
     logw = np.asarray(logw, dtype=float)
+    if logw.ndim not in (1, 2):
+        raise ValueError(f"log-weights must be one row or a stack of rows, got shape {logw.shape}")
     n = sites_of(logw)
     blocks = check_partition(blocks, n)
     target = np.asarray(target, dtype=float)
@@ -567,38 +628,47 @@ def match_block_means(logw, blocks, target):
     check_interior(target, blocks)
     sizes = np.array([len(b) for b in blocks], dtype=float)
     M = 2.0 * block_count_table(n, blocks) - sizes
-    c = np.arctanh(target)
-
-    def state(cvec):
-        lp = logw + M @ cvec
-        lp -= logsumexp(lp)
-        p = np.exp(lp)
-        m = (p @ M) / sizes
-        return p, m, float(np.max(np.abs(m - target)))
-
-    p, m, res = state(c)
+    rows = logw.reshape(-1, logw.shape[-1])
+    C = np.tile(np.arctanh(target), (len(rows), 1))
+    p, m, res = _tilted(rows, M, sizes, target, C)
+    failure = np.where(res < np.inf, 0, _STAGNATED)
+    live = np.flatnonzero(failure == 0)
     for _ in range(FIELD_MAX_ITER):
-        if res <= FIELD_TOL:
-            return c, p
-        hess = covariance(p, M)
-        grad = sizes * (m - target)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular curvature in field solve", residual=res)
-        lam = 1.0
+        live = live[res[live] > FIELD_TOL]
+        if not live.size:
+            break
+        step, singular = _newton_steps(covariance(p[live], M), sizes * (m[live] - target))
+        if singular.any():
+            failure[live[singular]] = _SINGULAR
+            live, step = live[~singular], step[~singular]
+        lam, trying = 1.0, live  # the rows still halving their step
         while True:
-            c_try = c - lam * step
-            p_try, m_try, res_try = state(c_try)
-            if res_try < res:
-                c, p, m, res = c_try, p_try, m_try, res_try
+            c_try = C[trying] - lam * step
+            p_try, m_try, res_try = _tilted(rows[trying], M, sizes, target, c_try)
+            better = res_try < res[trying]
+            if better.all():
+                C[trying], p[trying], m[trying], res[trying] = c_try, p_try, m_try, res_try
                 break
+            done = trying[better]
+            C[done], p[done], m[done], res[done] = c_try[better], p_try[better], m_try[better], res_try[better]
+            trying, step = trying[~better], step[~better]
             lam *= 0.5
             if lam < 1e-14:
-                raise ConvergenceError(
-                    f"field solve stagnated at residual {res}", residual=res
-                )
-    raise ConvergenceError(f"field solve exceeded {FIELD_MAX_ITER} iterations", residual=res)
+                failure[trying] = _STAGNATED
+                live = live[failure[live] == 0]
+                break
+    else:
+        failure[live] = _EXCEEDED
+    if logw.ndim == 2:
+        return C, p, failure == 0
+    if failure[0] == _SINGULAR:
+        raise ConvergenceError("singular curvature in field solve", residual=float(res[0]))
+    if failure[0] == _STAGNATED:
+        raise ConvergenceError(f"field solve stagnated at residual {res[0]}", residual=float(res[0]))
+    if failure[0] == _EXCEEDED:
+        raise ConvergenceError(f"field solve exceeded {FIELD_MAX_ITER} iterations",
+                               residual=float(res[0]))
+    return C[0], p[0]
 
 
 def solve_field(J, blocks, target):

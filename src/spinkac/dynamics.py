@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _CHUNK,
     WeakCoupling,
     check_block_field,
     check_interior,
@@ -142,27 +143,44 @@ def dissipation(ctx, f, mu):
     nonnegative pair sum. Terms where either pair product vanishes are
     dropped (the diagnostic convention for clipped densities); for
     strictly positive f this is exact.
+
+    f is one density (the value is a float) or a (rows, 2**n) stack of
+    them (one value per row, each with the bits of its own one-row
+    call). Each site pair's move grid is built once per call and the
+    rows pass through it in chunks, so that no temporary holds more than
+    `_CHUNK` entries, or one row's grid where that is larger.
     """
     mu = check_probvec(mu, ctx.n)
     f = np.asarray(f, dtype=float)
-    if f.shape != mu.shape or np.min(f) < 0:
+    if f.ndim not in (1, 2) or f.shape[-1:] != mu.shape or (f.size and np.min(f) < 0):
         raise ValueError("f must be a nonnegative vector on the same state space")
-    if abs(float(mu @ f) - 1.0) > 1e-8:
+    rows = f.reshape(-1, mu.size)
+    if np.any(np.abs(rows @ mu - 1.0) > 1e-8):
         raise ValueError("f must average to 1 under mu")
-    total = 0.0
+    total = np.zeros(len(rows))
+    chunk = max(1, _CHUNK // mu.size**2)
     mu_pair = np.multiply.outer(mu, mu)
-    a = np.multiply.outer(f, f)
     for w, P, tau, tau_p in ctx.moves():
-        b = f[tau] * f[tau_p]
-        good = (a > 0.0) & (b > 0.0) & (a != b)
-        if not np.any(good):
-            continue
-        diff = a[good] - b[good]
-        total += w * float(np.sum(mu_pair[good] * P[good] * diff * np.log(a[good] / b[good])))
-    return 0.25 * total
+        weight = mu_pair * P
+        for start in range(0, len(rows), chunk):
+            g = rows[start : start + chunk]
+            a = g[:, :, None] * g[:, None, :]
+            b = g[:, tau] * g[:, tau_p]
+            good = (a > 0.0) & (b > 0.0) & (a != b)
+            a, b = a[good], b[good]
+            terms = np.broadcast_to(weight, good.shape)[good] * (a - b) * np.log(a / b)
+            # each row sums its own terms alone, as its one-row call does:
+            # rows with equally many terms as the rows of one 2-D sum
+            counts = np.count_nonzero(good, axis=(1, 2))
+            starts = np.cumsum(counts) - counts
+            for c in np.unique(counts[counts > 0]):
+                r = np.flatnonzero(counts == c)
+                total[start + r] += w * terms[starts[r, None] + np.arange(c)].sum(axis=1)
+    return 0.25 * total if f.ndim == 2 else float(0.25 * total[0])
 
 
 def dissipation_at(ctx, p, mu):
+    """`dissipation` at the density p / mu, for one p or a stack of them."""
     f = np.asarray(p, dtype=float) / np.maximum(np.asarray(mu, dtype=float), DENSITY_FLOOR)
     return dissipation(ctx, f, mu)
 
@@ -216,25 +234,20 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng):
 
     Candidate densities are mu times the test functions of
     `sample_test_function` (log-normal fields, near point masses, bounded
-    perturbations of 1), projected onto the constraint set by an
-    exponential block tilt solved with the same damped Newton as the
-    field solver, then normalized. Projection failures and the trivial
-    density are discarded and counted. The field h must be constant on
-    each of ctx.blocks (`check_block_field`).
+    perturbations of 1), all drawn first, then projected onto the
+    constraint set by an exponential block tilt in one stacked
+    `match_block_means` solve, the field solver's damped Newton. Their
+    entropies and dissipations are each taken in one stacked call.
+    Projection failures (standing in as the constant density) and the
+    trivial density are discarded and counted. The field h must be
+    constant on each of ctx.blocks (`check_block_field`).
     """
     check_block_field(h, ctx.blocks)
     mu = gibbs(ctx.J, h)
     log_mu = log_gibbs_weights(ctx.J, h)
     target = magnetization_profile(mu, ctx.blocks)
     size = 1 << ctx.n
-
-    def projected(trial):
-        logf = np.log(sample_test_function(size, trial, rng))
-        try:
-            _, nu = match_block_means(log_mu + logf, ctx.blocks, target)
-        except (ConvergenceError, ValueError):
-            return None
-        return nu / mu
-
-    densities = (projected(trial) for trial in range(trials))
+    logf = np.log([sample_test_function(size, trial, rng) for trial in range(trials)])
+    _, nu, converged = match_block_means(log_mu + logf.reshape(trials, size), ctx.blocks, target)
+    densities = np.where(converged[:, None], nu / mu, 1.0)
     return entropy_ratio_scan(mu, densities, lambda f: dissipation(ctx, f, mu))

@@ -326,6 +326,15 @@ class TestGibbs:
             want = logsumexp(a)
             assert abs(core.logsumexp(a) - want) <= 2.0 * np.spacing(abs(want))
 
+    def test_logsumexp_of_a_stack_gives_each_row_its_bits(self):
+        rng = np.random.default_rng(11)
+        for width in (1, 2, 7, 64, 300):
+            a = rng.normal(0.0, 5.0, size=(9, width))
+            a[::3, 0] = a[::3].max(axis=1)  # ties at the maximum
+            stacked = core.logsumexp(a)
+            assert stacked.shape == (9,)
+            assert stacked.tolist() == [core.logsumexp(row) for row in a]
+
     def test_single_free_spin_is_fair(self):
         assert core.gibbs(np.zeros((1, 1))).tolist() == [0.5, 0.5]
 
@@ -499,6 +508,41 @@ class TestFieldSolve:
         with pytest.raises(DegenerateProfileError):
             core.solve_field(np.zeros((2, 2)), ((0, 1),), np.array([1.0]))
 
+    def test_stacked_covariance_gives_each_row_its_bits(self):
+        rng = np.random.default_rng(12)
+        M = 2.0 * core.block_count_table(4, ((0,), (1, 2), (3,))) - np.array([1.0, 2.0, 1.0])
+        p = rng.dirichlet(np.ones(16), size=6)
+        stacked = core.covariance(p, M)
+        assert stacked.shape == (6, 3, 3)
+        assert all(same_bits(s, core.covariance(q, M)) for s, q in zip(stacked, p))
+
+    @pytest.mark.parametrize("blocks", [
+        ((0, 1),), ((0,), (1,)),
+        ((0, 1, 2),), ((0,), (1, 2)), ((0,), (1,), (2,)),
+        ((0, 1, 2, 3),), ((0, 2), (1, 3)), ((0,), (1, 2), (3,)),
+    ])
+    def test_stacked_rows_equal_one_row_calls(self, blocks):
+        # every kind of test function, near point masses among them, so
+        # that some rows stall; a row's tilt, density and outcome are
+        # those of its own call
+        n = sum(len(b) for b in blocks)
+        rng = np.random.default_rng(30 + 10 * n + len(blocks))
+        a = rng.standard_normal((n, n))
+        logw = core.log_gibbs_weights(0.1 * (a + a.T), rng.uniform(-0.5, 0.5, n))
+        logw = logw + np.log([core.sample_test_function(1 << n, t, rng) for t in range(90)])
+        target = rng.uniform(-0.6, 0.6, len(blocks))
+        C, P, converged = core.match_block_means(logw, blocks, target)
+        assert C.shape == (90, len(blocks)) and P.shape == (90, 1 << n)
+        for r, row in enumerate(logw):
+            try:
+                c, p = core.match_block_means(row, blocks, target)
+            except ConvergenceError as exc:
+                assert not converged[r] and exc.residual > core.FIELD_TOL
+                continue
+            assert converged[r]
+            assert same_bits(C[r], c) and same_bits(P[r], p)
+        assert converged.any() and not converged.all()
+
 
 class TestEntropy:
     @pytest.mark.parametrize("p, said", [
@@ -582,6 +626,24 @@ class TestEntropy:
         assert (scan.samples, scan.discarded) == (2, 3)
         assert scan.min_ratio == pytest.approx(2.5 / core.entropy_functional(mu, F))
         assert scan.gap is None
+
+    def test_ratio_scan_of_a_stack_calls_the_numerator_once(self):
+        mu = np.full(4, 0.25)
+        F = np.array([1.0, 2.0, 3.0, 4.0])
+        calls = []
+
+        def numerator(G):
+            calls.append(G.shape)
+            return G @ mu
+
+        stack = np.array([np.ones(4), F, np.full(4, 3.0), 2.0 * F])
+        scan = core.entropy_ratio_scan(mu, stack, numerator)
+        assert calls == [(2, 4)]
+        assert (scan.samples, scan.discarded) == (2, 2)
+        assert scan.min_ratio == pytest.approx(2.5 / core.entropy_functional(mu, F))
+        with pytest.raises(FitError, match="no usable"):
+            core.entropy_ratio_scan(mu, stack[[0, 2]], numerator)
+        assert calls == [(2, 4)]
 
     def test_ratio_scan_without_usable_functions_fails(self):
         with pytest.raises(FitError, match="no usable"):
