@@ -508,6 +508,21 @@ class TestFieldSolve:
         with pytest.raises(DegenerateProfileError):
             core.solve_field(np.zeros((2, 2)), ((0, 1),), np.array([1.0]))
 
+    def test_a_singular_row_fails_alone(self):
+        # a point mass (every other log-weight -inf) has zero curvature;
+        # the stack solves again row by row, so only that row fails
+        logw = np.log(np.random.default_rng(13).dirichlet(np.ones(8), size=4))
+        logw[2] = -np.inf
+        logw[2, 5] = 0.0
+        blocks, target = ((0,), (1, 2)), np.array([0.2, -0.1])
+        C, P, converged = core.match_block_means(logw, blocks, target)
+        assert converged.tolist() == [True, True, False, True]
+        for r in (0, 1, 3):
+            c, p = core.match_block_means(logw[r], blocks, target)
+            assert same_bits(C[r], c) and same_bits(P[r], p)
+        with pytest.raises(ConvergenceError, match="singular curvature"):
+            core.match_block_means(logw[2], blocks, target)
+
     def test_stacked_covariance_gives_each_row_its_bits(self):
         rng = np.random.default_rng(12)
         M = 2.0 * core.block_count_table(4, ((0,), (1, 2), (3,))) - np.array([1.0, 2.0, 1.0])
