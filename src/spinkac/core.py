@@ -435,6 +435,12 @@ class ReversibleChain:
         dG = G[self.dst] - G[self.src]
         return float(np.sum(self.probs[self.src] * self.rate * dF * dG))
 
+    def entropy_production(self, functions):
+        """Dirichlet(F, log F) of each row F of a stack of positive
+        functions, the numerator of the chain's MLSI ratio; one
+        `dirichlet` call per row, so no (rows, edges) array is built."""
+        return [self.dirichlet(F, np.log(F)) for F in functions]
+
     def _symmetric_entries(self):
         """(rows, cols, values) of the generator symmetrized by
         sqrt(probs): the edge entry rate * sqrt(probs[src] / probs[dst])
@@ -502,19 +508,26 @@ class ReversibleChain:
         return max(0.0, -float(lam)), g
 
 
-def sample_test_function(size, trial, rng):
-    """A positive test function for entropy-ratio scans, cycling by
-    trial through log-normal fields, near point masses and bounded
-    perturbations of 1."""
-    kind = trial % 3
-    if kind == 0:
-        s = float(rng.choice([0.5, 1.0, 2.0]))
-        return np.exp(s * rng.standard_normal(size))
-    if kind == 1:
-        F = np.full(size, 1e-4)
-        F[int(rng.integers(size))] = 1.0
-        return F
-    return 1.0 + 0.9 * rng.uniform(-1.0, 1.0, size=size)
+def sample_test_functions(size, trials, rng):
+    """A (trials, size) stack of positive test functions for entropy-ratio
+    scans. Row t is a log-normal field, a near point mass or a bounded
+    perturbation of 1 as t % 3 is 0, 1 or 2, and the rows are drawn from
+    rng one after another in that order. A one-state space has no
+    nonconstant function: its stack is empty, and rng is not touched."""
+    if size == 1:
+        return np.empty((0, 1))
+    F = np.empty((trials, size))
+    for t, row in enumerate(F):
+        kind = t % 3
+        if kind == 0:
+            s = float(rng.choice([0.5, 1.0, 2.0]))
+            row[:] = np.exp(s * rng.standard_normal(size))
+        elif kind == 1:
+            row[:] = 1e-4
+            row[int(rng.integers(size))] = 1.0
+        else:
+            row[:] = 1.0 + 0.9 * rng.uniform(-1.0, 1.0, size=size)
+    return F
 
 
 @dataclass
@@ -527,36 +540,23 @@ class RatioScan:
 
 
 def entropy_ratio_scan(mu, functions, numerator):
-    """Minimum and median of numerator(F) / Ent_mu(F) over the test
-    functions; F with Ent_mu(F) < 1e-13 are discarded and counted.
+    """Minimum and median of numerator(F) / Ent_mu(F) over the rows F of
+    a 2-D stack of test functions.
 
-    `functions` is either an iterable read one function at a time, with
-    None for a function that could not be built (discarded and counted),
-    and `numerator` maps one F to a float; or a 2-D stack of functions,
-    one per row, whose entropies are taken in one call, and `numerator`
-    maps the stack of kept rows to one value per row. On a one-state
-    space no F is nonconstant and the infimum is vacuous: the scan is
-    RatioScan(inf, inf, 0, 0), and no function is drawn."""
+    The entropies of all rows are taken in one stacked call; rows with
+    Ent_mu(F) < 1e-13 are discarded and counted, and `numerator` maps
+    the stack of kept rows to one value per row. On a one-state space no
+    F is nonconstant and the infimum is vacuous: the scan is
+    RatioScan(inf, inf, 0, 0) whatever the stack holds."""
     if np.size(mu) == 1:
         return RatioScan(math.inf, math.inf, 0, 0)
-    if isinstance(functions, np.ndarray):
-        ent = entropy_functional(mu, functions)
-        keep = ent >= 1e-13
-        discarded = int(np.count_nonzero(~keep))
-        ratios = np.asarray(numerator(functions[keep])) / ent[keep] if keep.any() else []
-    else:
-        ratios = []
-        discarded = 0
-        for F in functions:
-            ent = 0.0 if F is None else entropy_functional(mu, F)
-            if ent < 1e-13:
-                discarded += 1
-                continue
-            ratios.append(numerator(F) / ent)
-    if not len(ratios):
+    ent = entropy_functional(mu, functions)
+    keep = ent >= 1e-13
+    if not keep.any():
         raise FitError("no usable test functions")
-    ratios = np.asarray(ratios)
-    return RatioScan(float(ratios.min()), float(np.median(ratios)), len(ratios), discarded)
+    ratios = np.asarray(numerator(functions[keep])) / ent[keep]
+    return RatioScan(float(ratios.min()), float(np.median(ratios)), len(ratios),
+                     int(np.count_nonzero(~keep)))
 
 
 _SINGULAR, _STAGNATED, _EXCEEDED = 1, 2, 3  # why a row of the field solve failed
@@ -658,7 +658,7 @@ def match_block_means(logw, blocks, target):
                 live = live[failure[live] == 0]
                 break
     else:
-        failure[live] = _EXCEEDED
+        failure[live[res[live] > FIELD_TOL]] = _EXCEEDED
     if logw.ndim == 2:
         return C, p, failure == 0
     if failure[0] == _SINGULAR:

@@ -45,7 +45,7 @@ from .core import (
     entropy_functional,
     entropy_ratio_scan,
     logsumexp,
-    sample_test_function,
+    sample_test_functions,
     site_mask,
     slice_codes,
     spins_of,
@@ -212,7 +212,7 @@ def du_mlsi_scan(meas, trials, rng):
     tab = du_transitions(meas)
     size = meas.codes.size
     gap = None
-    probes = []
+    functions = sample_test_functions(size, trials, rng)
     if meas.inst.L <= SPECTRAL_GATE and size > 1:
         # On 1 + eps * g, with g the slowest mode, the ratio approaches
         # twice the spectral gap, its infimum over this family; the
@@ -220,11 +220,8 @@ def du_mlsi_scan(meas, trials, rng):
         # (random sampling alone only produces upper bounds on the true
         # constant, so it can land anywhere above it).
         gap, g = tab.slow_mode()
-        probes = [1.0 + eps * g for eps in (1e-2, 1e-3)]
-    functions = itertools.chain(
-        (sample_test_function(size, trial, rng) for trial in range(trials)), probes
-    )
-    scan = entropy_ratio_scan(meas.probs, functions, lambda F: tab.dirichlet(F, np.log(F)))
+        functions = np.vstack([functions, *(1.0 + eps * g for eps in (1e-2, 1e-3))])
+    scan = entropy_ratio_scan(meas.probs, functions, tab.entropy_production)
     scan.gap = gap
     return scan
 
@@ -264,9 +261,9 @@ def block_factorization(meas):
 def factorization_check(meas, trials, rng):
     """min over sampled F of the block-factorization sum over Ent, as a
     `RatioScan`."""
-    size = meas.codes.size
-    functions = (sample_test_function(size, trial, rng) for trial in range(trials))
-    return entropy_ratio_scan(meas.probs, functions, block_factorization(meas))
+    value = block_factorization(meas)
+    return entropy_ratio_scan(meas.probs, sample_test_functions(meas.codes.size, trials, rng),
+                              lambda functions: [value(F) for F in functions])
 
 
 def _ball_conditionals(meas):

@@ -27,7 +27,7 @@ from .core import (
     magnetization_profile,
     match_block_means,
     relative_entropy,
-    sample_test_function,
+    sample_test_functions,
     sites_of,
     solve_field,
     tv_distance,
@@ -233,7 +233,7 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng):
     to the equilibrium's conserved profile, as a `RatioScan`.
 
     Candidate densities are mu times the test functions of
-    `sample_test_function` (log-normal fields, near point masses, bounded
+    `sample_test_functions` (log-normal fields, near point masses, bounded
     perturbations of 1), all drawn first, then projected onto the
     constraint set by an exponential block tilt in one stacked
     `match_block_means` solve, the field solver's damped Newton. Their
@@ -246,8 +246,7 @@ def nonlinear_mlsi_scan(ctx, h, trials, rng):
     mu = gibbs(ctx.J, h)
     log_mu = log_gibbs_weights(ctx.J, h)
     target = magnetization_profile(mu, ctx.blocks)
-    size = 1 << ctx.n
-    logf = np.log([sample_test_function(size, trial, rng) for trial in range(trials)])
-    _, nu, converged = match_block_means(log_mu + logf.reshape(trials, size), ctx.blocks, target)
+    logf = np.log(sample_test_functions(1 << ctx.n, trials, rng))
+    _, nu, converged = match_block_means(log_mu + logf, ctx.blocks, target)
     densities = np.where(converged[:, None], nu / mu, 1.0)
     return entropy_ratio_scan(mu, densities, lambda f: dissipation(ctx, f, mu))

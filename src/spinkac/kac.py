@@ -43,7 +43,7 @@ from .core import (
     logsumexp,
     magnetization_profile,
     relative_entropy,
-    sample_test_function,
+    sample_test_functions,
     site_mask,
     sites_of,
     slice_codes,
@@ -199,10 +199,9 @@ def particle_entropy_decay(measure, kernel, nu0, t_grid):
 
 def particle_mlsi_scan(measure, kernel, trials, rng):
     """Minimum of Dirichlet(F, log F) / Ent(F) over random positive F."""
-    size = measure.codes.size
-    tab = transition_table(measure, kernel)
-    functions = (sample_test_function(size, trial, rng) for trial in range(trials))
-    return entropy_ratio_scan(measure.probs, functions, lambda F: tab.dirichlet(F, np.log(F)))
+    functions = sample_test_functions(measure.codes.size, trials, rng)
+    return entropy_ratio_scan(measure.probs, functions,
+                              transition_table(measure, kernel).entropy_production)
 
 
 # -- event-driven simulation -------------------------------------------

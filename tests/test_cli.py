@@ -15,6 +15,7 @@ DEMO = "tests/data/demo-n2.model"
 GOLDEN = REPO / "tests" / "data" / "demo-n2-evolve.csv"
 FACTORIZE_GOLDEN = REPO / "tests" / "data" / "downup-factorize-blocks.csv"
 CHAOS_GOLDEN = REPO / "tests" / "data" / "demo-n2-chaos.csv"
+KAC_MLSI_GOLDEN = REPO / "tests" / "data" / "kac-mlsi-demo.csv"
 W14 = "0.3 -0.2 0.5 0.1 -0.4 0.2 0.6 -0.1 0.3 -0.5 0.4 0 -0.3 0.2\n"
 FACTORIZE_ARGS = ["downup", "--blocks-spec", "5:1,5:-1,4:0", "--mode", "factorize",
                   "--trials", "100", "--seed", "3"]
@@ -97,6 +98,20 @@ class TestGolden:
         )
         assert res.returncode == 0, res.stderr
         assert out.read_bytes() == CHAOS_GOLDEN.read_bytes()
+
+    def test_kac_mlsi_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
+        # the shell scans at N = 2, 3 at full precision: the one-state
+        # shells (scans of inf over 0 samples) draw no test function, so
+        # the shells after them keep their draws (run from the repository
+        # root, as the header stores the model path as given)
+        out = tmp_path / "kac-mlsi.csv"
+        res = spinkac_cli(
+            ["kac-mlsi", "--model", DEMO, "--N", "2,3", "--trials", "40", "--seed", "5",
+             "--out", str(out)],
+            cwd=REPO, capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert out.read_bytes() == KAC_MLSI_GOLDEN.read_bytes()
 
     def test_block_factorization_reproduces_golden_bytes(self, tmp_path):
         # three blocks on L = 14 sites (600 states) under a field: every

@@ -544,7 +544,7 @@ class TestFieldSolve:
         rng = np.random.default_rng(30 + 10 * n + len(blocks))
         a = rng.standard_normal((n, n))
         logw = core.log_gibbs_weights(0.1 * (a + a.T), rng.uniform(-0.5, 0.5, n))
-        logw = logw + np.log([core.sample_test_function(1 << n, t, rng) for t in range(90)])
+        logw = logw + np.log(core.sample_test_functions(1 << n, 90, rng))
         target = rng.uniform(-0.6, 0.6, len(blocks))
         C, P, converged = core.match_block_means(logw, blocks, target)
         assert C.shape == (90, len(blocks)) and P.shape == (90, 1 << n)
@@ -557,6 +557,40 @@ class TestFieldSolve:
             assert converged[r]
             assert same_bits(C[r], c) and same_bits(P[r], p)
         assert converged.any() and not converged.all()
+
+    # 2-site, one-block solves toward a mean of 0.7: under the field
+    # (0, 0) the damped Newton needs 4 steps, under (0.2, -0.1) 5 and
+    # under (1, 1) 6
+    FIELDS = ([0.0, 0.0], [0.2, -0.1], [1.0, 1.0])
+
+    def last_step_rows(self):
+        J = np.array([[0.0, 0.4], [0.4, 0.0]])
+        return np.array([core.log_gibbs_weights(J, np.array(h)) for h in self.FIELDS])
+
+    def test_row_converging_on_the_last_allowed_step_converges(self, monkeypatch):
+        # the FIELD_MAX_ITER-th step may be the one that reaches
+        # FIELD_TOL; only a row still above it has exceeded the cap
+        logw, blocks, target = self.last_step_rows()[1], ((0, 1),), np.array([0.7])
+        c, p = core.match_block_means(logw, blocks, target)
+        monkeypatch.setattr(core, "FIELD_MAX_ITER", 5)
+        c5, p5 = core.match_block_means(logw, blocks, target)
+        assert same_bits(c5, c) and same_bits(p5, p)
+        monkeypatch.setattr(core, "FIELD_MAX_ITER", 4)
+        with pytest.raises(ConvergenceError, match="exceeded 4 iterations") as exc:
+            core.match_block_means(logw, blocks, target)
+        assert exc.value.residual > core.FIELD_TOL
+
+    def test_stacked_rows_converging_on_the_last_allowed_step_converge(self, monkeypatch):
+        logw, blocks, target = self.last_step_rows(), ((0, 1),), np.array([0.7])
+        C, P, converged = core.match_block_means(logw, blocks, target)
+        assert converged.all()
+        for cap, want in ((4, [True, False, False]), (5, [True, True, False]),
+                          (6, [True, True, True])):
+            monkeypatch.setattr(core, "FIELD_MAX_ITER", cap)
+            C_cap, P_cap, converged = core.match_block_means(logw, blocks, target)
+            assert converged.tolist() == want, cap
+            assert same_bits(C_cap[converged], C[converged])
+            assert same_bits(P_cap[converged], P[converged])
 
 
 class TestEntropy:
@@ -615,6 +649,19 @@ class TestEntropy:
             assert same_bits(stacked, rows), k
         assert type(core.entropy_functional(mu[2], F[2])) is float
 
+    def test_stack_under_one_law_equals_one_call_per_row(self):
+        # rows of 12,870 entries, the size of the L = 16 slice, past the
+        # 8,192-element buffer of a ufunc reduction: every ratio scan
+        # takes the entropies of its stack in one call under one law
+        rng = np.random.default_rng(11)
+        mu = rng.dirichlet(np.ones(12_870))
+        F = core.sample_test_functions(12_870, 9, rng)
+        F[4] = 1.0
+        stacked = core.entropy_functional(mu, F)
+        assert stacked.shape == (9,)
+        rows = np.array([core.entropy_functional(mu, f) for f in F])
+        assert same_bits(stacked, rows)
+
     def test_negative_function_rejected(self):
         F = np.ones((3, 4))
         F[2, 1] = -1e-300
@@ -624,23 +671,12 @@ class TestEntropy:
             core.entropy_functional(np.full(4, 0.25), F[2])
 
     def test_ratio_scan_on_one_state_is_vacuous(self):
-        # no function is drawn: the scan returns before reading one
-        def functions():
-            raise AssertionError("drew a test function")
-            yield
-
-        scan = core.entropy_ratio_scan(np.ones(1), functions(), lambda G: 1.0)
-        assert (scan.min_ratio, scan.median_ratio) == (math.inf, math.inf)
-        assert (scan.samples, scan.discarded) == (0, 0)
-
-    def test_ratio_scan_discards_missing_and_flat_functions(self):
-        mu = np.full(4, 0.25)
-        F = np.array([1.0, 2.0, 3.0, 4.0])
-        scan = core.entropy_ratio_scan(mu, [None, F, np.ones(4), None, 2.0 * F],
-                                       lambda G: float(mu @ G))
-        assert (scan.samples, scan.discarded) == (2, 3)
-        assert scan.min_ratio == pytest.approx(2.5 / core.entropy_functional(mu, F))
-        assert scan.gap is None
+        # the empty stack drawn on a one-state space, or any other stack
+        # there, gives the vacuous scan
+        for stack in (core.sample_test_functions(1, 40, None), np.full((3, 1), 2.0)):
+            scan = core.entropy_ratio_scan(np.ones(1), stack, lambda G: 1.0)
+            assert (scan.min_ratio, scan.median_ratio) == (math.inf, math.inf)
+            assert (scan.samples, scan.discarded) == (0, 0)
 
     def test_ratio_scan_of_a_stack_calls_the_numerator_once(self):
         mu = np.full(4, 0.25)
@@ -656,13 +692,51 @@ class TestEntropy:
         assert calls == [(2, 4)]
         assert (scan.samples, scan.discarded) == (2, 2)
         assert scan.min_ratio == pytest.approx(2.5 / core.entropy_functional(mu, F))
+        assert scan.gap is None
         with pytest.raises(FitError, match="no usable"):
             core.entropy_ratio_scan(mu, stack[[0, 2]], numerator)
         assert calls == [(2, 4)]
 
     def test_ratio_scan_without_usable_functions_fails(self):
-        with pytest.raises(FitError, match="no usable"):
-            core.entropy_ratio_scan(np.full(2, 0.5), [None, np.ones(2)], lambda G: 1.0)
+        # flat rows only, or no rows at all
+        for stack in (np.array([np.ones(2), np.full(2, 3.0)]), np.empty((0, 2))):
+            with pytest.raises(FitError, match="no usable"):
+                core.entropy_ratio_scan(np.full(2, 0.5), stack, lambda G: G.sum(axis=1))
+
+
+def sample_test_function(size, trial, rng):
+    """The test function of trial t, drawn by itself: the oracle that row
+    t of `core.sample_test_functions` must equal bit for bit."""
+    kind = trial % 3
+    if kind == 0:
+        s = float(rng.choice([0.5, 1.0, 2.0]))
+        return np.exp(s * rng.standard_normal(size))
+    if kind == 1:
+        F = np.full(size, 1e-4)
+        F[int(rng.integers(size))] = 1.0
+        return F
+    return 1.0 + 0.9 * rng.uniform(-1.0, 1.0, size=size)
+
+
+class TestSampleTestFunctions:
+    @pytest.mark.parametrize("trials", [0, 1, 2, 3, 90])
+    @pytest.mark.parametrize("size", [2, 7, 256])
+    def test_stack_equals_one_draw_per_trial(self, size, trials):
+        # the same rows in the same stream order, and the stream left
+        # where the per-trial draws leave it
+        rng, oracle = np.random.default_rng(21), np.random.default_rng(21)
+        stack = core.sample_test_functions(size, trials, rng)
+        want = np.array([sample_test_function(size, t, oracle) for t in range(trials)])
+        assert same_bits(stack, want.reshape(trials, size))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert (stack > 0.0).all()
+
+    def test_one_state_draws_nothing(self):
+        rng = np.random.default_rng(22)
+        state = rng.bit_generator.state
+        for trials in (0, 1, 90):
+            assert core.sample_test_functions(1, trials, rng).shape == (0, 1)
+        assert rng.bit_generator.state == state
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -10,7 +10,7 @@ from scipy.special import expit
 
 from spinkac import downup as du
 from spinkac import core, kac
-from spinkac.core import (ReversibleChain, entropy_functional, sample_test_function, site_mask,
+from spinkac.core import (ReversibleChain, entropy_functional, sample_test_functions, site_mask,
                           spins_of, swap_moves)
 from spinkac.errors import CapacityError, FitError
 from spinkac.rng import make_rng
@@ -444,8 +444,7 @@ class TestGroupedConditionals:
         meas = du.du_measure(blocks_instance(sizes, M, len(sizes) + sum(M)))
         value = du.block_factorization(meas)
         rng = make_rng(75, 1)
-        for trial in range(trials):
-            F = sample_test_function(meas.codes.size, trial, rng)
+        for F in sample_test_functions(meas.codes.size, trials, rng):
             assert value(F) == pytest.approx(loop_block_factorization(meas, F), rel=1e-14, abs=0.0)
 
     @pytest.mark.filterwarnings("error")
@@ -463,8 +462,7 @@ class TestGroupedConditionals:
         assert np.count_nonzero(q == 0.0) > 0
         value = du.block_factorization(meas)
         rng = make_rng(75, 2)
-        for trial in range(30):
-            F = sample_test_function(meas.codes.size, trial, rng)
+        for F in sample_test_functions(meas.codes.size, 30, rng):
             got = value(F)
             assert math.isfinite(got)
             assert got == pytest.approx(loop_block_factorization(meas, F), rel=1e-14, abs=0.0)
@@ -499,8 +497,7 @@ class TestGroupedConditionals:
     def test_ball_functions_match_the_loop(self):
         meas = du.du_measure(random_psd_instance(7, 1, 2))
         rng = make_rng(75, 4)
-        for trial in range(12):
-            F = sample_test_function(meas.codes.size, trial, rng)
+        for F in sample_test_functions(meas.codes.size, 12, rng):
             G = np.log(F)
             assert du.ball_factorization_value(meas, F) == pytest.approx(
                 loop_ball_factorization(meas, F), rel=1e-14, abs=0.0)
@@ -572,8 +569,7 @@ class TestBallCoordinates:
         meas = du.du_measure(random_psd_instance(5, 1, 0))
         tab = du.du_transitions(meas)
         rng = make_rng(72, 4)
-        for trial in range(6):
-            F = sample_test_function(meas.codes.size, trial, rng)
+        for F in sample_test_functions(meas.codes.size, 6, rng):
             lhs = du.ball_dirichlet_value(meas, F, np.log(F))
             rhs = tab.dirichlet(F, np.log(F))
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -581,8 +577,7 @@ class TestBallCoordinates:
     def test_entropy_chain(self):
         meas = du.du_measure(random_psd_instance(5, 1, 0))
         rng = make_rng(72, 5)
-        for trial in range(6):
-            F = sample_test_function(meas.codes.size, trial, rng)
+        for F in sample_test_functions(meas.codes.size, 6, rng):
             ent = entropy_functional(meas.probs, F)
             bf = du.ball_factorization_value(meas, F)
             bd = du.ball_dirichlet_value(meas, F, np.log(F))
@@ -592,8 +587,7 @@ class TestBallCoordinates:
     def test_jensen_residual_nonpositive(self):
         meas = du.du_measure(random_psd_instance(5, 1, 0))
         rng = make_rng(72, 6)
-        for trial in range(5):
-            F = sample_test_function(meas.codes.size, trial, rng)
+        for F in sample_test_functions(meas.codes.size, 5, rng):
             assert du.jensen_residual(meas, F) <= 1e-12
 
     def test_multi_block_rejected(self):
@@ -694,8 +688,7 @@ class TestBridge:
         ball = du.du_transitions(meas)
         walk = kac.transition_table(pm, None)
         rng = make_rng(73, 0)
-        for trial in range(40):
-            F = sample_test_function(meas.codes.size, trial, rng)
+        for F in sample_test_functions(meas.codes.size, 40, rng):
             logF = np.log(F)
             gap = walk.dirichlet(F, logF) - rep.constant * ball.dirichlet(F, logF)
             assert gap >= -1e-12
