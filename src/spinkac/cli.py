@@ -300,7 +300,7 @@ def cmd_downup(args):
     else:
         scan = downup.factorization_check(meas, args.trials, rng)
         claim = "block-factorization-scan"
-    const_txt = f"{constant:.6g}" if coupling.applicable else "n/a (spectrum outside scope)"
+    const_txt = f"{constant:.6g}" if coupling.applicable else f"n/a ({coupling.reason})"
     print(f"min ratio    = {scan.min_ratio:.6g}")
     print(f"median ratio = {scan.median_ratio:.6g}")
     print(f"constant     = {const_txt}")

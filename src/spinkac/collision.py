@@ -64,6 +64,7 @@ from .errors import CapacityError
 PRODUCT_N_MAX = 12
 TENSOR_N_MAX = 5
 FLUX_N_MAX = 7
+KERNEL_KINDS = ("single-site", "mean-field", "blocks", "matrix")  # of build_transport_kernel
 
 
 def single_site_kernel(n):

@@ -82,7 +82,9 @@ class DuInstance:
         M = tuple(int(m) for m in self.M)
         if len(M) != len(blocks):
             raise ValueError("one spin sum per block required")
-        for b, m in zip(blocks, M):
+        for b, m, given in zip(blocks, M, self.M):
+            if m != given:
+                raise ValueError(f"block {tuple(x + 1 for x in b)}: spin sum {given} is not an integer")
             if (len(b) + m) % 2 != 0:
                 raise ValueError(
                     f"block {tuple(x + 1 for x in b)}: size {len(b)} and spin sum {m} "

@@ -60,6 +60,19 @@ WALK_BLOCK = 4096  # walk events drawn per generator call
 # -- count shells -------------------------------------------------------
 
 
+def _check_shell(N, blocks, T):
+    """T as a tuple of ints; ValueError unless N >= 1 and T holds one
+    integer count per block, each in 0..N|b|. Every shell in range is
+    nonempty, as the block masks partition the N n bits."""
+    tops = [N * len(b) for b in blocks]
+    shell = tuple(int(t) for t in T)
+    if N < 1 or shell != tuple(T) or len(shell) != len(tops) or any(
+            not 0 <= t <= top for t, top in zip(shell, tops)):
+        raise ValueError(f"need N >= 1 slots, got N = {N}, and T as {len(tops)} integer "
+                         f"block counts in 0..N|b| = {tops}, got T = {tuple(T)}")
+    return shell
+
+
 def canonical_counts(nu, blocks, N):
     """Shell counts T_b = floor(N |b| (1 + m_b) / 2) for the product of N
     copies of nu (the canonical shell of that density)."""
@@ -110,26 +123,17 @@ class ParticleMeasure:
 
 
 def restricted_product_measure(single_log_weights, N, blocks, T):
-    """Enumerate the count shell of the product of N copies of one
-    single-slot weight table and normalize."""
-    if N < 1:
-        raise ValueError(f"need N >= 1 slots, got N = {N}")
+    """Enumerate the count shell T (`_check_shell`) of the product of N
+    copies of one single-slot weight table and normalize."""
     table = np.asarray(single_log_weights, dtype=float)
     n = sites_of(table)
     if N * n > ENUMERATION_GATE:
         raise CapacityError(f"shell enumeration gated at N*n <= {ENUMERATION_GATE}")
     blocks = check_partition(blocks, n)
-    T = tuple(int(t) for t in T)
-    if len(T) != len(blocks):
-        raise ValueError("one count per block required")
-    for t, b in zip(T, blocks):
-        if not 0 <= t <= N * len(b):
-            raise ValueError(f"count {t} impossible for block size {len(b)} with N = {N}")
+    T = _check_shell(N, blocks, T)
     # block b of the combined code: its sites in every slot
     masks = [sum(site_mask(b) << (i * n) for i in range(N)) for b in blocks]
     codes = slice_codes(N * n, masks, T)
-    if codes.size == 0:
-        raise ValueError(f"empty shell for counts {T}")
     logw = np.zeros(codes.size)
     for i in range(N):
         logw += table[(codes >> (i * n)) & ((1 << n) - 1)]
@@ -208,13 +212,12 @@ def particle_mlsi_scan(measure, kernel, trials, rng):
 
 
 def initial_state_for_counts(n, blocks, N, T):
-    """A state on the shell: fill each block's plus spins slot by slot."""
+    """A state on the shell T (`_check_shell`): fill each block's plus
+    spins slot by slot."""
     blocks = check_partition(blocks, n)
     state = np.zeros(N, dtype=np.int64)
-    for b, t in zip(blocks, T):
+    for b, t in zip(blocks, _check_shell(N, blocks, T)):
         slots = [(i, l) for i in range(N) for l in b]
-        if not 0 <= t <= len(slots):
-            raise ValueError(f"count {t} impossible for block {b} with N = {N}")
         for i, l in slots[:t]:
             state[i] |= 1 << l
     return state
@@ -235,8 +238,8 @@ def _check_init(init, n, blocks, N, T):
     if np.any((state < 0) | (state >= 1 << n)):
         raise ValueError(f"init holds a configuration outside 0..{(1 << n) - 1}")
     counts = tuple(int(c) for c in block_count_table(n, blocks)[state].sum(axis=0))
-    if counts != tuple(int(t) for t in T):
-        raise ValueError(f"init has block counts {counts}, off the shell {tuple(T)}")
+    if counts != T:
+        raise ValueError(f"init has block counts {counts}, off the shell {T}")
     return state
 
 
@@ -262,9 +265,11 @@ def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False
     Site pairs stay inside one irreducible block of K (ctx.blocks are
     K's components), which conserves the shell counts. A given `init`
     must hold N configurations with block counts T, else ValueError, as
-    N < 1 and t_end < 0 are (`check_run`).
+    N < 1 and t_end < 0 are (`check_run`) and a T off the count lattice
+    (`_check_shell`).
     """
     check_run(N, t_end)
+    T = _check_shell(N, ctx.blocks, T)
     n = ctx.n
     if init is None:
         state = initial_state_for_counts(n, ctx.blocks, N, T)
@@ -352,8 +357,7 @@ def shell_log_mass(nu, blocks, N, T=None):
     """log nu^{xN}(shell T) by log-domain lattice convolution.
 
     With T None, returns the full lattice table for N copies; otherwise
-    the entry at the integer block counts T, one per block with
-    0 <= T_b <= N|b| (ValueError otherwise).
+    the entry at the block counts T (`_check_shell`).
 
     Copy i + 1 adds one support point c of the single-copy count law at
     a time, in a fixed order, to every cell it can reach, by logaddexp.
@@ -372,7 +376,7 @@ def shell_log_mass(nu, blocks, N, T=None):
     sizes = [len(b) for b in blocks]
     dims = tuple(N * size + 1 for size in sizes)
     if T is not None:
-        T = _shell_index(T, dims)
+        T = _check_shell(N, blocks, T)
     logq = single_count_logdist(nu, blocks)
     support = [tuple(int(x) for x in c) for c in np.argwhere(np.isfinite(logq))]
     table = np.full(dims, -np.inf)
@@ -395,15 +399,6 @@ def shell_log_mass(nu, blocks, N, T=None):
     if T is None:
         return table
     return float(table[T])
-
-
-def _shell_index(T, dims):
-    """T as a tuple of ints, checked against the lattice shape dims."""
-    idx = tuple(int(t) for t in T)
-    if idx != tuple(T) or len(idx) != len(dims) or any(not 0 <= t < d for t, d in zip(idx, dims)):
-        tops = [d - 1 for d in dims]
-        raise ValueError(f"need shell T as {len(dims)} integer block counts in 0..N|b| = {tops}, got T = {T}")
-    return idx
 
 
 def restricted_mass(nu, blocks, N, T):
@@ -452,6 +447,7 @@ def local_clt_value(nu, blocks, N, T):
     nu = np.asarray(nu, dtype=float)
     n = sites_of(nu)
     blocks = check_partition(blocks, n)
+    T = _check_shell(N, blocks, T)
     counts = block_count_table(n, blocks)
     # spin-sum coordinates: M_b = 2 * count_b - |b|
     M = 2.0 * counts - np.array([len(b) for b in blocks])

@@ -34,11 +34,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import CollisionContext, build_transport_kernel, kernel_components
+from .collision import KERNEL_KINDS, CollisionContext, build_transport_kernel, kernel_components
 from .core import check_interaction, check_partition, check_sites
 from .errors import ModelFormatError
-
-KERNEL_KINDS = ("single-site", "mean-field", "blocks", "matrix")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import downup, kac, wildtree
-from .collision import CollisionContext, build_transport_kernel, kernel_components
+from .collision import KERNEL_KINDS, CollisionContext, build_transport_kernel, kernel_components
 from .core import (
     eigen_bounds,
     gibbs,
@@ -48,8 +48,6 @@ from .rng import make_rng
 from .errors import FitError
 
 DEFAULT_SEED = 20260822
-
-KERNEL_FAMILIES = ("single-site", "mean-field", "blocks", "matrix")
 
 
 @dataclass
@@ -127,7 +125,7 @@ def c01_stationarity(seed=DEFAULT_SEED, quick=False):
     worst = 0.0
     for i in range(models):
         n = 1 + i % 4
-        family = KERNEL_FAMILIES[i % len(KERNEL_FAMILIES)]
+        family = KERNEL_KINDS[i % len(KERNEL_KINDS)]
         K = _random_kernel(rng, n, family)
         J = _random_coupling(rng, n, 0.6)
         ctx = CollisionContext(J, K)

@@ -16,6 +16,7 @@ GOLDEN = REPO / "tests" / "data" / "demo-n2-evolve.csv"
 FACTORIZE_GOLDEN = REPO / "tests" / "data" / "downup-factorize-blocks.csv"
 CHAOS_GOLDEN = REPO / "tests" / "data" / "demo-n2-chaos.csv"
 KAC_MLSI_GOLDEN = REPO / "tests" / "data" / "kac-mlsi-demo.csv"
+KAC_GOLDEN = REPO / "tests" / "data" / "kac-demo.csv"
 W14 = "0.3 -0.2 0.5 0.1 -0.4 0.2 0.6 -0.1 0.3 -0.5 0.4 0 -0.3 0.2\n"
 FACTORIZE_ARGS = ["downup", "--blocks-spec", "5:1,5:-1,4:0", "--mode", "factorize",
                   "--trials", "100", "--seed", "3"]
@@ -112,6 +113,20 @@ class TestGolden:
         )
         assert res.returncode == 0, res.stderr
         assert out.read_bytes() == KAC_MLSI_GOLDEN.read_bytes()
+
+    def test_kac_walk_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
+        # the event-driven walk at N = 3 over 50 checkpoints: its blocked
+        # event draws, walk_acceptance bits and occupation sums must keep
+        # their bits (run from the repository root, as the header stores
+        # the model path as given)
+        out = tmp_path / "kac.csv"
+        res = spinkac_cli(
+            ["kac", "--model", DEMO, "--N", "3", "--t-end", "10", "--seed", "5",
+             "--out", str(out)],
+            cwd=REPO, capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert out.read_bytes() == KAC_GOLDEN.read_bytes()
 
     def test_block_factorization_reproduces_golden_bytes(self, tmp_path):
         # three blocks on L = 14 sites (600 states) under a field: every
@@ -408,6 +423,19 @@ class TestSubcommands:
         code = cli.main(["downup", "--L", "4", "--M", "4", "--mode", mode, "--trials", "5"])
         assert code == 0
         assert "min ratio    = inf\n" in capsys.readouterr().out
+
+    def test_downup_names_why_the_bound_does_not_apply(self, tmp_path, capsys):
+        # lambda = 0.6 I has largest eigenvalue 0.6 >= 1/2
+        lam = tmp_path / "lam.txt"
+        lam.write_text("\n".join(" ".join("0.6" if i == j else "0" for j in range(4))
+                                  for i in range(4)) + "\n")
+        out = tmp_path / "du.csv"
+        code = cli.main(["downup", "--L", "4", "--M", "0", "--lambda-matrix", str(lam),
+                         "--trials", "10", "--out", str(out)])
+        assert code == 0
+        assert "constant     = n/a (largest eigenvalue 0.6 >= 1/2)\n" in capsys.readouterr().out
+        meta, _, _ = read_table(out)
+        assert meta["constant"] == "n/a (largest eigenvalue 0.6 >= 1/2)"
 
     def test_downup_cov(self, tmp_path):
         out = tmp_path / "ducov.csv"

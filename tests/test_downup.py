@@ -85,6 +85,12 @@ class TestInstances:
         with pytest.raises(ValueError, match="impossible"):
             du.single_block_instance(2, 6)
 
+    @pytest.mark.parametrize("L, M", [(2, 0.5), (4, 2.9)])
+    def test_fractional_spin_sum_rejected(self, L, M):
+        # int(M) used to build the slice of the truncated spin sum
+        with pytest.raises(ValueError, match=rf"block \(1, .*\): spin sum {M} is not an integer"):
+            du.single_block_instance(L, M)
+
     def test_enumeration_gate(self):
         with pytest.raises(CapacityError):
             du.du_measure(du.single_block_instance(22, 0))

@@ -376,13 +376,28 @@ class TestMasses:
 
     @pytest.mark.parametrize("T", [(-1,), (-2,), (11,), (3, 1), (), (2.5,)])
     def test_shell_outside_the_lattice_raises(self, T):
-        # N = 5 copies of one two-site block: T runs over 0..10; a
-        # negative entry used to wrap around the table
+        # N = 5 copies of one two-site block: T runs over 0..10, and every
+        # entry point that takes a shell rejects the same T the same way
+        # (a negative entry used to wrap around the lattice table, a
+        # fractional one to be truncated)
         nu = np.array([0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(ValueError, match=r"got T = \("):
-            kac.shell_log_mass(nu, ((0, 1),), 5, T)
-        with pytest.raises(ValueError, match=r"got T = \("):
-            kac.restricted_mass(nu, ((0, 1),), 5, T)
+        blocks = ((0, 1),)
+        ctx = mean_field_ctx(np.zeros((2, 2)))
+        entry_points = [
+            lambda: kac.restricted_product_measure(np.log(nu), 5, blocks, T),
+            lambda: kac.multicanonical_measure(np.zeros((2, 2)), None, 5, blocks, T),
+            lambda: kac.initial_state_for_counts(2, blocks, 5, T),
+            lambda: kac.simulate_particles(ctx, 5, T, 1.0, make_rng(64, 6)),
+            lambda: kac.simulate_particles(ctx, 5, T, 1.0, make_rng(64, 6), init=[0] * 5),
+            lambda: kac.shell_log_mass(nu, blocks, 5, T),
+            lambda: kac.restricted_mass(nu, blocks, 5, T),
+            lambda: kac.canonical_marginal(nu, blocks, 5, T, 1),
+            lambda: kac.marginal_tv(nu, blocks, 5, T, 2),
+            lambda: kac.local_clt_value(nu, blocks, 5, T),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match=r"got T = \("):
+                call()
 
     def test_gaussian_prediction_at_large_N(self):
         nu = np.array([0.35, 0.65])
@@ -609,8 +624,22 @@ class TestSimulation:
             kac.simulate_particles(ctx, N, (N,), t_end, make_rng(64, 5))
 
     def test_impossible_counts_rejected(self):
-        with pytest.raises(ValueError, match="impossible"):
+        with pytest.raises(ValueError, match=r"in 0..N\|b\| = \[4\], got T = \(5,\)"):
             kac.initial_state_for_counts(2, ((0, 1),), 2, (5,))
+
+    @pytest.mark.parametrize("T", [(2,), (2, 1, 5)])
+    def test_one_count_per_block_of_the_kernel(self, T):
+        # the two-site single-site kernel has two blocks, so a walk needs
+        # two counts; extra or missing ones used to be dropped or read as 0
+        ctx = CollisionContext(np.zeros((2, 2)), collision.single_site_kernel(2))
+        with pytest.raises(ValueError, match=r"as 2 integer block counts"):
+            kac.simulate_particles(ctx, 3, T, 1.0, make_rng(64, 7))
+
+    def test_fractional_count_with_init_rejected(self):
+        # init holds three plus spins, and T = (3.9,) used to be truncated to 3
+        ctx = mean_field_ctx(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"got T = \(3\.9,\)"):
+            kac.simulate_particles(ctx, 3, (3.9,), 1.0, make_rng(64, 7), init=[3, 1, 0])
 
     def test_occupation_recording_is_gated(self):
         ctx = mean_field_ctx(np.zeros((2, 2)))
