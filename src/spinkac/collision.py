@@ -31,7 +31,10 @@ The product has three routes, chosen by n alone:
                (k, l) is 1 - (block of (l, k))^T. No big table; used
                for n = 8..12 at O(4^(n-1)) memory, where building the
                flux table costs more than the few products a caller
-               takes there.
+               takes there. An integrator's stage
+               (`CollisionContext.square_stage`) keeps its blocks for
+               its own life at n <= KEPT_BLOCKS_N_MAX, so every stage
+               after its first does only the matrix products.
 
 The tests compare every route with the defining sum evaluated by plain
 loops, and check reversibility move by move (`product_reference` and
@@ -46,6 +49,7 @@ tests/test_kac.py).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +68,15 @@ from .errors import CapacityError
 PRODUCT_N_MAX = 12
 TENSOR_N_MAX = 5
 FLUX_N_MAX = 7
+KEPT_BLOCKS_N_MAX = 9
+"""Largest n whose stream-route stage keeps its acceptance blocks, one
+(2^(n-1), 2^(n-1)) block per unordered site pair: 4.7 MB at n = 8 and
+23.6 MB at n = 9 under a mean-field kernel, against one reused block of
+0.13 and 0.52 MB. With one BLAS thread on a 2-CPU x86-64 machine one
+RK4 step went from 10.7 to 5.2 ms at n = 8 and from 42.9 to 11.4 ms at
+n = 9. At n = 10 the blocks would hold 115 MB for under 2x (a 4-step
+`evolve` from 0.98-1.24 s to 0.61 s, peak RSS 38 to 147 MB), so
+n = 10..12 keep one buffer."""
 KERNEL_KINDS = ("single-site", "mean-field", "blocks", "matrix")  # of build_transport_kernel
 
 
@@ -243,7 +256,8 @@ class CollisionContext:
         direction with a nonzero weight (the reversed pair through
         1 - block^T), in O(4^(n-1)) memory; there building the flux
         table would cost more than the few products a caller takes.
-        Larger n raises CapacityError.
+        Larger n raises CapacityError. This method keeps no block from
+        one call to the next; only `square_stage` does.
 
         The square `product(p, p)` forms its pair mass once, in the
         tensor and the flux route, with the same bits as
@@ -259,8 +273,18 @@ class CollisionContext:
         """The map y -> route(y, y) of `product`'s route, chosen once, for
         an integrator that squares many stage vectors of one context; it
         skips only the check, which a stage vector (mass 1, maybe with
-        roundoff-negative entries) may fail."""
+        roundoff-negative entries) may fail.
+
+        On the stream route at n <= KEPT_BLOCKS_N_MAX (n = 8, 9) the
+        stage keeps its acceptance blocks for as long as it lives (one
+        `evolve` call): its first call fills one block per unordered
+        site pair and every later call reuses them, with the bits of
+        `_product_stream(y, y)`. The context keeps none of them; at
+        n = 10..12 each call refills one reused buffer, as `product`
+        does on every route."""
         route = self._route()
+        if FLUX_N_MAX < self.n <= KEPT_BLOCKS_N_MAX:
+            route = functools.partial(self._product_stream, kept=[])
         return lambda y: route(y, y)
 
     def _route(self):
@@ -332,7 +356,31 @@ class CollisionContext:
         out = (0.5 * self.total_weight) * (p * q.sum() + q * p.sum())
         return out - F.sum(axis=0) + np.take_along_axis(F, flip, axis=1).sum(axis=0)
 
-    def _product_stream(self, p, q):
+    def _acceptance_blocks(self, buffer=None):
+        """Yield (l, k, E_lk) for every unordered site pair {l, k}, l <= k,
+        with a nonzero weight in either direction, in row order:
+        E_lk[a, b] = 1 / (1 + exp(2 f_k[b] - 2 f_l[a])), the two cavity
+        fields taken at the configurations with bit l, respectively bit
+        k, clear. Each block is written into `buffer`, one (h, h) array
+        reused across pairs, or into a new array where buffer is None;
+        where exp overflows to inf the reciprocal gives 0, expit's
+        limit."""
+        n = self.n
+        h = 1 << (n - 1)
+        f2 = [2.0 * _halves(self.fields[:, l], l)[0] for l in range(n)]
+        for l in range(n):
+            for k in range(l, n):
+                if self.K[l, k] == 0.0 and self.K[k, l] == 0.0:
+                    continue
+                E = np.empty((h, h)) if buffer is None else buffer
+                np.subtract.outer(f2[k], f2[l], out=E.T)
+                with np.errstate(over="ignore"):
+                    np.exp(E, out=E)
+                E += 1.0
+                np.reciprocal(E, out=E)
+                yield l, k, E
+
+    def _product_stream(self, p, q, kept=None):
         # Where sigma[l] == sigma'[k] the move keeps (sigma, sigma') with
         # acceptance 1/2, so only the two disagreeing quarter blocks move
         # mass, from sigma to sigma ^ (1 << l). The cavity field f_l does
@@ -343,12 +391,11 @@ class CollisionContext:
         # twice the accepted mass leaving sigma (a0, a1) comes from one
         # product of E_lk with four columns. The reversed pair needs no
         # block of its own: E_kl = 1 - E_lk^T, so its product is
-        # colsum - E_lk^T @ columns. One buffer holds E_lk for every
-        # unordered pair {l, k} in turn; where exp overflows to inf the
-        # reciprocal gives 0, expit's limit.
+        # colsum - E_lk^T @ columns. Without `kept`, one buffer holds E_lk
+        # for every unordered pair {l, k} in turn. With it, the first call
+        # fills the list with one block per pair and later calls read them
+        # back, so they skip every exp; the products are the same.
         n = self.n
-        h = 1 << (n - 1)
-        f2 = [2.0 * _halves(self.fields[:, l], l)[0] for l in range(n)]
         cols = [np.column_stack(_halves(p, l) + _halves(q, l)) for l in range(n)]
         sums = [c.sum(axis=0) for c in cols]
         out = (0.5 * self.total_weight) * (p * q.sum() + q * p.sum())
@@ -364,19 +411,16 @@ class CollisionContext:
             out_l[:, 0] += d
             out_l[:, 1] -= d
 
-        E = np.empty((h, h))
-        with np.errstate(over="ignore"):
-            for l in range(n):
-                for k in range(l, n):
-                    w_lk, w_kl = self.K[l, k] / n, self.K[k, l] / n
-                    if w_lk == 0.0 and w_kl == 0.0:
-                        continue
-                    np.subtract.outer(f2[k], f2[l], out=E.T)
-                    np.exp(E, out=E)
-                    E += 1.0
-                    np.reciprocal(E, out=E)
-                    if w_lk > 0.0:
-                        shift(l, k, w_lk, E @ cols[k])
-                    if w_kl > 0.0 and k != l:
-                        shift(k, l, w_kl, sums[l] - E.T @ cols[l])
+        if kept is None:
+            blocks = self._acceptance_blocks(np.empty((1 << (n - 1),) * 2))
+        else:
+            if not kept:
+                kept.extend(self._acceptance_blocks())
+            blocks = kept
+        for l, k, E in blocks:
+            w_lk, w_kl = self.K[l, k] / n, self.K[k, l] / n
+            if w_lk > 0.0:
+                shift(l, k, w_lk, E @ cols[k])
+            if w_kl > 0.0 and k != l:
+                shift(k, l, w_kl, sums[l] - E.T @ cols[l])
         return out

@@ -60,17 +60,23 @@ WALK_BLOCK = 4096  # walk events drawn per generator call
 # -- count shells -------------------------------------------------------
 
 
-def _check_shell(N, blocks, T):
-    """T as a tuple of ints; ValueError unless N >= 1 and T holds one
-    integer count per block, each in 0..N|b|. Every shell in range is
-    nonempty, as the block masks partition the N n bits."""
+def _check_shell(N, blocks, T=None):
+    """(N, T) as an int and a tuple of ints; ValueError unless N is an
+    integer >= 1 and T, where given, holds one integer count per block,
+    each in 0..N|b|. An integral float passes as its int (2.0 as 2).
+    Every shell in range is nonempty, as the block masks partition the
+    N n bits."""
     tops = [N * len(b) for b in blocks]
-    shell = tuple(int(t) for t in T)
-    if N < 1 or shell != tuple(T) or len(shell) != len(tops) or any(
-            not 0 <= t <= top for t, top in zip(shell, tops)):
-        raise ValueError(f"need N >= 1 slots, got N = {N}, and T as {len(tops)} integer "
-                         f"block counts in 0..N|b| = {tops}, got T = {tuple(T)}")
-    return shell
+    shell = None if T is None else tuple(int(t) for t in T)
+    if int(N) != N or N < 1 or shell is not None and (
+            shell != tuple(T) or len(shell) != len(tops)
+            or any(not 0 <= t <= top for t, top in zip(shell, tops))):
+        want = f"need an integer N >= 1, got N = {N}"
+        if T is not None:
+            want += (f", and T as {len(tops)} integer block counts in 0..N|b| = {tops}, "
+                     f"got T = {tuple(T)}")
+        raise ValueError(want)
+    return int(N), shell
 
 
 def canonical_counts(nu, blocks, N):
@@ -89,9 +95,9 @@ def canonical_counts(nu, blocks, N):
 
 
 def admissible_counts(N, blocks):
-    """All shell count tuples with a nonempty shell; N >= 1."""
-    if N < 1:
-        raise ValueError(f"need N >= 1 slots, got N = {N}")
+    """All shell count tuples with a nonempty shell; N an integer >= 1
+    (`_check_shell`)."""
+    N, _ = _check_shell(N, blocks)
     return list(itertools.product(*(range(N * len(b) + 1) for b in blocks)))
 
 
@@ -130,7 +136,7 @@ def restricted_product_measure(single_log_weights, N, blocks, T):
     if N * n > ENUMERATION_GATE:
         raise CapacityError(f"shell enumeration gated at N*n <= {ENUMERATION_GATE}")
     blocks = check_partition(blocks, n)
-    T = _check_shell(N, blocks, T)
+    N, T = _check_shell(N, blocks, T)
     # block b of the combined code: its sites in every slot
     masks = [sum(site_mask(b) << (i * n) for i in range(N)) for b in blocks]
     codes = slice_codes(N * n, masks, T)
@@ -215,8 +221,9 @@ def initial_state_for_counts(n, blocks, N, T):
     """A state on the shell T (`_check_shell`): fill each block's plus
     spins slot by slot."""
     blocks = check_partition(blocks, n)
+    N, T = _check_shell(N, blocks, T)
     state = np.zeros(N, dtype=np.int64)
-    for b, t in zip(blocks, _check_shell(N, blocks, T)):
+    for b, t in zip(blocks, T):
         slots = [(i, l) for i in range(N) for l in b]
         for i, l in slots[:t]:
             state[i] |= 1 << l
@@ -269,7 +276,7 @@ def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False
     (`_check_shell`).
     """
     check_run(N, t_end)
-    T = _check_shell(N, ctx.blocks, T)
+    N, T = _check_shell(N, ctx.blocks, T)
     n = ctx.n
     if init is None:
         state = initial_state_for_counts(n, ctx.blocks, N, T)
@@ -373,10 +380,10 @@ def shell_log_mass(nu, blocks, N, T=None):
     nu = np.asarray(nu, dtype=float)
     n = sites_of(nu)
     blocks = check_partition(blocks, n)
+    if T is not None:
+        N, T = _check_shell(N, blocks, T)
     sizes = [len(b) for b in blocks]
     dims = tuple(N * size + 1 for size in sizes)
-    if T is not None:
-        T = _check_shell(N, blocks, T)
     logq = single_count_logdist(nu, blocks)
     support = [tuple(int(x) for x in c) for c in np.argwhere(np.isfinite(logq))]
     table = np.full(dims, -np.inf)
@@ -443,12 +450,18 @@ def marginal_tv(nu, blocks, N, T, k):
 
 def local_clt_value(nu, blocks, N, T):
     """Gaussian point-mass prediction for the shell probability,
-    including the spacing-2 lattice factor per block."""
+    including the spacing-2 lattice factor per block. ValueError names a
+    block whose count takes one value on the support of nu, so has zero
+    variance and no Gaussian."""
     nu = np.asarray(nu, dtype=float)
     n = sites_of(nu)
     blocks = check_partition(blocks, n)
-    T = _check_shell(N, blocks, T)
+    N, T = _check_shell(N, blocks, T)
     counts = block_count_table(n, blocks)
+    for b, c in zip(blocks, counts[nu > 0].T):
+        if c.min() == c.max():
+            raise ValueError(f"block {tuple(x + 1 for x in b)}: its count is {c[0]} on the "
+                             "support of nu, so it has zero variance and no local CLT")
     # spin-sum coordinates: M_b = 2 * count_b - |b|
     M = 2.0 * counts - np.array([len(b) for b in blocks])
     mean = nu @ M

@@ -17,6 +17,7 @@ FACTORIZE_GOLDEN = REPO / "tests" / "data" / "downup-factorize-blocks.csv"
 CHAOS_GOLDEN = REPO / "tests" / "data" / "demo-n2-chaos.csv"
 KAC_MLSI_GOLDEN = REPO / "tests" / "data" / "kac-mlsi-demo.csv"
 KAC_GOLDEN = REPO / "tests" / "data" / "kac-demo.csv"
+STREAM_GOLDEN = REPO / "tests" / "data" / "m8-evolve.csv"
 W14 = "0.3 -0.2 0.5 0.1 -0.4 0.2 0.6 -0.1 0.3 -0.5 0.4 0 -0.3 0.2\n"
 FACTORIZE_ARGS = ["downup", "--blocks-spec", "5:1,5:-1,4:0", "--mode", "factorize",
                   "--trials", "100", "--seed", "3"]
@@ -85,6 +86,21 @@ class TestGolden:
         )
         assert res.returncode == 0, res.stderr
         assert out.read_bytes() == GOLDEN.read_bytes()
+
+    def test_stream_evolve_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
+        # n = 8 takes the stream route, where every RK4 stage after the
+        # first reads the acceptance blocks kept by its first call; the
+        # golden was written by the one-buffer stream product, so the
+        # kept blocks must give its bits (run from the repository root,
+        # as the header stores the model path as given)
+        out = tmp_path / "evolve-m8.csv"
+        res = spinkac_cli(
+            ["evolve", "--model", "tests/data/m8.model", "--t-end", "0.5", "--dt", "0.05",
+             "--out", str(out)],
+            cwd=REPO, capture_output=True, text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert out.read_bytes() == STREAM_GOLDEN.read_bytes()
 
     def test_chaos_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
         # the two-slot marginal along N = 8..256 reads the count-shell

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,21 +294,55 @@ class TestProduct:
             assert np.array_equal(ctx.product(p, p), ctx.product(p, p.copy()))
             assert np.array_equal(ctx.square_stage()(p), ctx.product(p, p.copy()))
 
-    @pytest.mark.parametrize("n", [2, 5, 6, 8])
+    @pytest.mark.parametrize("n", [2, 5, 6, 8, 9, collision.KEPT_BLOCKS_N_MAX + 1])
     def test_square_stage_is_the_routed_square(self, n):
         # the integrator's stage, its route bound once, has the bits of
         # that route's method: tensor at n = 2, 5, flux at n = 6, stream
-        # at n = 8; y is a stage vector of mass 1 with one roundoff-negative
-        # entry
-        route = {2: "_product_tensor", 5: "_product_tensor", 6: "_product_flux", 8: "_product_stream"}[n]
+        # at n = 8, 9, 10; y is a stage vector of mass 1 with one
+        # roundoff-negative entry. At n = 8, 9 calls after a stage's first
+        # read the acceptance blocks it kept; above the gate every call
+        # refills one buffer. A second stage of the context has the same
+        # bits, and the context keeps nothing of either stage beyond the
+        # table its route builds once (tensor and flux).
+        route = "_product_tensor" if n <= 5 else "_product_flux" if n == 6 else "_product_stream"
         rng = np.random.default_rng(35)
         ctx = CollisionContext(random_symmetric(rng, n, 0.2), collision.mean_field_kernel(n))
-        stage = ctx.square_stage()
-        for _ in range(3):
-            y = random_density(rng, n)
-            y[1] += y[0] + 1e-14
-            y[0] = -1e-14
-            assert np.array_equal(stage(y), getattr(ctx, route)(y, y))
+        ys = rng.dirichlet(np.full(1 << n, 1.5), size=3)
+        ys[:, 1] += ys[:, 0] + 1e-14
+        ys[:, 0] = -1e-14
+        wants = [getattr(ctx, route)(y, y) for y in ys]
+        before = dict(vars(ctx))
+        stage, again = ctx.square_stage(), ctx.square_stage()
+        for y, want in zip(ys, wants):
+            assert np.array_equal(stage(y), want)
+            assert np.array_equal(again(y), want)
+        assert vars(ctx).keys() == before.keys()
+        assert all(vars(ctx)[key] is value for key, value in before.items())
+
+    @pytest.mark.parametrize("n, keeps", [(8, True), (9, True), (10, False)])
+    def test_stage_keeps_blocks_up_to_the_gate(self, n, keeps):
+        # a stream stage at n = 8, 9 holds one (2^(n-1), 2^(n-1)) block per
+        # unordered site pair between its calls (n (n + 1) / 2 pairs under
+        # a mean-field kernel), and frees them with the stage; at n = 10,
+        # where they would hold 115 MB, it holds less than one block
+        rng = np.random.default_rng(36)
+        ctx = CollisionContext(random_symmetric(rng, n, 0.2), collision.mean_field_kernel(n))
+        y = random_density(rng, n)
+        block = 8 << 2 * (n - 1)
+        tracemalloc.start()
+        try:
+            stage = ctx.square_stage()
+            stage(y)
+            held, _ = tracemalloc.get_traced_memory()
+            del stage
+            freed, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if keeps:
+            assert held >= n * (n + 1) // 2 * block
+            assert freed < block
+        else:
+            assert held < block
 
     def test_commutative(self):
         rng = np.random.default_rng(25)

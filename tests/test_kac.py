@@ -95,6 +95,19 @@ class TestShells:
         with pytest.raises(ValueError, match=f"N = {N}"):
             kac.admissible_counts(N, ((0,),))
 
+    def test_slot_count_is_an_integer(self):
+        # N takes the rule of T's entries: an integral float passes as its
+        # int and a fractional one gets the shell's one ValueError
+        want = kac.restricted_product_measure(np.zeros(2), 2, ((0,),), (1,))
+        got = kac.restricted_product_measure(np.zeros(2), 2.0, ((0,),), (1,))
+        assert got.N == 2 and np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.probs, want.probs)
+        assert kac.admissible_counts(2.0, ((0,),)) == kac.admissible_counts(2, ((0,),))
+        with pytest.raises(ValueError, match=r"need an integer N >= 1, got N = 2\.5, and T"):
+            kac.restricted_product_measure(np.zeros(2), 2.5, ((0,),), (1,))
+        with pytest.raises(ValueError, match=r"need an integer N >= 1, got N = 2\.5$"):
+            kac.admissible_counts(2.5, ((0,),))
+
 
 class TestMulticanonical:
     def test_free_shell_is_uniform(self):
@@ -102,7 +115,7 @@ class TestMulticanonical:
         assert np.abs(m.probs - 1.0 / m.codes.size).max() < 1e-14
 
     def test_shell_needs_a_slot(self):
-        with pytest.raises(ValueError, match="need N >= 1 slots, got N = 0"):
+        with pytest.raises(ValueError, match="need an integer N >= 1, got N = 0"):
             kac.restricted_product_measure(np.zeros(2), 0, ((0,),), (0,))
 
     def test_two_slot_single_site_shell(self):
@@ -398,6 +411,16 @@ class TestMasses:
         for call in entry_points:
             with pytest.raises(ValueError, match=r"got T = \("):
                 call()
+
+    def test_degenerate_block_count_is_named(self):
+        # nu charges one configuration only, so block (1,)'s count has
+        # zero variance: no Gaussian, and no Cholesky error from numpy
+        with pytest.raises(ValueError, match=r"block \(1,\): its count is 0 on the support"):
+            kac.local_clt_value(np.array([1.0, 0.0]), ((0,),), 10, (0,))
+        # only the second block is pinned (site 2 is + wherever nu > 0)
+        nu = np.array([0.0, 0.0, 0.4, 0.6])
+        with pytest.raises(ValueError, match=r"block \(2,\): its count is 1"):
+            kac.local_clt_value(nu, ((0,), (1,)), 10, (4, 10))
 
     def test_gaussian_prediction_at_large_N(self):
         nu = np.array([0.35, 0.65])
