@@ -358,7 +358,7 @@ class CollisionContext:
 
     def _acceptance_blocks(self, buffer=None):
         """Yield (l, k, E_lk) for every unordered site pair {l, k}, l <= k,
-        with a nonzero weight in either direction, in row order:
+        with a nonzero weight in either direction, l-major:
         E_lk[a, b] = 1 / (1 + exp(2 f_k[b] - 2 f_l[a])), the two cavity
         fields taken at the configurations with bit l, respectively bit
         k, clear. Each block is written into `buffer`, one (h, h) array
