@@ -50,18 +50,6 @@ def package_python():
     return run
 
 
-@pytest.fixture
-def spinkac_cli(package_python):
-    """Run the CLI entry module, ``python -m spinkac.cli``, in a child
-    process. ``build_parser`` fixes ``prog="spinkac"``, so output and error
-    prefixes match the installed command."""
-
-    def run(args, **kwargs):
-        return package_python(["-m", "spinkac.cli", *args], **kwargs)
-
-    return run
-
-
 @pytest.fixture(scope="session")
 def quick_suite_runs(package_python, tmp_path_factory):
     """``verify-all --quick --out`` run twice per test session, once

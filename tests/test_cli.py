@@ -1,6 +1,5 @@
 """Command-line interface and result tables."""
 
-import platform
 import sys
 from pathlib import Path
 
@@ -12,25 +11,6 @@ from spinkac.report import ResultTable, format_value
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = "tests/data/demo-n2.model"
-GOLDEN = REPO / "tests" / "data" / "demo-n2-evolve.csv"
-FACTORIZE_GOLDEN = REPO / "tests" / "data" / "downup-factorize-blocks.csv"
-CHAOS_GOLDEN = REPO / "tests" / "data" / "demo-n2-chaos.csv"
-KAC_MLSI_GOLDEN = REPO / "tests" / "data" / "kac-mlsi-demo.csv"
-KAC_GOLDEN = REPO / "tests" / "data" / "kac-demo.csv"
-STREAM_GOLDEN = REPO / "tests" / "data" / "m8-evolve.csv"
-W14 = "0.3 -0.2 0.5 0.1 -0.4 0.2 0.6 -0.1 0.3 -0.5 0.4 0 -0.3 0.2\n"
-FACTORIZE_ARGS = ["downup", "--blocks-spec", "5:1,5:-1,4:0", "--mode", "factorize",
-                  "--trials", "100", "--seed", "3"]
-
-
-def cpu_flags():
-    """The flags of the first CPU in /proc/cpuinfo; empty where there is none."""
-    try:
-        text = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return set()
-    return next((set(line.split(":", 1)[1].split()) for line in text.splitlines()
-                 if line.startswith("flags")), set())
 
 
 def free_model(tmp_path):
@@ -72,105 +52,6 @@ def read_table(path):
         raise ValueError(f"{path}: no column header")
     data = np.array(rows) if rows else np.zeros((0, len(columns)))
     return meta, columns, data
-
-
-class TestGolden:
-    def test_evolve_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
-        # the golden header stores the model path as given, so run from
-        # the repository root
-        out = tmp_path / "evolve.csv"
-        res = spinkac_cli(
-            ["evolve", "--model", DEMO, "--t-end", "2", "--dt", "0.01",
-             "--out", str(out)],
-            cwd=REPO, capture_output=True, text=True,
-        )
-        assert res.returncode == 0, res.stderr
-        assert out.read_bytes() == GOLDEN.read_bytes()
-
-    def test_stream_evolve_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
-        # n = 8 takes the stream route, where every RK4 stage after the
-        # first reads the acceptance blocks kept by its first call; the
-        # golden was written by the one-buffer stream product, so the
-        # kept blocks must give its bits (run from the repository root,
-        # as the header stores the model path as given)
-        out = tmp_path / "evolve-m8.csv"
-        res = spinkac_cli(
-            ["evolve", "--model", "tests/data/m8.model", "--t-end", "0.5", "--dt", "0.05",
-             "--out", str(out)],
-            cwd=REPO, capture_output=True, text=True,
-        )
-        assert res.returncode == 0, res.stderr
-        assert out.read_bytes() == STREAM_GOLDEN.read_bytes()
-
-    def test_chaos_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
-        # the two-slot marginal along N = 8..256 reads the count-shell
-        # convolution at every N, with T given and with T None; the table
-        # and its slope must keep their bits (run from the repository
-        # root, as the header stores the model path as given)
-        out = tmp_path / "chaos.csv"
-        res = spinkac_cli(
-            ["chaos", "--model", DEMO, "--k", "2", "--N-grid", "8,16,32,64,128,256",
-             "--out", str(out)],
-            cwd=REPO, capture_output=True, text=True,
-        )
-        assert res.returncode == 0, res.stderr
-        assert out.read_bytes() == CHAOS_GOLDEN.read_bytes()
-
-    def test_kac_mlsi_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
-        # the shell scans at N = 2, 3 at full precision: the one-state
-        # shells (scans of inf over 0 samples) draw no test function, so
-        # the shells after them keep their draws (run from the repository
-        # root, as the header stores the model path as given)
-        out = tmp_path / "kac-mlsi.csv"
-        res = spinkac_cli(
-            ["kac-mlsi", "--model", DEMO, "--N", "2,3", "--trials", "40", "--seed", "5",
-             "--out", str(out)],
-            cwd=REPO, capture_output=True, text=True,
-        )
-        assert res.returncode == 0, res.stderr
-        assert out.read_bytes() == KAC_MLSI_GOLDEN.read_bytes()
-
-    def test_kac_walk_reproduces_golden_bytes(self, tmp_path, spinkac_cli):
-        # the event-driven walk at N = 3 over 50 checkpoints: its blocked
-        # event draws, walk_acceptance bits and occupation sums must keep
-        # their bits (run from the repository root, as the header stores
-        # the model path as given)
-        out = tmp_path / "kac.csv"
-        res = spinkac_cli(
-            ["kac", "--model", DEMO, "--N", "3", "--t-end", "10", "--seed", "5",
-             "--out", str(out)],
-            cwd=REPO, capture_output=True, text=True,
-        )
-        assert res.returncode == 0, res.stderr
-        assert out.read_bytes() == KAC_GOLDEN.read_bytes()
-
-    def test_block_factorization_reproduces_golden_bytes(self, tmp_path):
-        # three blocks on L = 14 sites (600 states) under a field: every
-        # block conditional has its own mass, so the table pins the
-        # grouped conditional entropies bit for bit
-        w = tmp_path / "w14.txt"
-        w.write_text(W14)
-        out = tmp_path / "fb.csv"
-        code = cli.main([*FACTORIZE_ARGS, "--w", str(w), "--out", str(out)])
-        assert code == 0
-        assert out.read_bytes() == FACTORIZE_GOLDEN.read_bytes()
-
-    @pytest.mark.parametrize("coretype, flag", [("Haswell", "avx2"), ("SandyBridge", "avx")])
-    def test_block_factorization_golden_holds_on_other_kernels(self, tmp_path, spinkac_cli,
-                                                               coretype, flag):
-        # OPENBLAS_CORETYPE makes the child's OpenBLAS use the kernels it
-        # would pick on another x86 CPU; the factorization path calls no
-        # BLAS routine, so its table keeps its bytes on every kernel
-        if platform.machine() not in ("x86_64", "AMD64") or flag not in cpu_flags():
-            pytest.skip(f"the {coretype} kernels need an x86-64 CPU with {flag}")
-        w = tmp_path / "w14.txt"
-        w.write_text(W14)
-        out = tmp_path / "fb.csv"
-        res = spinkac_cli([*FACTORIZE_ARGS, "--w", str(w), "--out", str(out)],
-                          extra_env={"OPENBLAS_CORETYPE": coretype},
-                          capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
-        assert out.read_bytes() == FACTORIZE_GOLDEN.read_bytes()
 
 
 class TestExitCodes:

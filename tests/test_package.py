@@ -38,8 +38,8 @@ def test_quick_suite_loads_no_scipy(quick_suite_runs):
     # core.LANCZOS_STATES, and no chain of the quick suite is that large.
     # The second quick-suite run calls spinkac.cli.main in a fresh
     # interpreter with SciPy blocked, so it exits 0 only if no criterion
-    # imports it; test_criterion_13_reproducibility compares its bytes
-    # with the goldens. Its last stderr line lists the SciPy modules loaded.
+    # imports it; the golden registry compares its bytes with the
+    # goldens. Its last stderr line lists the SciPy modules loaded.
     assert quick_suite_runs[1]["stderr"].splitlines()[-1] == b"[]"
 
 
