@@ -251,8 +251,9 @@ def _check_init(init, n, blocks, N, T):
 
 
 def check_run(N, t_end):
-    """ValueError unless a particle run has N >= 1 slots and t_end >= 0."""
-    if N < 1 or t_end < 0:
+    """ValueError unless a particle run has N >= 1 slots and a finite
+    t_end >= 0; an infinite or nan horizon would never end the walk."""
+    if N < 1 or not 0 <= t_end < math.inf:
         raise ValueError(f"need N >= 1 and t_end >= 0, got N = {N} and t_end = {t_end}")
 
 
@@ -272,8 +273,8 @@ def simulate_particles(ctx, N, T, t_end, rng, init=None, record_occupation=False
     Site pairs stay inside one irreducible block of K (ctx.blocks are
     K's components), which conserves the shell counts. A given `init`
     must hold N configurations with block counts T, else ValueError, as
-    N < 1 and t_end < 0 are (`check_run`) and a T off the count lattice
-    (`_check_shell`).
+    N < 1, a negative or non-finite t_end (`check_run`) and a T off the
+    count lattice (`_check_shell`) are.
     """
     check_run(N, t_end)
     N, T = _check_shell(N, ctx.blocks, T)

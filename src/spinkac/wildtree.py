@@ -6,10 +6,14 @@ alive at t, of the leafwise collision product of the initial density
 (the Wild sum). A tree is a nested tuple: a leaf is ``()`` and a split
 node is ``(child0, child1)``, collapsed as ``child0 o child1``, so the
 leaves read left to right. Every leaf carries the same initial density.
-Trees collapse through one evaluator, `tree_evaluator`, that keeps, for
-the length of one call, the value of every subtree it has met, keyed by
-the nested tuple; small subtrees recur across the trees of a Monte Carlo
-sum, so each distinct one is multiplied out once.
+`sample_trees` draws the trees of a Monte Carlo sum from blocks of
+exponential waits and decodes them with one explicit stack, node by
+node in the order of one scalar draw per node, then rewinds the stream
+to exactly where those scalar draws would leave it. Trees collapse
+through one evaluator, `tree_evaluator`, that keeps, for the length of
+one call, the value of every subtree it has met, keyed by the nested
+tuple; small subtrees recur across the trees of a Monte Carlo sum, so
+each distinct one is multiplied out once.
 
 The zero-coupling flow additionally admits a dual description by a
 marked partition process: a fragment ``(A, mark)`` carries a site set A
@@ -37,34 +41,64 @@ MAX_LEAVES = 1 << 20
 MAX_STEPS = 100_000
 MEMO_ENTRIES = 1 << 16
 BATCH_FRAGMENTS = 1 << 14
+DRAW_BLOCK = 1 << 12
 
 
-def sample_tree(t, rng):
-    """Draw the branching tree alive at time t, as a nested tuple.
+def sample_trees(t, count, rng):
+    """Draw `count` branching trees alive at time t, one after another
+    from rng, as an iterator of (tree, leaf count) pairs.
 
-    Nodes draw their split times in pre-order, child 1 before child 0.
+    Every node draws an exponential waiting time to its split, in
+    pre-order, child 1 before child 0. The waits come from blocks of
+    DRAW_BLOCK `rng.exponential` draws, the same values one scalar call
+    per node would return, and one explicit stack decodes them into
+    trees, so a deep tree reaches the MAX_LEAVES gate (CapacityError)
+    rather than the recursion limit. The stream state is kept before
+    each block; before the last tree is handed out, the stream is set
+    back to it and the last block drawn again up to the draws the trees
+    used, so rng ends exactly where per-node draws would leave it, also
+    after a one-tree call read with next().
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    leaves = 1
-
-    def grow(birth):
-        nonlocal leaves
-        split_at = birth + rng.exponential()
-        if split_at > t:
-            return ()
-        leaves += 1
-        if leaves > MAX_LEAVES:
-            raise CapacityError(f"tree exceeded {MAX_LEAVES} leaves at t = {t}")
-        child1 = grow(split_at)
-        child0 = grow(split_at)
-        return (child0, child1)
-
-    return grow(0.0)
+    if not math.isfinite(t) or t < 0:
+        raise ValueError(f"time must be finite and nonnegative, got t = {t}")
+    return _grow_trees(float(t), count, rng)
 
 
-def _leaves(tree):
-    return _leaves(tree[0]) + _leaves(tree[1]) if tree else 1
+def _grow_trees(t, count, rng):
+    made = used = drawn = 0  # trees made, draws they took, draws before this block
+    leaves, birth = 1, 0.0
+    # one entry per split node on the path from the root: its split time
+    # while its child 1 grows, then child 1 while its child 0 grows
+    stack = []
+    while made < count:
+        state = rng.bit_generator.state
+        draws = rng.exponential(size=DRAW_BLOCK).tolist()
+        for wait in draws:
+            split_at = birth + wait
+            if split_at <= t:
+                leaves += 1
+                if leaves > MAX_LEAVES:
+                    raise CapacityError(f"tree exceeded {MAX_LEAVES} leaves at t = {t}")
+                stack.append(split_at)
+                birth = split_at
+                continue
+            node = ()
+            while stack and type(stack[-1]) is tuple:
+                node = (node, stack.pop())
+            if stack:
+                birth = stack[-1]
+                stack[-1] = node
+                continue
+            made += 1
+            used += 2 * leaves - 1  # one draw per node
+            if made == count:
+                rng.bit_generator.state = state
+                rng.exponential(size=used - drawn)
+                yield node, leaves
+                return
+            yield node, leaves
+            leaves, birth = 1, 0.0
+        drawn += len(draws)
 
 
 def tree_evaluator(ctx, p):
@@ -77,21 +111,23 @@ def tree_evaluator(ctx, p):
     ordered, so no symmetry of the product is assumed. Past
     MEMO_ENTRIES values it starts afresh: at long horizons most large
     subtrees are distinct, and the restart bounds the memory without
-    changing any value.
+    changing any value. The memo is reachable from the returned
+    function alone, with no reference cycle, so it is freed with that
+    function rather than at a later garbage collection.
     """
     memo = {(): p}
+    return lambda node: _collapse(ctx, p, memo, node)
 
-    def value(node):
-        val = memo.get(node)
-        if val is None:
-            val = ctx.product(value(node[0]), value(node[1]))
-            if len(memo) >= MEMO_ENTRIES:
-                memo.clear()
-                memo[()] = p
-            memo[node] = val
-        return val
 
-    return value
+def _collapse(ctx, p, memo, node):
+    val = memo.get(node)
+    if val is None:
+        val = ctx.product(_collapse(ctx, p, memo, node[0]), _collapse(ctx, p, memo, node[1]))
+        if len(memo) >= MEMO_ENTRIES:
+            memo.clear()
+            memo[()] = p
+        memo[node] = val
+    return val
 
 
 def discrete_iterate(ctx, p, k):
@@ -135,22 +171,27 @@ class Moments:
 
 def mc_solution(ctx, p0, t, samples, rng):
     """Monte Carlo solution of the flow at time t by tree averaging; p0
-    is checked on entry, since at t = 0 no product checks it."""
+    is checked on entry, since at t = 0 no product checks it.
+
+    The trees come from `sample_trees`, so rng ends where one draw per
+    node leaves it. Each tree's value, read from the evaluator, updates
+    the running mean and m2 component by component in Python floats,
+    with the operations numpy's elementwise Welford update applies.
+    """
     if samples < 1:
         raise ValueError("need at least one sample")
     p0 = check_probvec(p0, ctx.n)
-    mean = np.zeros(1 << ctx.n)
-    m2 = np.zeros(1 << ctx.n)
-    leaves = 0
+    mean = [0.0] * p0.size
+    m2 = [0.0] * p0.size
+    total = 0
     value = tree_evaluator(ctx, p0)
-    for i in range(1, samples + 1):
-        tree = sample_tree(t, rng)
-        val = value(tree)
-        delta = val - mean
-        mean += delta / i
-        m2 += delta * (val - mean)
-        leaves += _leaves(tree)
-    return Moments(mean, m2, samples, leaves)
+    for i, (tree, leaves) in enumerate(sample_trees(t, samples, rng), 1):
+        total += leaves
+        for s, v in enumerate(value(tree).tolist()):
+            delta = v - mean[s]
+            mean[s] += delta / i
+            m2[s] += delta * (v - mean[s])
+    return Moments(np.array(mean), np.array(m2), samples, total)
 
 
 # -- marked partition process -------------------------------------------

@@ -84,6 +84,31 @@ class TestExitCodes:
         assert said in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_end", ["nan", "inf"])
+    def test_kac_needs_a_finite_horizon(self, tmp_path, package_python, t_end):
+        # a walk to an endless horizon never returns, so the CLI runs in
+        # a child that a timeout ends
+        out = tmp_path / "k.csv"
+        res = package_python(["-m", "spinkac.cli", "kac", "--model", DEMO, "--N", "3",
+                              "--t-end", t_end, "--seed", "5", "--out", str(out)],
+                             cwd=REPO, capture_output=True, timeout=60)
+        assert res.returncode == 1
+        err = res.stderr.decode()
+        assert err.startswith("spinkac: error:")
+        assert f"t_end = {t_end}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
+    def test_tree_needs_a_finite_time(self, tmp_path, capsys, t):
+        out = tmp_path / "t.csv"
+        code = cli.main(["tree", "--model", str(REPO / DEMO), "--t", t, "--samples", "3",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spinkac: error:")
+        assert f"got t = {float(t)}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, said", [
         (["chaos", "--k", "0"], "got k = 0 and N = 8"),
         (["chaos", "--k", "3", "--N-grid", "2,4"], "got k = 3 and N = 2"),

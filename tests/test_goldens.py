@@ -58,6 +58,11 @@ ROWS = {
         ("downup", "--blocks-spec", "5:1,5:-1,4:0", "--w", "tests/data/w14.field",
          "--mode", "factorize", "--trials", "100", "--seed", "3"),
         "downup-factorize-blocks.csv", None, ("default", "Haswell", "SandyBridge")),
+    # written by the sampler that drew one scalar exponential per node
+    "tree": Golden(
+        ("tree", "--model", "tests/data/demo-n2.model", "--t", "0.5", "--samples", "2000",
+         "--seed", "4"),
+        "demo-n2-tree.csv", None, ("default", "Haswell", "numpy-baseline")),
     # read from the two runs of the quick_suite_runs fixture, not run again
     "quick": Golden(
         ("verify-all", "--quick"),

@@ -646,6 +646,15 @@ class TestSimulation:
         with pytest.raises(ValueError, match="need N >= 1 and t_end >= 0"):
             kac.simulate_particles(ctx, N, (N,), t_end, make_rng(64, 5))
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_horizon_must_be_finite(self, t_end):
+        # simulate_particles would run forever on these, so the check
+        # is called alone
+        said = f"need N >= 1 and t_end >= 0, got N = 3 and t_end = {t_end}"
+        with pytest.raises(ValueError, match=said):
+            kac.check_run(3, t_end)
+        kac.check_run(3, 0.0)
+
     def test_impossible_counts_rejected(self):
         with pytest.raises(ValueError, match=r"in 0..N\|b\| = \[4\], got T = \(5,\)"):
             kac.initial_state_for_counts(2, ((0, 1),), 2, (5,))

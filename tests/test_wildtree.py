@@ -1,6 +1,7 @@
 """Branching trees, tree evaluation and the marked-partition sampler."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,20 +24,44 @@ def leaf_count(tree):
     return leaf_count(tree[0]) + leaf_count(tree[1]) if tree else 1
 
 
+def recursive_tree(t, rng):
+    """The reference sampler: one scalar draw per node, taken by a
+    recursive walk in pre-order, child 1 before child 0. Returns
+    (tree, leaf count)."""
+    leaves = 1
+
+    def grow(birth):
+        nonlocal leaves
+        split_at = birth + rng.exponential()
+        if split_at > t:
+            return ()
+        leaves += 1
+        if leaves > wildtree.MAX_LEAVES:
+            raise CapacityError(f"tree exceeded {wildtree.MAX_LEAVES} leaves at t = {t}")
+        child1 = grow(split_at)
+        child0 = grow(split_at)
+        return (child0, child1)
+
+    return grow(0.0), leaves
+
+
+def recursive_draws(t, count, rng):
+    """`count` reference (tree, leaves) pairs and the draws they took."""
+    pairs = [recursive_tree(t, rng) for _ in range(count)]
+    return pairs, sum(2 * leaves - 1 for _, leaves in pairs)
+
+
 class TestTrees:
     def test_zero_time_is_root_only(self):
-        assert wildtree.sample_tree(0.0, make_rng(51, 0)) == ()
+        assert list(wildtree.sample_trees(0.0, 3, make_rng(51, 0))) == [((), 1)] * 3
 
     def test_growth_statistics(self):
         # leaf count grows like e^t; the root survives with chance e^{-t}
-        rng = make_rng(51, 1)
         runs = 100000
-        leaves = np.empty(runs)
-        unsplit = 0
-        for i in range(runs):
-            tree = wildtree.sample_tree(1.0, rng)
-            leaves[i] = leaf_count(tree)
-            unsplit += tree == ()
+        pairs = list(wildtree.sample_trees(1.0, runs, make_rng(51, 1)))
+        leaves = np.array([n for _, n in pairs], dtype=float)
+        unsplit = sum(tree == () for tree, _ in pairs)
+        assert all(n == leaf_count(tree) for tree, n in pairs)
         se = leaves.std() / math.sqrt(runs)
         assert abs(leaves.mean() - math.e) <= 3 * se
         frac = unsplit / runs
@@ -47,7 +72,7 @@ class TestTrees:
         # nodes draw their split times in pre-order, child 1 before
         # child 0; these shapes fix that order on one stream
         rng = make_rng(51, 2)
-        got = [wildtree.sample_tree(1.2, rng) for _ in range(6)]
+        got = [tree for tree, _ in wildtree.sample_trees(1.2, 6, rng)]
         assert got == [
             (),
             (((), ((), ())), ((((), ()), ((), ())), ())),
@@ -57,12 +82,62 @@ class TestTrees:
             ((((), ((), ())), ()), ()),
         ]
 
+    @pytest.mark.parametrize("block", [1, 3, wildtree.DRAW_BLOCK])
+    @pytest.mark.parametrize("t", [0.0, 1.2])
+    def test_decoder_matches_the_recursive_sampler(self, monkeypatch, block, t):
+        # blocks of 1 and 3 draws put block boundaries inside trees
+        monkeypatch.setattr(wildtree, "DRAW_BLOCK", block)
+        rng, ref = make_rng(51, 4), make_rng(51, 4)
+        got = list(wildtree.sample_trees(t, 200, rng))
+        want, _ = recursive_draws(t, 200, ref)
+        assert got == want
+        assert rng.random() == ref.random()
+
+    def test_tree_counts_that_end_on_a_block_boundary(self, monkeypatch):
+        # with 3-draw blocks, a count whose trees take a multiple of 3
+        # draws ends on the last draw of a block
+        monkeypatch.setattr(wildtree, "DRAW_BLOCK", 3)
+        boundaries = 0
+        for count in range(1, 40):
+            rng, ref = make_rng(51, 5), make_rng(51, 5)
+            got = list(wildtree.sample_trees(1.2, count, rng))
+            want, draws = recursive_draws(1.2, count, ref)
+            assert got == want
+            assert rng.random() == ref.random()
+            boundaries += draws % 3 == 0
+        assert boundaries >= 5
+
+    def test_single_trees_keep_the_stream(self):
+        # the stream is rewound before the last tree is handed out, so
+        # one-tree calls taken with next() draw consecutive trees
+        rng, ref = make_rng(51, 6), make_rng(51, 6)
+        assert [next(wildtree.sample_trees(1.2, 1, rng)) for _ in range(50)] == \
+            [recursive_tree(1.2, ref) for _ in range(50)]
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        rng = make_rng(51, 7)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            wildtree.sample_trees(t, 3, rng)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            wildtree.mc_solution(free_ctx(2), np.full(4, 0.25), t, 3, rng)
+
+    def test_deep_tree_meets_the_leaf_cap(self, monkeypatch):
+        # at t = 5,000 nearly every node splits, so the tree grows a
+        # spine deeper than the recursion limit before 2,000 leaves;
+        # the explicit stack reaches the leaf cap instead
+        monkeypatch.setattr(wildtree, "MAX_LEAVES", 2000)
+        with pytest.raises(CapacityError, match="2000 leaves"):
+            list(wildtree.sample_trees(5000.0, 1, make_rng(51, 8)))
+        with pytest.raises(RecursionError):
+            recursive_tree(5000.0, make_rng(51, 8))
+
     def test_leaf_cap(self, monkeypatch):
         monkeypatch.setattr(wildtree, "MAX_LEAVES", 4)
         rng = make_rng(51, 3)
         with pytest.raises(CapacityError, match="4 leaves"):
-            for _ in range(1000):
-                wildtree.sample_tree(3.0, rng)
+            list(wildtree.sample_trees(3.0, 1000, rng))
 
 
 class TestEvalTree:
@@ -83,6 +158,16 @@ class TestEvalTree:
         got = wildtree.tree_evaluator(ctx, p)(((((), ()), ()), ()))
         want = ctx.product(ctx.product(ctx.product(p, p), p), p)
         assert np.array_equal(got, want)
+
+    def test_memo_goes_with_the_evaluator(self):
+        # no reference cycle holds the evaluator, so its memo is freed
+        # when the last reference goes, not at a later collection
+        ctx = free_ctx(2)
+        value = wildtree.tree_evaluator(ctx, random_density(make_rng(52, 3), 2))
+        value((((), ()), ()))
+        dead = weakref.ref(value)
+        del value
+        assert dead() is None
 
     def test_discrete_iterate(self):
         ctx = CollisionContext(np.full((2, 2), 0.1), collision.mean_field_kernel(2))
@@ -134,8 +219,9 @@ class TestMCSolution:
         assert sol.samples == 10000
 
     def test_memo_matches_a_plain_loop(self):
-        # the same trees from the same stream, collapsed without the
-        # memo and averaged by Welford's update, give the same bytes
+        # the same trees from the recursive sampler on the same stream,
+        # collapsed without the memo and averaged by numpy's Welford
+        # update, give the same bytes
         J = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.05], [0.1, 0.05, 0.0]])
         ctx = CollisionContext(J, collision.mean_field_kernel(3))
         p0 = random_density(make_rng(53, 7), 3)
@@ -149,12 +235,25 @@ class TestMCSolution:
         mean = np.zeros(8)
         m2 = np.zeros(8)
         for i in range(1, samples + 1):
-            val = plain(wildtree.sample_tree(1.2, rng))
+            val = plain(recursive_tree(1.2, rng)[0])
             delta = val - mean
             mean += delta / i
             m2 += delta * (val - mean)
         assert np.array_equal(sol.mean, mean)
         assert np.array_equal(sol.m2, m2)
+
+    @pytest.mark.parametrize("block", [1, 3, wildtree.DRAW_BLOCK])
+    def test_stream_ends_where_the_recursive_sampler_leaves_it(self, monkeypatch, block):
+        # criterion 7 draws its n = 3 instance after the n = 2 sum, and
+        # criterion 13 its scan after the tree sum, from the same stream
+        monkeypatch.setattr(wildtree, "DRAW_BLOCK", block)
+        ctx = free_ctx(2)
+        p0 = random_density(make_rng(53, 13), 2)
+        rng, ref = make_rng(53, 14), make_rng(53, 14)
+        sol = wildtree.mc_solution(ctx, p0, 1.0, 300, rng)
+        want, _ = recursive_draws(1.0, 300, ref)
+        assert sol.leaves == sum(leaves for _, leaves in want)
+        assert rng.random() == ref.random()
 
     def test_product_runs_once_per_distinct_subtree(self, monkeypatch):
         ctx = free_ctx(3)
@@ -176,8 +275,8 @@ class TestMCSolution:
                 walk(node[1])
 
         rng = make_rng(53, 10)
-        for _ in range(500):
-            walk(wildtree.sample_tree(1.5, rng))
+        for tree, _ in wildtree.sample_trees(1.5, 500, rng):
+            walk(tree)
         assert len(calls) == len(distinct)
         assert len(distinct) < splits / 4
 
