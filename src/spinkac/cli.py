@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import downup, kac, verify, wildtree
-from .core import check_block_field, gibbs, relative_entropy, spins_of, tv_distance, weak_coupling
+from .core import check_block_field, gibbs, spins_of, weak_coupling
 from .dynamics import dissipation_at, evolve, nonlinear_mlsi_scan
 from .errors import ConvergenceError, FitError
 from .modelio import load_matrix, load_vector, parse_model
@@ -70,10 +70,11 @@ def cmd_evolve(args):
     table.add_meta("t_end", format(args.t_end, ".17g"))
     table.add_meta("dt", format(args.dt, ".17g"))
     spins = ctx.spins
-    dissipations = dissipation_at(ctx, traj.states, traj.mu_eq)
-    for t, p, diss in zip(traj.times, traj.states, dissipations):
+    columns = (traj.times, traj.states, traj.entropies(),
+               dissipation_at(ctx, traj.states, traj.mu_eq), traj.tv_to_equilibrium())
+    for t, p, h_rel, diss, tv in zip(*columns):
         means = p @ spins
-        row = [t, relative_entropy(p, traj.mu_eq), diss, tv_distance(p, traj.mu_eq)]
+        row = [t, h_rel, diss, tv]
         row += [float(np.mean(means[list(b)])) for b in ctx.blocks]
         row += [abs(float(np.sum(p)) - 1.0)]
         table.append(*row)

@@ -188,6 +188,53 @@ def walk_acceptance(fields, logw, l, k, si, sj, same_slot):
         return 0.0
 
 
+class StackStage:
+    """The stage of an integrator that advances a (rows, 2^n) stack of
+    stage vectors together: a call squares row r through the route of
+    ctxs[r], with the bits of `ctxs[r].square_stage()` on that row alone.
+
+    On the tensor route (n <= TENSOR_N_MAX) a call is one batched
+    np.matmul of the stacked (2^n, 4^n) operators with the (rows, 4^n, 1)
+    pair masses. NumPy runs it as one gemv per row, the BLAS call of
+    `_product_tensor`'s `B @ W.ravel()`, so the bits are the same; one
+    row takes that 2-D product itself, which costs less. On the flux and
+    stream routes a call runs each row's own `square_stage` (which keeps
+    its stream blocks at n <= KEPT_BLOCKS_N_MAX). `take(rows)` is the
+    stage of a sub-stack of the rows. A context past the product gate
+    raises CapacityError here, before any work."""
+
+    def __init__(self, ctxs):
+        sizes = {ctx.n for ctx in ctxs}
+        if len(sizes) != 1:
+            raise ValueError(f"a stage stack needs contexts of one size, got n in {sorted(sizes)}")
+        self._ops = self._rows = None
+        if sizes.pop() > TENSOR_N_MAX:
+            self._rows = [ctx.square_stage() for ctx in ctxs]
+        elif len(ctxs) == 1:
+            self._ops = ctxs[0]._tensor_matrix()[None]
+        else:
+            self._ops = np.stack([ctx._tensor_matrix() for ctx in ctxs])
+
+    def __call__(self, y):
+        if self._rows is not None:
+            if len(y) == 1:
+                return self._rows[0](y[0])[None]
+            out = np.empty(y.shape)
+            for r, stage in enumerate(self._rows):
+                out[r] = stage(y[r])
+            return out
+        if len(y) == 1:
+            return (self._ops[0] @ (y.T * y).ravel())[None]
+        W = y[:, :, None] * y[:, None, :]
+        return np.matmul(self._ops, W.reshape(len(y), -1, 1)).reshape(y.shape)
+
+    def take(self, rows):
+        sub = object.__new__(StackStage)
+        sub._ops = None if self._ops is None else self._ops[rows]
+        sub._rows = None if self._rows is None else [self._rows[r] for r in rows]
+        return sub
+
+
 class CollisionContext:
     """Precomputed tables for one (J, K) pair.
 

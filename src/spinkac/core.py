@@ -26,6 +26,7 @@ Dense enumeration is gated at ``n <= 24`` sites.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -336,9 +337,27 @@ def cumulative_rows(P):
 
 
 def relative_entropy(p, q):
-    """sum p log(p/q), with 0 log 0 = 0 and +inf when p charges a q-null state."""
+    """sum p log(p/q), with 0 log 0 = 0 and +inf when p charges a q-null
+    state: a float for one density, and one value per row when p is a
+    stack of them (q then one law, or a stack of row laws).
+
+    A stack is one reduction over its rows with every entry of p and q
+    positive, whose values have the bits of their own calls; a row with
+    an entry <= 0 takes its own call, since summing its nonzero terms
+    alone (the masked sum) gives other bits than a sum with zeros in
+    place."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if p.ndim == 2 and q.shape in (p.shape, p.shape[1:]):
+        plain = np.minimum.reduce(np.minimum(p, q), axis=1) > 0.0
+        if plain.all():
+            return (p * np.log(p / q)).sum(axis=1)
+        q = np.broadcast_to(q, p.shape)
+        out = np.empty(len(p))
+        out[plain] = (p[plain] * np.log(p[plain] / q[plain])).sum(axis=1)
+        for r in np.flatnonzero(~plain):
+            out[r] = relative_entropy(p[r], q[r])
+        return out
     if p.shape != q.shape:
         raise ValueError("densities must share a state space")
     sup = p > 0.0
@@ -348,7 +367,10 @@ def relative_entropy(p, q):
 
 
 def tv_distance(p, q):
-    return 0.5 * float(np.sum(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))))
+    """Half the l1 distance: a float for one density, and one value per
+    row when p is a stack of them (q one law, or a stack of row laws)."""
+    tv = 0.5 * np.sum(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)), axis=-1)
+    return float(tv) if tv.ndim == 0 else tv
 
 
 def entropy_functional(mu, F):
@@ -429,11 +451,16 @@ class ReversibleChain:
             return cls(none, none, np.zeros(0), probs, logw)
         return cls(np.concatenate(srcs), np.concatenate(dsts), np.concatenate(rates), probs, logw)
 
+    @functools.cached_property
+    def edge_weight(self):
+        """probs(src) rate of every edge, formed once per chain."""
+        return self.probs[self.src] * self.rate
+
     def dirichlet(self, F, G):
-        """sum over edges of probs(src) rate dF dG."""
+        """sum over edges of probs(src) rate dF dG, multiplied in that order."""
         dF = F[self.dst] - F[self.src]
         dG = G[self.dst] - G[self.src]
-        return float(np.sum(self.probs[self.src] * self.rate * dF * dG))
+        return float(np.sum(self.edge_weight * dF * dG))
 
     def entropy_production(self, functions):
         """Dirichlet(F, log F) of each row F of a stack of positive

@@ -11,10 +11,12 @@ a closed-form lower bound on the exponential rate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .collision import StackStage
 from .core import (
     _CHUNK,
     WeakCoupling,
@@ -59,10 +61,10 @@ class Trajectory:
         return self.states[-1]
 
     def entropies(self):
-        return np.array([relative_entropy(p, self.mu_eq) for p in self.states])
+        return relative_entropy(self.states, self.mu_eq)
 
     def tv_to_equilibrium(self):
-        return np.array([tv_distance(p, self.mu_eq) for p in self.states])
+        return tv_distance(self.states, self.mu_eq)
 
 
 def _rk4_step(stage, p, dt):
@@ -76,21 +78,61 @@ def _rk4_step(stage, p, dt):
     return p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _clipped(p):
+    """p clipped at 0 and divided by its new row sums, in place."""
+    np.maximum(p, 0.0, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def _advance(stage, p, dt, depth=0):
+    """One RK4 step of every row of the (rows, 2^n) stack p. A row whose
+    raw mass drifts by RENORM_TOL or more, or that goes measurably
+    negative, is redone as two half steps, in a sub-stack of the failing
+    rows alone, so every row gets the bits of its own one-row call. The
+    test runs on Python floats, and rows with no entry <= 0 skip the
+    clip (a no-op there): fewer numpy calls for a stack of a few rows."""
     if depth > 24:
         raise ConvergenceError("step-size halving did not stabilize the step")
     p_new = _rk4_step(stage, p, dt)
-    drift = abs(float(p_new.sum()) - 1.0)
-    if drift < RENORM_TOL and float(p_new.min()) > -1e-12:
-        np.maximum(p_new, 0.0, out=p_new)
-        p_new /= p_new.sum()
+    sums = np.add.reduce(p_new, axis=1, keepdims=True)
+    mins = np.minimum.reduce(p_new, axis=1).tolist()
+    ok = [abs(s - 1.0) < RENORM_TOL and m > -1e-12 for (s,), m in zip(sums.tolist(), mins)]
+    if all(ok):
+        if min(mins) <= 0.0:
+            return _clipped(p_new)
+        p_new /= sums
         return p_new
-    half = _advance(stage, p, 0.5 * dt, depth + 1)
-    return _advance(stage, half, 0.5 * dt, depth + 1)
+    ok = np.array(ok)
+    redo = np.flatnonzero(~ok)
+    sub = stage.take(redo)
+    half = _advance(sub, p[redo], 0.5 * dt, depth + 1)
+    p_new[redo] = _advance(sub, half, 0.5 * dt, depth + 1)
+    p_new[ok] = _clipped(p_new[ok])
+    return p_new
+
+
+def _grid_steps(t_end, dt, store_every):
+    """The number of dt steps to t_end. One ValueError unless t_end is
+    finite and >= 0, dt finite and > 0, store_every an integer >= 1,
+    and t_end a multiple of dt."""
+    if not (math.isfinite(t_end) and t_end >= 0 and math.isfinite(dt) and dt > 0
+            and isinstance(store_every, numbers.Integral) and store_every >= 1):
+        raise ValueError(f"need a finite t_end >= 0, a finite dt > 0 and an integer "
+                         f"store_every >= 1, got t_end = {t_end}, dt = {dt}, "
+                         f"store_every = {store_every!r}")
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end = {t_end} over dt = {dt} is not a finite step count")
+    nsteps = int(round(steps))
+    if abs(nsteps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t_end = {t_end} is not a multiple of dt = {dt}")
+    return nsteps
 
 
 def evolve(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None):
-    """Integrate the flow with fixed-step RK4 on a uniform grid.
+    """Integrate the flow with fixed-step RK4 on a uniform grid, as the
+    one-row case of `evolve_many`.
 
     Every accepted step renormalizes; a step whose raw mass drifts by
     1e-10 or more (or goes measurably negative) is redone as two half
@@ -102,40 +144,75 @@ def evolve(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None):
     The initial profile must be strictly interior: any block pinned at
     |m| = 1 is rejected with the block named.
 
-    Every RK4 stage squares its vector through `ctx.square_stage()`,
-    whose product route is chosen once per call: a context past the
-    product gate raises CapacityError before any work.
+    Every RK4 stage squares its vector through the context's product
+    route, chosen once per call (`collision.StackStage`): a context past
+    the product gate raises CapacityError before any work.
     """
-    p0 = check_probvec(p0, ctx.n)
-    if t_end < 0 or dt <= 0:
-        raise ValueError("need t_end >= 0 and dt > 0")
-    stage = ctx.square_stage()
-    m0 = check_interior(magnetization_profile(p0, ctx.blocks), ctx.blocks)
-    h_eq = solve_field(ctx.J, ctx.blocks, m0)
-    mu_eq = gibbs(ctx.J, h_eq)
-    nsteps = int(round(t_end / dt))
-    if abs(nsteps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end = {t_end} is not a multiple of dt = {dt}")
-    times = [0.0]
-    states = [p0.copy()]
-    p = p0.copy()
-    stopped = False
+    return evolve_many([ctx], [p0], t_end, dt, store_every, stop_below_entropy)[0]
+
+
+def evolve_many(ctxs, p0s, t_end, dt, store_every=1, stop_below_entropy=None):
+    """`evolve` of every pair (ctxs[r], p0s[r]) on one time grid, as a
+    list of Trajectory in input order.
+
+    The rows are grouped by n, and each group advances as one
+    (rows, 2^n) stack through one RK4 loop: on the tensor route
+    (n <= 5) a stage is one batched matmul for the whole stack
+    (`collision.StackStage`), so the per-step dispatch is paid once per
+    group. A row that halves its step does so in a sub-stack of its own,
+    and a row that meets `stop_below_entropy` leaves the stack, so each
+    trajectory has the bits of its own one-row call. Every input is
+    checked, and every equilibrium solved, before any row is advanced.
+    """
+    ctxs = list(ctxs)
+    if len(p0s) != len(ctxs):
+        raise ValueError(f"{len(ctxs)} contexts but {len(p0s)} initial states")
+    p0s = [check_probvec(p0, ctx.n) for ctx, p0 in zip(ctxs, p0s)]
+    nsteps = _grid_steps(t_end, dt, store_every)
+    groups = {}
+    for r, ctx in enumerate(ctxs):
+        groups.setdefault(ctx.n, []).append(r)
+    stages = {n: StackStage([ctxs[r] for r in rows]) for n, rows in groups.items()}
+    h_eqs = []
+    for ctx, p0 in zip(ctxs, p0s):
+        m0 = check_interior(magnetization_profile(p0, ctx.blocks), ctx.blocks)
+        h_eqs.append(solve_field(ctx.J, ctx.blocks, m0))
+    mu_eqs = [gibbs(ctx.J, h) for ctx, h in zip(ctxs, h_eqs)]
+    trajs = [None] * len(ctxs)
+    for n, rows in groups.items():
+        runs = _integrate(stages[n], np.array([p0s[r] for r in rows]),
+                          np.array([mu_eqs[r] for r in rows]), nsteps, dt, store_every,
+                          stop_below_entropy)
+        for r, (times, states, stopped) in zip(rows, runs):
+            trajs[r] = Trajectory(times, states, h_eqs[r], mu_eqs[r], stopped)
+    return trajs
+
+
+def _integrate(stage, p, mu_eq, nsteps, dt, store_every, stop_below_entropy):
+    """(times, states, stopped) of every row of the stack p, advanced
+    nsteps times by dt."""
+    running = list(range(len(p)))
+    states = [[row] for row in p]
+    grid = [0]
+    stopped = [False] * len(p)
     for i in range(1, nsteps + 1):
         p = _advance(stage, p, dt)
         if i % store_every == 0 or i == nsteps:
-            times.append(i * dt)
-            states.append(p.copy())
+            grid.append(i)
+            for r, row in zip(running, p):
+                states[r].append(row)
             if stop_below_entropy is not None:
-                if relative_entropy(p, mu_eq) < stop_below_entropy:
-                    stopped = True
-                    break
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        h_eq=h_eq,
-        mu_eq=mu_eq,
-        stopped_early=stopped,
-    )
+                done = relative_entropy(p, mu_eq) < stop_below_entropy
+                if done.any():
+                    for r in np.flatnonzero(done):
+                        stopped[running[r]] = True
+                    keep = np.flatnonzero(~done)
+                    if not len(keep):
+                        break
+                    running, p, mu_eq = [running[r] for r in keep], p[keep], mu_eq[keep]
+                    stage = stage.take(keep)
+    return [(np.array([i * dt for i in grid[:len(rows)]]), np.array(rows), stop)
+            for rows, stop in zip(states, stopped)]
 
 
 def dissipation(ctx, f, mu):

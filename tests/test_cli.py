@@ -98,6 +98,22 @@ class TestExitCodes:
         assert f"t_end = {t_end}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--t-end", "inf"], ["--t-end", "nan"], ["--dt", "nan"], ["--t-end", "1", "--dt", "inf"],
+        ["--t-end", "-1"], ["--dt", "0"],
+    ])
+    def test_evolve_needs_a_finite_grid(self, tmp_path, package_python, flags):
+        # an infinite or NaN grid is one ValueError, named on stderr,
+        # before any step and before the table is opened
+        out = tmp_path / "e.csv"
+        res = package_python(["-m", "spinkac.cli", "evolve", "--model", DEMO, *flags,
+                              "--out", str(out)], cwd=REPO, capture_output=True, timeout=60)
+        assert res.returncode == 1
+        err = res.stderr.decode()
+        assert err.startswith("spinkac: error: need a finite t_end >= 0, a finite dt > 0")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("t", ["nan", "inf", "-1"])
     def test_tree_needs_a_finite_time(self, tmp_path, capsys, t):
         out = tmp_path / "t.csv"

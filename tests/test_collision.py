@@ -344,6 +344,28 @@ class TestProduct:
         else:
             assert held < block
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 8])
+    def test_stack_stage_rows_are_their_own_stages(self, n):
+        # one context per row: the tensor route (n <= 5) squares the whole
+        # stack in one batched matmul, the flux and stream routes row by
+        # row; each row, and each row of a sub-stack, has the bits of its
+        # context's own stage
+        rng = np.random.default_rng(37)
+        ctxs = [CollisionContext(random_symmetric(rng, n, 0.2), collision.mean_field_kernel(n))
+                for _ in range(3)]
+        ys = rng.dirichlet(np.full(1 << n, 1.5), size=3)
+        wants = [ctx.square_stage()(y) for ctx, y in zip(ctxs, ys)]
+        stage = collision.StackStage(ctxs)
+        assert np.array_equal(stage(ys), wants)
+        for rows in ([1], [2, 0]):
+            assert np.array_equal(stage.take(rows)(ys[rows]), [wants[r] for r in rows])
+        assert np.array_equal(collision.StackStage(ctxs[1:2])(ys[1:2]), wants[1:2])
+
+    def test_stack_stage_needs_one_size(self):
+        ctxs = [CollisionContext(np.zeros((n, n)), collision.mean_field_kernel(n)) for n in (2, 3)]
+        with pytest.raises(ValueError, match="one size"):
+            collision.StackStage(ctxs)
+
     def test_commutative(self):
         rng = np.random.default_rng(25)
         ctx = CollisionContext(random_symmetric(rng, 3, 0.25), collision.mean_field_kernel(3))

@@ -232,6 +232,19 @@ class TestChainSpectra:
                              for s in range(6) for d in range(6) if d != s)
         assert tab.dirichlet(F, G) == pytest.approx(directed, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["shell n=3 N=3 mean-field", "slice 3:1,3:-1,4:0"])
+    def test_dirichlet_keeps_the_bits_of_the_edge_sum(self, name):
+        # the edge weights probs(src) rate are formed once per chain; the
+        # sum has the bits of the expression that formed them per call
+        build, args = SPECTRUM_CHAINS[name]
+        tab = build(*args)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            F, G = rng.standard_normal((2, tab.probs.size))
+            dF, dG = F[tab.dst] - F[tab.src], G[tab.dst] - G[tab.src]
+            want = float(np.sum(tab.probs[tab.src] * tab.rate * dF * dG))
+            assert tab.dirichlet(F, G) == want
+
     @pytest.mark.parametrize("sizes", [(3, 4), (150, 151)])
     def test_reducible_chain_has_zero_gap(self, sizes):
         # two components: the top eigenvalue 0 is double on the dense
@@ -618,6 +631,30 @@ class TestEntropy:
         q = np.array([0.0, 0.0, 0.25, 0.75])
         assert core.tv_distance(p, p) == 0.0
         assert core.tv_distance(p, q) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 6, 7, 8])
+    def test_stacked_rows_are_their_own_calls(self, n):
+        # random rows, a third of them with exact zeros; a row with a zero
+        # keeps the masked sum of its own call, the others are one stacked
+        # reduction with the same bits. q is one law or a stack of laws.
+        rng = np.random.default_rng(40 + n)
+        p = rng.dirichlet(np.ones(1 << n), size=12)
+        p[::3][rng.uniform(size=p[::3].shape) < 0.3] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        q = rng.dirichlet(np.ones(1 << n), size=12)
+        for law in (q[0], q):
+            rows = np.broadcast_to(law, p.shape)
+            H, tv = core.relative_entropy(p, law), core.tv_distance(p, law)
+            assert H.shape == tv.shape == (12,)
+            assert np.array_equal(H, [core.relative_entropy(a, b) for a, b in zip(p, rows)])
+            assert np.array_equal(tv, [core.tv_distance(a, b) for a, b in zip(p, rows)])
+
+    def test_stacked_support_violation_is_infinite(self):
+        p = np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]])
+        q = np.array([0.5, 0.0, 0.25, 0.25])
+        H = core.relative_entropy(p, q)
+        assert H[0] == H[1] == math.inf
+        assert H[2] == core.relative_entropy(p[2], q) < math.inf
 
     def test_entropy_functional_matches_relative_entropy(self):
         # Ent_mu(f) = H(f mu | mu) when mu[f] = 1

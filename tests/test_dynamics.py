@@ -109,12 +109,194 @@ class TestEvolve:
         with pytest.raises(DegenerateProfileError):
             dynamics.evolve(ctx, pinned, 1.0, 0.01)
 
+    @pytest.mark.parametrize("t_end, dt, store_every", [
+        (math.inf, 0.01, 1), (math.nan, 0.01, 1), (-1.0, 0.01, 1),
+        (1.0, math.nan, 1), (1.0, math.inf, 1), (1.0, 0.0, 1), (1.0, -0.1, 1),
+        (1.0, 0.01, 0), (1.0, 0.01, -5), (1.0, 0.01, 2.5),
+        (1e300, 1e-300, 1),  # t_end / dt overflows to inf
+    ])
+    def test_grid_must_be_finite_and_positive(self, t_end, dt, store_every):
+        ctx = make_ctx(np.zeros((2, 2)))
+        uniform = np.full(4, 0.25)
+        for run in (lambda: dynamics.evolve(ctx, uniform, t_end, dt, store_every),
+                    lambda: dynamics.evolve_many([ctx], [uniform], t_end, dt, store_every)):
+            with pytest.raises(ValueError, match="t_end"):
+                run()
+
     def test_start_near_the_boundary_is_rejected_up_front(self):
         # m = 1 - 1e-13 is inside (-1, 1) but closer to 1 than the field
         # solve can reach; the profile check names the block before it
         ctx = make_ctx(np.zeros((1, 1)), "single-site")
         with pytest.raises(DegenerateProfileError, match=r"block \(1,\) has magnetization"):
             dynamics.evolve(ctx, np.array([5e-14, 1.0 - 5e-14]), 1.0, 0.01)
+
+
+def one_row_flow(ctx, p0, t_end, dt, store_every=1, stop_below_entropy=None, force=None):
+    """(times, states, stopped) of the flow from p0 advanced one 1-D state
+    at a time, through `ctx.square_stage()`, with the step test of
+    `dynamics._advance` written for one state: the oracle each row of
+    `evolve_many` must match bit for bit. `force(p_new, dt)` may edit
+    each raw RK4 step in place before its test."""
+    stage = ctx.square_stage()
+
+    def advance(p, dt, depth=0):
+        assert depth <= 24
+        k1 = stage(p) - p
+        y = p + (0.5 * dt) * k1
+        k2 = stage(y) - y
+        y = p + (0.5 * dt) * k2
+        k3 = stage(y) - y
+        y = p + dt * k3
+        k4 = stage(y) - y
+        p_new = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if force is not None:
+            force(p_new, dt)
+        if abs(float(p_new.sum()) - 1.0) < dynamics.RENORM_TOL and float(p_new.min()) > -1e-12:
+            np.maximum(p_new, 0.0, out=p_new)
+            p_new /= p_new.sum()
+            return p_new
+        return advance(advance(p, 0.5 * dt, depth + 1), 0.5 * dt, depth + 1)
+
+    m0 = core.magnetization_profile(p0, ctx.blocks)
+    mu_eq = core.gibbs(ctx.J, core.solve_field(ctx.J, ctx.blocks, m0))
+    nsteps = int(round(t_end / dt))
+    times, states, p = [0.0], [p0.copy()], p0.copy()
+    for i in range(1, nsteps + 1):
+        p = advance(p, dt)
+        if i % store_every == 0 or i == nsteps:
+            times.append(i * dt)
+            states.append(p.copy())
+            if stop_below_entropy is not None and core.relative_entropy(p, mu_eq) < stop_below_entropy:
+                return np.array(times), np.array(states), True
+    return np.array(times), np.array(states), False
+
+
+def assert_rows_are_one_row_flows(ctxs, p0s, t_end, dt, force=None, **kwargs):
+    trajs = dynamics.evolve_many(ctxs, p0s, t_end, dt, **kwargs)
+    assert len(trajs) == len(ctxs)
+    for ctx, p0, traj in zip(ctxs, p0s, trajs):
+        times, states, stopped = one_row_flow(ctx, p0, t_end, dt, force=force, **kwargs)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
+        assert traj.states.flags.c_contiguous
+        assert traj.stopped_early == stopped
+        one = dynamics.evolve(ctx, p0, t_end, dt, **kwargs)
+        assert np.array_equal(one.states, states)
+        assert np.array_equal(one.mu_eq, traj.mu_eq)
+    return trajs
+
+
+def stack_sizes(monkeypatch):
+    """Record the (rows, dt) of every `_rk4_step` call."""
+    seen = []
+    step = dynamics._rk4_step
+
+    def recorded(stage, p, dt):
+        seen.append((len(p), dt))
+        return step(stage, p, dt)
+
+    monkeypatch.setattr(dynamics, "_rk4_step", recorded)
+    return seen
+
+
+class TestEvolveMany:
+    def test_mixed_kernels_and_sizes_match_their_one_row_flows(self, monkeypatch):
+        # rows of n = 2..5 under every kernel kind, interleaved: each size
+        # is one stack, and the trajectories come back in input order
+        rng = np.random.default_rng(70)
+        ctxs, p0s = [], []
+        for i in range(10):
+            n = 2 + i % 4
+            kind = collision.KERNEL_KINDS[i % 3]
+            blocks = ((0,), tuple(range(1, n))) if kind == "blocks" else None
+            ctxs.append(make_ctx(verify._random_coupling(rng, n, 0.4), kind, blocks))
+            p0s.append(interior_density(rng, n))
+        seen = stack_sizes(monkeypatch)
+        trajs = assert_rows_are_one_row_flows(ctxs, p0s, 0.5, 0.05, store_every=3)
+        assert [len(t.times) for t in trajs] == [5] * 10
+        assert seen[:10] == [(3, 0.05)] * 10  # n = 2: rows 0, 4 and 8
+
+    def test_a_row_that_halves_does_so_alone(self, monkeypatch):
+        # no flow here halves on its own, so every full step of a state
+        # whose first entry exceeds 0.2 is made to fail the negativity
+        # test: those rows are redone as a sub-stack of half steps while
+        # the others go on, and every row keeps the bits of its own
+        # one-row flow
+        def force(p_new, dt):
+            if dt == 0.1:
+                rows = p_new.reshape(-1, p_new.shape[-1])
+                rows[rows[:, 0] > 0.2, 0] = -1.0
+
+        step = dynamics._rk4_step
+
+        def forced(stage, p, dt):
+            p_new = step(stage, p, dt)
+            force(p_new, dt)
+            return p_new
+
+        rng = np.random.default_rng(71)
+        ctxs = [make_ctx(verify._random_coupling(rng, 3, 0.5)) for _ in range(4)]
+        p0s = [interior_density(rng, 3) for _ in ctxs]
+        for p0, first in zip(p0s, (0.4, 0.02, 0.5, 0.03)):
+            p0 *= (1.0 - first) / (1.0 - p0[0])
+            p0[0] = first
+        monkeypatch.setattr(dynamics, "_rk4_step", forced)
+        seen = stack_sizes(monkeypatch)
+        assert_rows_are_one_row_flows(ctxs, p0s, 0.4, 0.1, force=force)
+        assert seen[:3] == [(4, 0.1), (2, 0.05), (2, 0.05)]
+
+    def test_rows_stop_at_their_own_steps(self):
+        # rows nearer their equilibrium fall below the entropy floor
+        # sooner; each leaves the stack at its own stored step
+        rng = np.random.default_rng(72)
+        ctx = make_ctx(np.array([[0.0, 0.2], [0.2, 0.0]]))
+        mu = core.gibbs(ctx.J, np.zeros(2))
+        p0s = [mu + eps * np.array([1.0, -1.0, -1.0, 1.0]) for eps in (1e-2, 1e-4, 3e-2)]
+        p0s.append(interior_density(rng, 2))
+        trajs = assert_rows_are_one_row_flows([ctx] * 4, p0s, 20.0, 0.05, store_every=4,
+                                              stop_below_entropy=1e-9)
+        lengths = [len(t.times) for t in trajs]
+        assert all(t.stopped_early for t in trajs[:3])
+        assert len(set(lengths)) == 4
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_flux_and_stream_rows(self, n):
+        # n = 6, 7 take the flux route and n = 8 the stream route, whose
+        # stage keeps its acceptance blocks after its first call
+        rng = np.random.default_rng(73 + n)
+        ctx = make_ctx(verify._random_coupling(rng, n, 0.1))
+        p0 = interior_density(rng, n)
+        assert_rows_are_one_row_flows([ctx], [p0], 0.1, 0.05)
+
+    def test_two_flux_rows_share_one_loop(self):
+        rng = np.random.default_rng(76)
+        ctxs = [make_ctx(verify._random_coupling(rng, 6, 0.1)) for _ in range(2)]
+        assert_rows_are_one_row_flows(ctxs, [interior_density(rng, 6) for _ in ctxs], 0.1, 0.05)
+
+    def test_every_input_is_checked_before_any_row_advances(self, monkeypatch):
+        ctx = make_ctx(np.zeros((2, 2)))
+        pinned = np.zeros(4)
+        pinned[0b11] = 1.0
+        seen = stack_sizes(monkeypatch)
+        with pytest.raises(DegenerateProfileError):
+            dynamics.evolve_many([ctx, ctx], [np.full(4, 0.25), pinned], 1.0, 0.01)
+        with pytest.raises(ValueError, match="2 contexts but 1 initial states"):
+            dynamics.evolve_many([ctx, ctx], [np.full(4, 0.25)], 1.0, 0.01)
+        assert seen == []
+        assert dynamics.evolve_many([], [], 1.0, 0.01) == []
+
+
+class TestTrajectoryDiagnostics:
+    def test_stacked_diagnostics_are_the_per_state_calls(self):
+        # a trajectory from a point mass: its first state holds exact zeros
+        ctx = make_ctx(np.array([[0.0, 0.1, 0.05], [0.1, 0.0, 0.2], [0.05, 0.2, 0.0]]))
+        p0 = np.full(8, 0.1)
+        p0[0b101] = 0.0
+        p0[0b010] = 0.4
+        traj = dynamics.evolve(ctx, p0, 1.0, 0.05)
+        H, tv = traj.entropies(), traj.tv_to_equilibrium()
+        assert np.array_equal(H, [core.relative_entropy(p, traj.mu_eq) for p in traj.states])
+        assert np.array_equal(tv, [core.tv_distance(p, traj.mu_eq) for p in traj.states])
 
 
 def dissipation_per_density(ctx, f, mu):
