@@ -32,9 +32,9 @@ The product has three routes, chosen by n alone:
                for n = 8..12 at O(4^(n-1)) memory, where building the
                flux table costs more than the few products a caller
                takes there. An integrator's stage
-               (`CollisionContext.square_stage`) keeps its blocks for
-               its own life at n <= KEPT_BLOCKS_N_MAX, so every stage
-               after its first does only the matrix products.
+               (`CollisionContext.square_stage`) builds its blocks with
+               itself at n <= KEPT_BLOCKS_N_MAX and keeps them for its
+               own life, so every call does only the matrix products.
 
 The tests compare every route with the defining sum evaluated by plain
 loops, and check reversibility move by move (`product_reference` and
@@ -69,14 +69,14 @@ PRODUCT_N_MAX = 12
 TENSOR_N_MAX = 5
 FLUX_N_MAX = 7
 KEPT_BLOCKS_N_MAX = 9
-"""Largest n whose stream-route stage keeps its acceptance blocks, one
-(2^(n-1), 2^(n-1)) block per unordered site pair: 4.7 MB at n = 8 and
-23.6 MB at n = 9 under a mean-field kernel, against one reused block of
-0.13 and 0.52 MB. With one BLAS thread on a 2-CPU x86-64 machine one
-RK4 step went from 10.7 to 5.2 ms at n = 8 and from 42.9 to 11.4 ms at
-n = 9. At n = 10 the blocks would hold 115 MB for under 2x (a 4-step
-`evolve` from 0.98-1.24 s to 0.61 s, peak RSS 38 to 147 MB), so
-n = 10..12 keep one buffer."""
+"""Largest n whose stream-route stage builds its acceptance blocks when
+it is made and keeps them, one (2^(n-1), 2^(n-1)) block per unordered
+site pair: 4.7 MB at n = 8 and 23.6 MB at n = 9 under a mean-field
+kernel, against one reused block of 0.13 and 0.52 MB. With one BLAS
+thread on a 2-CPU x86-64 machine one RK4 step went from 10.7 to 5.2 ms
+at n = 8 and from 42.9 to 11.4 ms at n = 9. At n = 10 the blocks would
+hold 115 MB for under 2x (a 4-step `evolve` from 0.98-1.24 s to 0.61 s,
+peak RSS 38 to 147 MB), so n = 10..12 keep one buffer."""
 KERNEL_KINDS = ("single-site", "mean-field", "blocks", "matrix")  # of build_transport_kernel
 
 
@@ -198,10 +198,11 @@ class StackStage:
     pair masses. NumPy runs it as one gemv per row, the BLAS call of
     `_product_tensor`'s `B @ W.ravel()`, so the bits are the same; one
     row takes that 2-D product itself, which costs less. On the flux and
-    stream routes a call runs each row's own `square_stage` (which keeps
-    its stream blocks at n <= KEPT_BLOCKS_N_MAX). `take(rows)` is the
-    stage of a sub-stack of the rows. A context past the product gate
-    raises CapacityError here, before any work."""
+    stream routes a call runs each row's own `square_stage` (which builds
+    its stream blocks here at n <= KEPT_BLOCKS_N_MAX). `take(rows)` is
+    the stage of a sub-stack of the rows, for the rows that halve a
+    step. A context past the product gate raises CapacityError here,
+    before any work."""
 
     def __init__(self, ctxs):
         sizes = {ctx.n for ctx in ctxs}
@@ -323,15 +324,15 @@ class CollisionContext:
         roundoff-negative entries) may fail.
 
         On the stream route at n <= KEPT_BLOCKS_N_MAX (n = 8, 9) the
-        stage keeps its acceptance blocks for as long as it lives (one
-        `evolve` call): its first call fills one block per unordered
-        site pair and every later call reuses them, with the bits of
-        `_product_stream(y, y)`. The context keeps none of them; at
-        n = 10..12 each call refills one reused buffer, as `product`
-        does on every route."""
+        stage builds one acceptance block per unordered site pair here,
+        and keeps them for as long as it lives (one `evolve` call): every
+        call reuses them, with the bits of `_product_stream(y, y)`. The
+        context keeps none of them; at n = 10..12 each call refills one
+        reused buffer, as `product` does on every route. A context past
+        the product gate raises CapacityError here."""
         route = self._route()
         if FLUX_N_MAX < self.n <= KEPT_BLOCKS_N_MAX:
-            route = functools.partial(self._product_stream, kept=[])
+            route = functools.partial(self._product_stream, kept=list(self._acceptance_blocks()))
         return lambda y: route(y, y)
 
     def _route(self):
@@ -439,9 +440,9 @@ class CollisionContext:
         # product of E_lk with four columns. The reversed pair needs no
         # block of its own: E_kl = 1 - E_lk^T, so its product is
         # colsum - E_lk^T @ columns. Without `kept`, one buffer holds E_lk
-        # for every unordered pair {l, k} in turn. With it, the first call
-        # fills the list with one block per pair and later calls read them
-        # back, so they skip every exp; the products are the same.
+        # for every unordered pair {l, k} in turn. With it, the list of
+        # `_acceptance_blocks()` that `square_stage` built, a call skips
+        # every exp; the products are the same.
         n = self.n
         cols = [np.column_stack(_halves(p, l) + _halves(q, l)) for l in range(n)]
         sums = [c.sum(axis=0) for c in cols]
@@ -459,12 +460,8 @@ class CollisionContext:
             out_l[:, 1] -= d
 
         if kept is None:
-            blocks = self._acceptance_blocks(np.empty((1 << (n - 1),) * 2))
-        else:
-            if not kept:
-                kept.extend(self._acceptance_blocks())
-            blocks = kept
-        for l, k, E in blocks:
+            kept = self._acceptance_blocks(np.empty((1 << (n - 1),) * 2))
+        for l, k, E in kept:
             w_lk, w_kl = self.K[l, k] / n, self.K[k, l] / n
             if w_lk > 0.0:
                 shift(l, k, w_lk, E @ cols[k])

@@ -336,40 +336,34 @@ def cumulative_rows(P):
     return cum
 
 
-def relative_entropy(p, q):
-    """sum p log(p/q), with 0 log 0 = 0 and +inf when p charges a q-null
-    state: a float for one density, and one value per row when p is a
-    stack of them (q then one law, or a stack of row laws).
-
-    A stack is one reduction over its rows with every entry of p and q
-    positive, whose values have the bits of their own calls; a row with
-    an entry <= 0 takes its own call, since summing its nonzero terms
-    alone (the masked sum) gives other bits than a sum with zeros in
-    place."""
+def _density_pair(p, q):
+    """p and q as float arrays on one state space: one density and its
+    law, or a (rows, size) stack of densities against one law or a
+    stack of row laws. ValueError otherwise."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.ndim == 2 and q.shape in (p.shape, p.shape[1:]):
-        plain = np.minimum.reduce(np.minimum(p, q), axis=1) > 0.0
-        if plain.all():
-            return (p * np.log(p / q)).sum(axis=1)
-        q = np.broadcast_to(q, p.shape)
-        out = np.empty(len(p))
-        out[plain] = (p[plain] * np.log(p[plain] / q[plain])).sum(axis=1)
-        for r in np.flatnonzero(~plain):
-            out[r] = relative_entropy(p[r], q[r])
-        return out
-    if p.shape != q.shape:
-        raise ValueError("densities must share a state space")
-    sup = p > 0.0
-    if np.any(q[sup] == 0.0):
-        return math.inf
-    return float(np.sum(p[sup] * np.log(p[sup] / q[sup])))
+    if p.ndim not in (1, 2) or q.shape not in (p.shape, p.shape[-1:]):
+        raise ValueError(f"densities must share a state space, got shapes {p.shape} and {q.shape}")
+    return p, q
+
+
+def relative_entropy(p, q):
+    """sum p log(p/q) over the last axis, with 0 log 0 = 0 and +inf when
+    p charges a q-null state: a float for one density, and one value per
+    row when p is a stack of them (q then one law, or a stack of row
+    laws). One formula for both, so a row of a stack has the bits of its
+    own call; the zero terms of p sit in the sum in place."""
+    p, q = _density_pair(p, q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(p > 0.0, p * np.log(p / q), 0.0).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def tv_distance(p, q):
-    """Half the l1 distance: a float for one density, and one value per
-    row when p is a stack of them (q one law, or a stack of row laws)."""
-    tv = 0.5 * np.sum(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)), axis=-1)
+    """Half the l1 distance, under the shape rule of `relative_entropy`:
+    a float for one density, and one value per row for a stack."""
+    p, q = _density_pair(p, q)
+    tv = 0.5 * np.sum(np.abs(p - q), axis=-1)
     return float(tv) if tv.ndim == 0 else tv
 
 

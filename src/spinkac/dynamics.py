@@ -160,9 +160,11 @@ def evolve_many(ctxs, p0s, t_end, dt, store_every=1, stop_below_entropy=None):
     (n <= 5) a stage is one batched matmul for the whole stack
     (`collision.StackStage`), so the per-step dispatch is paid once per
     group. A row that halves its step does so in a sub-stack of its own,
-    and a row that meets `stop_below_entropy` leaves the stack, so each
-    trajectory has the bits of its own one-row call. Every input is
-    checked, and every equilibrium solved, before any row is advanced.
+    so each trajectory has the bits of its own one-row call. A row that
+    meets `stop_below_entropy` ends its trajectory at that state but
+    stays in the stack, and the group stops once every row has ended.
+    Every input is checked, and every equilibrium solved, before any row
+    is advanced.
     """
     ctxs = list(ctxs)
     if len(p0s) != len(ctxs):
@@ -190,29 +192,24 @@ def evolve_many(ctxs, p0s, t_end, dt, store_every=1, stop_below_entropy=None):
 
 def _integrate(stage, p, mu_eq, nsteps, dt, store_every, stop_below_entropy):
     """(times, states, stopped) of every row of the stack p, advanced
-    nsteps times by dt."""
-    running = list(range(len(p)))
-    states = [[row] for row in p]
-    grid = [0]
-    stopped = [False] * len(p)
+    nsteps times by dt. Every row stays in the stack until the call
+    ends. A row whose stored relative entropy falls below
+    stop_below_entropy ends its trajectory in place, at that state, and
+    the loop stops once every row has ended."""
+    grid, stored = [0], [p]
+    ends = np.zeros(len(p), dtype=int)  # stored states of a row that ended, 0 while it runs
     for i in range(1, nsteps + 1):
         p = _advance(stage, p, dt)
         if i % store_every == 0 or i == nsteps:
             grid.append(i)
-            for r, row in zip(running, p):
-                states[r].append(row)
+            stored.append(p)
             if stop_below_entropy is not None:
-                done = relative_entropy(p, mu_eq) < stop_below_entropy
-                if done.any():
-                    for r in np.flatnonzero(done):
-                        stopped[running[r]] = True
-                    keep = np.flatnonzero(~done)
-                    if not len(keep):
-                        break
-                    running, p, mu_eq = [running[r] for r in keep], p[keep], mu_eq[keep]
-                    stage = stage.take(keep)
-    return [(np.array([i * dt for i in grid[:len(rows)]]), np.array(rows), stop)
-            for rows, stop in zip(states, stopped)]
+                ends[(ends == 0) & (relative_entropy(p, mu_eq) < stop_below_entropy)] = len(stored)
+                if ends.all():
+                    break
+    times, states = np.array([i * dt for i in grid]), np.array(stored)
+    return [(times[:end or None], np.ascontiguousarray(states[:end or None, r]), end > 0)
+            for r, end in enumerate(ends.tolist())]
 
 
 def dissipation(ctx, f, mu):

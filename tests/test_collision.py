@@ -344,6 +344,29 @@ class TestProduct:
         else:
             assert held < block
 
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_stream_stage_builds_its_blocks_when_made(self, n, monkeypatch):
+        # one `_acceptance_blocks` call, with one block per unordered site
+        # pair, when the stage is made; its calls read them back and fill
+        # no block
+        rng = np.random.default_rng(38)
+        ctx = CollisionContext(random_symmetric(rng, n, 0.2), collision.mean_field_kernel(n))
+        filled = []
+        blocks = CollisionContext._acceptance_blocks
+
+        def counted(self, buffer=None):
+            filled.append(0)
+            for block in blocks(self, buffer):
+                filled[-1] += 1
+                yield block
+
+        monkeypatch.setattr(CollisionContext, "_acceptance_blocks", counted)
+        stage = ctx.square_stage()
+        assert filled == [n * (n + 1) // 2]
+        for y in rng.dirichlet(np.ones(1 << n), size=3):
+            stage(y)
+        assert filled == [n * (n + 1) // 2]
+
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 8])
     def test_stack_stage_rows_are_their_own_stages(self, n):
         # one context per row: the tensor route (n <= 5) squares the whole

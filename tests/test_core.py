@@ -649,6 +649,40 @@ class TestEntropy:
             assert np.array_equal(H, [core.relative_entropy(a, b) for a, b in zip(p, rows)])
             assert np.array_equal(tv, [core.tv_distance(a, b) for a, b in zip(p, rows)])
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_rows_with_zeros_are_their_own_calls(self, n):
+        # 8 to 256 states, every row with exact zeros, which sit in the
+        # sum in place; in rows 0 and 3 p charges a state its row law does
+        # not, so H is +inf there. q is a stack of row laws, then one law.
+        rng = np.random.default_rng(60 + n)
+        p = rng.dirichlet(np.ones(1 << n), size=6)
+        p[rng.uniform(size=p.shape) < 0.3] = 0.0
+        p[:, 0] = 0.2
+        p /= p.sum(axis=1, keepdims=True)
+        q = rng.dirichlet(np.ones(1 << n), size=6)
+        q[(p == 0.0) & (rng.uniform(size=p.shape) < 0.5)] = 0.0
+        q[[0, 3], 0] = 0.0
+        q /= q.sum(axis=1, keepdims=True)
+        H = core.relative_entropy(p, q)
+        assert np.array_equal(H, [core.relative_entropy(a, b) for a, b in zip(p, q)])
+        assert np.isinf(H).tolist() == [True, False, False, True, False, False]
+        H = core.relative_entropy(p, q[1])
+        assert np.array_equal(H, [core.relative_entropy(a, q[1]) for a in p])
+
+    @pytest.mark.parametrize("p, q", [
+        (np.full(4, 0.25), [1.0]),
+        (np.full(4, 0.25), np.full((3, 4), 0.25)),
+        (np.full((2, 4), 0.25), np.full((3, 4), 0.25)),
+        (np.full((2, 4), 0.25), np.full(2, 0.5)),
+        (np.full((1, 2, 4), 0.25), np.full(4, 0.25)),
+    ])
+    def test_densities_on_other_state_spaces_are_rejected(self, p, q):
+        # one density against one law of its size, or a stack against one
+        # law or one law per row; anything else is two state spaces
+        for distance in (core.relative_entropy, core.tv_distance):
+            with pytest.raises(ValueError, match="share a state space"):
+                distance(p, q)
+
     def test_stacked_support_violation_is_infinite(self):
         p = np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.25, 0.25]])
         q = np.array([0.5, 0.0, 0.25, 0.25])

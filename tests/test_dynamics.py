@@ -7,7 +7,7 @@ import pytest
 
 from spinkac import collision, core, dynamics, verify
 from spinkac.collision import CollisionContext
-from spinkac.errors import ConvergenceError, DegenerateProfileError, FitError
+from spinkac.errors import CapacityError, ConvergenceError, DegenerateProfileError, FitError
 
 
 def make_ctx(J, kind="mean-field", blocks=None):
@@ -245,19 +245,25 @@ class TestEvolveMany:
         assert_rows_are_one_row_flows(ctxs, p0s, 0.4, 0.1, force=force)
         assert seen[:3] == [(4, 0.1), (2, 0.05), (2, 0.05)]
 
-    def test_rows_stop_at_their_own_steps(self):
+    def test_rows_stop_at_their_own_steps(self, monkeypatch):
         # rows nearer their equilibrium fall below the entropy floor
-        # sooner; each leaves the stack at its own stored step
+        # sooner; each ends its trajectory at its own stored step, in
+        # place: the stage sees all four rows until the last row ends
         rng = np.random.default_rng(72)
         ctx = make_ctx(np.array([[0.0, 0.2], [0.2, 0.0]]))
         mu = core.gibbs(ctx.J, np.zeros(2))
         p0s = [mu + eps * np.array([1.0, -1.0, -1.0, 1.0]) for eps in (1e-2, 1e-4, 3e-2)]
         p0s.append(interior_density(rng, 2))
+        seen = stack_sizes(monkeypatch)
         trajs = assert_rows_are_one_row_flows([ctx] * 4, p0s, 20.0, 0.05, store_every=4,
                                               stop_below_entropy=1e-9)
         lengths = [len(t.times) for t in trajs]
         assert all(t.stopped_early for t in trajs[:3])
         assert len(set(lengths)) == 4
+        # the one-row `evolve` calls of the helper follow the stacked steps
+        steps = round(max(t.times[-1] for t in trajs) / 0.05)
+        assert seen[:steps] == [(4, 0.05)] * steps
+        assert seen[steps] == (1, 0.05)
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_flux_and_stream_rows(self, n):
@@ -284,6 +290,15 @@ class TestEvolveMany:
             dynamics.evolve_many([ctx, ctx], [np.full(4, 0.25)], 1.0, 0.01)
         assert seen == []
         assert dynamics.evolve_many([], [], 1.0, 0.01) == []
+
+    def test_a_context_past_the_product_gate_raises_before_any_field_solve(self, monkeypatch):
+        n = collision.PRODUCT_N_MAX + 1
+        ctx = make_ctx(np.zeros((n, n)))
+        solves = []
+        monkeypatch.setattr(dynamics, "solve_field", lambda *args: solves.append(args))
+        with pytest.raises(CapacityError):
+            dynamics.evolve(ctx, np.full(1 << n, 1.0 / (1 << n)), 0.1, 0.05)
+        assert solves == []
 
 
 class TestTrajectoryDiagnostics:

@@ -42,6 +42,11 @@ ROWS = {
     "evolve-m8": Golden(
         ("evolve", "--model", "tests/data/m8.model", "--t-end", "0.5", "--dt", "0.05"),
         "m8-evolve.csv", None, ("default",)),
+    # the flux route at n = 7: one (n 2^n, 2^n) table per context, one
+    # matvec with it and one gather per product
+    "evolve-m7": Golden(
+        ("evolve", "--model", "tests/data/m7.model", "--t-end", "0.5", "--dt", "0.05"),
+        "m7-evolve.csv", None, ("default", "numpy-baseline")),
     "chaos": Golden(
         ("chaos", "--model", "tests/data/demo-n2.model", "--k", "2",
          "--N-grid", "8,16,32,64,128,256"),

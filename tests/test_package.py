@@ -15,9 +15,9 @@ NO_CALLER = {
     "particle_shaped_instance": "input of the exact comparison criterion (ROADMAP item 10)",
     "mean_field_alpha": "input of the exact comparison criterion (ROADMAP item 10)",
     "spectral_gap": "input of the exact comparison criterion (ROADMAP item 10)",
-    "ball_factorization_value": "a localization step for the comparison criterion (ROADMAP item 10)",
-    "ball_dirichlet_value": "a localization step for the comparison criterion (ROADMAP item 10)",
-    "jensen_residual": "a localization step for the comparison criterion (ROADMAP item 10)",
+    "ball_factorization_value": "a step of the localization criterion (ROADMAP item 20)",
+    "ball_dirichlet_value": "a step of the localization criterion (ROADMAP item 20)",
+    "jensen_residual": "a step of the localization criterion (ROADMAP item 20)",
 }
 
 
